@@ -15,7 +15,7 @@ endif
 ## build must not fetch dependencies).
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci build vet test race bench bench-smoke bench-json bench-diff bench-diff-smoke slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke flowpipe flowpipe-smoke
+.PHONY: ci build vet test race bench-test bench bench-smoke bench-json bench-diff bench-diff-smoke slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke flowpipe flowpipe-smoke
 
 ## ci: the full tier-1 verify path — vet, build, tests, then the race
 ## detector over every package (the register bus, clock and telemetry
@@ -31,7 +31,9 @@ STATICCHECK_VERSION ?= 2025.1
 ## reconciliation mismatch, or a malformed / over-budget metrics scrape.
 ## flowpipe-smoke proves the pipelined flowgraph scheduler bit-identical to
 ## the synchronous reference on the host datapath before measuring it.
-ci: vet staticcheck build test race bench-smoke slo bench-diff-smoke fleetobs-smoke flowpipe-smoke examples-smoke cover
+## bench-test runs the benchmark module's own tests, which `go test ./...`
+## cannot reach.
+ci: vet staticcheck build test race bench-test bench-smoke slo bench-diff-smoke fleetobs-smoke flowpipe-smoke examples-smoke cover
 
 ## staticcheck: zero-findings lint gate, pinned to $(STATICCHECK_VERSION).
 ## Skips with a note when the binary is absent (no network fetches in CI).
@@ -54,6 +56,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## bench-test: the tests of the benchmark in bench/, a Go module of its
+## own: its statistics, a short run of every workload and, through
+## TestWorkloadsSmoke, agreement between the traced per-layer replays and
+## the untraced program (drift in internal/iperf or internal/experiments
+## breaks it).
+bench-test:
+	cd bench && $(GO) test -short ./...
 
 bench:
 	$(GO) test -bench=. -benchmem

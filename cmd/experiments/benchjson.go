@@ -82,8 +82,8 @@ type BenchReport struct {
 	// TelemetryOverheadPct is the block-datapath throughput cost of running
 	// with the live recorder attached and the fleet plane snapshotting in
 	// the background, relative to a bare core. bench-diff gates the fresh
-	// value at 3% in full mode. Zero means the cost was below the run's
-	// measurement noise.
+	// value at 3% in full mode. It is signed: a negative value is
+	// measurement noise (the instrumented run came out faster).
 	TelemetryOverheadPct float64 `json:"telemetry_overhead_pct"`
 
 	// Experiments lists wall-clock per experiment at the report's budgets.
@@ -313,14 +313,20 @@ func fleetSection(rep *BenchReport, window time.Duration) error {
 	agg.Start(50 * time.Millisecond)
 	instMsps := measureThroughput(len(buf), window, func() { inst.ProcessBlock(buf, tx) })
 	agg.Stop()
-	if bareMsps > 0 {
-		pct := (1 - instMsps/bareMsps) * 100
-		if pct < 0 {
-			pct = 0
-		}
-		rep.TelemetryOverheadPct = pct
-	}
+	rep.TelemetryOverheadPct = overheadPct(bareMsps, instMsps)
 	return nil
+}
+
+// overheadPct is the throughput an instrumented run loses against a bare
+// one, in percent of the bare rate. It is signed: a negative value means the
+// instrumented run came out faster, which is measurement noise and is
+// reported as such. A zero bare rate has nothing to compare against and
+// yields 0.
+func overheadPct(bare, instrumented float64) float64 {
+	if bare <= 0 {
+		return 0
+	}
+	return (1 - instrumented/bare) * 100
 }
 
 func experimentSection(rep *BenchReport, frames, packets int) error {

@@ -44,35 +44,34 @@ func BenchmarkProcess(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Msamples/s")
 }
 
-// BenchmarkProcessBlock measures the block fast path used by
-// core.ProcessBlock, which hoists the threshold-enable loads out of the
-// loop.
-func BenchmarkProcessBlock(b *testing.B) {
+// BenchmarkProcessBits measures the block entry point core.ProcessBlock
+// uses: SoA int16 planes in, packed trigger bitmaps out.
+func BenchmarkProcessBits(b *testing.B) {
 	d := benchDiff(b)
-	in := benchInput(4096)
-	high := make([]bool, len(in))
-	low := make([]bool, len(in))
+	iPlane, qPlane := splitPlanes(benchInput(4096))
+	high := make([]uint64, len(iPlane)/64)
+	low := make([]uint64, len(iPlane)/64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {
-		d.ProcessBlock(in, high, low)
-		n += len(in)
+		d.ProcessBits(iPlane, qPlane, high, low)
+		n += len(iPlane)
 	}
 	b.ReportMetric(float64(n)/b.Elapsed().Seconds()/1e6, "Msamples/s")
 }
 
-// TestProcessBlockZeroAllocs pins the block path's zero-allocation
+// TestProcessBitsZeroAllocs pins the block path's zero-allocation
 // guarantee.
-func TestProcessBlockZeroAllocs(t *testing.T) {
+func TestProcessBitsZeroAllocs(t *testing.T) {
 	d := benchDiff(t)
-	in := benchInput(1024)
-	high := make([]bool, len(in))
-	low := make([]bool, len(in))
+	iPlane, qPlane := splitPlanes(benchInput(1024))
+	high := make([]uint64, len(iPlane)/64)
+	low := make([]uint64, len(iPlane)/64)
 	allocs := testing.AllocsPerRun(10, func() {
-		d.ProcessBlock(in, high, low)
+		d.ProcessBits(iPlane, qPlane, high, low)
 	})
 	if allocs != 0 {
-		t.Errorf("ProcessBlock: %.1f allocs per 1024-sample block, want 0", allocs)
+		t.Errorf("ProcessBits: %.1f allocs per 1024-sample block, want 0", allocs)
 	}
 }

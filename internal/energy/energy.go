@@ -158,51 +158,6 @@ func (d *Differentiator) Process(s fixed.IQ) (high, low bool) {
 	return high, low
 }
 
-// ProcessBlock consumes a whole block of quantized samples, writing each
-// sample's high/low trigger decision into the caller-provided slices (which
-// must be at least len(in) long). It is the block-mode fast path of Process:
-// the per-call threshold/enable loads are hoisted out of the loop, and the
-// decisions are bit-identical to calling Process once per sample.
-func (d *Differentiator) ProcessBlock(in []fixed.IQ, high, low []bool) {
-	_ = high[:len(in)]
-	_ = low[:len(in)]
-	hiOn, loOn := d.highEnabled, d.lowEnabled
-	hiQ, loQ := d.highQ16, d.lowQ16
-	for n, s := range in {
-		x := s.Energy()
-		d.sum += x - d.window[d.wpos]
-		d.window[d.wpos] = x
-		d.wpos++
-		if d.wpos == WindowLength {
-			d.wpos = 0
-		}
-
-		delayed := d.sums[d.spos]
-		d.sums[d.spos] = d.sum
-		d.spos++
-		if d.spos == CompareDelay {
-			d.spos = 0
-		}
-
-		if d.seen < WindowLength+CompareDelay {
-			d.seen++
-			high[n], low[n] = false, false
-			continue
-		}
-
-		ref := delayed
-		if ref < noiseFloorSum {
-			ref = noiseFloorSum
-		}
-		cur := d.sum
-		if cur < noiseFloorSum {
-			cur = noiseFloorSum
-		}
-		high[n] = hiOn && cur<<16 > ref*hiQ
-		low[n] = loOn && ref<<16 > cur*loQ
-	}
-}
-
 // ProcessBits is the SoA block entry point: it consumes the separate int16
 // I/Q planes fixed.QuantizeFused writes, computes each sample's energy
 // reading x[n] = I²+Q² in place (two int16 loads beat a 64-bit energy plane

@@ -304,7 +304,8 @@ func (c *Controller) Process(rx fixed.IQ, trigger bool) complex128 {
 // sample conversions no matter how long the span is, since earlier writes
 // would be overwritten anyway), delay/init countdowns are consumed in one
 // subtraction, and an active burst runs the waveform generator in a tight
-// loop. Phase-transition callbacks fire exactly as they would per sample.
+// loop (block-generated for WGN, see lfsrGaussian.fill). Phase-transition
+// callbacks fire exactly as they would per sample.
 func (c *Controller) ProcessQuietSpan(iPlane, qPlane []int16, tx []complex128) (jamSamples uint64) {
 	n := len(tx)
 	_ = iPlane[:n]
@@ -355,12 +356,16 @@ func (c *Controller) ProcessQuietSpan(iPlane, qPlane []int16, tx []complex128) (
 				span = c.remaining
 			}
 			m := int(span)
-			for k := 0; k < m; k++ {
-				out := c.waveformSample()
-				if out != 0 {
-					jamSamples++
+			if c.waveform == WaveformWGN {
+				jamSamples += uint64(c.wgn.fill(tx[i:i+m], c.gain))
+			} else {
+				for k := 0; k < m; k++ {
+					out := c.waveformSample()
+					if out != 0 {
+						jamSamples++
+					}
+					tx[i+k] = out
 				}
-				tx[i+k] = out
 			}
 			c.txCount += span
 			c.remaining -= span
@@ -435,8 +440,69 @@ func (c *Controller) Resources() fpga.Resources {
 // limit theorem (sum of 12 uniforms, per rail) shapes them. Unit average
 // power. Plain Galois LFSR states are too correlated between successive
 // reads for the CLT sum; the xorshift triple scrambles enough.
+//
+// Each rail sums its 12 words as integers and converts once. That equals
+// the float sum of the 12 terms u/2³² exactly: every partial sum is a
+// multiple of 2⁻³² below 12, so it needs at most 36 significant bits.
+// sample draws one complex sample and is the reference; fill produces a
+// whole burst bit-identically, running wgnLanes samples' 24-step chains
+// interleaved from start states one jump24 lookup apart.
 type lfsrGaussian struct {
 	reg uint32
+}
+
+// wgnLanes is how many samples fill synthesizes side by side.
+const wgnLanes = 4
+
+// wgnScale sets each rail's variance to 1/2 for unit total power.
+const wgnScale = 0.7071067811865476
+
+// jump24 is M²⁴ for the xorshift32 step matrix M over GF(2), split by
+// input byte: jump24[b][v] is M²⁴ applied to v<<(8b), so M²⁴·s is the XOR
+// of four lookups (see jump). 24 steps are one complex sample.
+var jump24 [4][256]uint32
+
+func init() {
+	// Column j of M²⁴ is the image of the unit vector 1<<j.
+	var col [32]uint32
+	for j := range col {
+		s := uint32(1) << j
+		for k := 0; k < 24; k++ {
+			s = xorshift(s)
+		}
+		col[j] = s
+	}
+	for b := range jump24 {
+		for v := range jump24[b] {
+			var acc uint32
+			for bit := 0; bit < 8; bit++ {
+				if v>>bit&1 != 0 {
+					acc ^= col[8*b+bit]
+				}
+			}
+			jump24[b][v] = acc
+		}
+	}
+}
+
+// jump returns the state 24 xorshift steps after s.
+func jump(s uint32) uint32 {
+	return jump24[0][s&0xff] ^ jump24[1][s>>8&0xff] ^ jump24[2][s>>16&0xff] ^ jump24[3][s>>24]
+}
+
+func xorshift(s uint32) uint32 {
+	s ^= s << 13
+	s ^= s >> 17
+	s ^= s << 5
+	return s
+}
+
+// railValue maps the integer sum of 12 uniform words to a rail value: the
+// sum of 12 uniform [0,1) variables minus 6, mean 0 and variance 1. The
+// sum is below 2³⁶, so the int64 conversion is exact and cheaper than the
+// uint64 one.
+func railValue(sum uint64) float64 {
+	return float64(int64(sum))/(1<<32) - 6
 }
 
 func (l *lfsrGaussian) seed(s uint32) {
@@ -447,23 +513,85 @@ func (l *lfsrGaussian) seed(s uint32) {
 }
 
 func (l *lfsrGaussian) next() uint32 {
-	l.reg ^= l.reg << 13
-	l.reg ^= l.reg >> 17
-	l.reg ^= l.reg << 5
+	l.reg = xorshift(l.reg)
 	return l.reg
 }
 
 func (l *lfsrGaussian) rail() float64 {
-	// Sum of 12 uniform [0,1) variables minus 6: mean 0, variance 1.
-	var sum float64
+	var sum uint64
 	for i := 0; i < 12; i++ {
-		sum += float64(l.next()) / (1 << 32)
+		sum += uint64(l.next())
 	}
-	return sum - 6
+	return railValue(sum)
 }
 
 func (l *lfsrGaussian) sample() complex128 {
-	// Per-rail variance 1/2 for unit total power.
-	const scale = 0.7071067811865476
-	return complex(l.rail()*scale, l.rail()*scale)
+	return complex(l.rail()*wgnScale, l.rail()*wgnScale)
+}
+
+// laneStates holds the shift-register states of wgnLanes samples.
+type laneStates [wgnLanes]uint32
+
+// railSums advances every lane 12 steps and returns each lane's sum of the
+// 12 words, the four serially dependent chains interleaved. It is a
+// function of its own so its eight live values get registers: written
+// inline in fill's loop, the compiler spilled the sums to the stack.
+func (s *laneStates) railSums() (a0, a1, a2, a3 uint64) {
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	for i := 0; i < 12; i++ {
+		s0 = xorshift(s0)
+		s1 = xorshift(s1)
+		s2 = xorshift(s2)
+		s3 = xorshift(s3)
+		a0 += uint64(s0)
+		a1 += uint64(s1)
+		a2 += uint64(s2)
+		a3 += uint64(s3)
+	}
+	*s = laneStates{s0, s1, s2, s3}
+	return a0, a1, a2, a3
+}
+
+// fill writes len(tx) gain-scaled samples, bit-identical to
+// tx[k] = complex(gain, 0) * l.sample() in order, and returns how many are
+// nonzero. Whole groups of wgnLanes samples run their chains interleaved,
+// so the out-of-order core overlaps them instead of waiting on one
+// serially dependent chain; the remainder goes through sample.
+func (l *lfsrGaussian) fill(tx []complex128, gain float64) (nonzero int) {
+	g := complex(gain, 0)
+	s := laneStates{l.reg}
+	s[1] = jump(s[0])
+	s[2] = jump(s[1])
+	s[3] = jump(s[2])
+	k := 0
+	for ; k+wgnLanes <= len(tx); k += wgnLanes {
+		out := tx[k : k+wgnLanes : k+wgnLanes]
+		// The next group's start states depend only on s[3], so this
+		// lookup chain overlaps the lanes' work below.
+		n0 := jump(s[3])
+		n1 := jump(n0)
+		n2 := jump(n1)
+		n3 := jump(n2)
+		i0, i1, i2, i3 := s.railSums()
+		q0, q1, q2, q3 := s.railSums()
+		out[0] = g * complex(railValue(i0)*wgnScale, railValue(q0)*wgnScale)
+		out[1] = g * complex(railValue(i1)*wgnScale, railValue(q1)*wgnScale)
+		out[2] = g * complex(railValue(i2)*wgnScale, railValue(q2)*wgnScale)
+		out[3] = g * complex(railValue(i3)*wgnScale, railValue(q3)*wgnScale)
+		for _, v := range out {
+			if v != 0 {
+				nonzero++
+			}
+		}
+		s = laneStates{n0, n1, n2, n3}
+	}
+	l.reg = s[0]
+	for ; k < len(tx); k++ {
+		out := g * l.sample()
+		if out != 0 {
+			nonzero++
+		}
+		tx[k] = out
+	}
+	return nonzero
 }

@@ -254,7 +254,10 @@ func Demodulate(x dsp.Samples, searchFrom, searchTo int) (*RxResult, error) {
 			return nil, err
 		}
 		window = (window >> 1) | uint32(bits[0])<<15
-		if window == SFD {
+		// Until 16 bits are in, the window's low bits are the zeros it
+		// started with, and the SFD's five trailing zeros would let the
+		// descrambler's first garbage bits match it.
+		if i >= 15 && window == SFD {
 			found = true
 			break
 		}

@@ -171,6 +171,25 @@ func TestLoopbackWithOffsetAndNoise(t *testing.T) {
 	}
 }
 
+func TestLoopbackEveryScramblerSeed(t *testing.T) {
+	// Seed 0x7D descrambles its first SYNC bits into the SFD's upper 11
+	// bits; the hunt must not match them against a half-filled window.
+	psdu := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	for seed := 0; seed < 128; seed++ {
+		wave, err := Modulate(psdu, Rate1, uint8(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Demodulate(wave, 0, 3*symbolSpan)
+		if err != nil {
+			t.Fatalf("seed %#x: %v", seed, err)
+		}
+		if !bytes.Equal(res.PSDU, psdu) {
+			t.Fatalf("seed %#x: PSDU corrupted", seed)
+		}
+	}
+}
+
 func TestLoopbackProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	f := func(n uint8, rSel uint8, seed uint8) bool {
