@@ -15,7 +15,7 @@ endif
 ## build must not fetch dependencies).
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci build vet test race bench-test bench bench-smoke bench-json bench-diff bench-diff-smoke slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke flowpipe flowpipe-smoke
+.PHONY: ci build vet test race bench-test bench bench-smoke bench-json bench-diff bench-diff-smoke slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke
 
 ## ci: the full tier-1 verify path — vet, build, tests, then the race
 ## detector over every package (the register bus, clock and telemetry
@@ -30,11 +30,9 @@ STATICCHECK_VERSION ?= 2025.1
 ## ratchet against COVERAGE_BASELINE. fleetobs-smoke runs the fleet
 ## telemetry drill at small scale and fails on journal drops, a
 ## reconciliation mismatch, or a malformed / over-budget metrics scrape.
-## flowpipe-smoke proves the pipelined flowgraph scheduler bit-identical to
-## the synchronous reference on the host datapath before measuring it.
 ## bench-test runs the benchmark module's own tests, which `go test ./...`
 ## cannot reach.
-ci: vet staticcheck build test race bench-test bench-smoke slo bench-diff-smoke fleetobs-smoke flowpipe-smoke examples-smoke cover
+ci: vet staticcheck build test race bench-test bench-smoke slo bench-diff-smoke fleetobs-smoke examples-smoke cover
 
 ## staticcheck: zero-findings lint gate, pinned to $(STATICCHECK_VERSION).
 ## Skips with a note when the binary is absent (no network fetches in CI).
@@ -88,10 +86,10 @@ bench-json:
 
 ## bench-diff: measure the current tree and judge it with the gate table in
 ## cmd/experiments/benchdiff.go — full mode: every seeded figure of the
-## baseline re-run and required exactly equal, plus same-run ratios
-## (block over scalar, pipeline over sync) and the telemetry overhead
-## against fixed bounds, from 300 ms windows. No rate is compared with the
-## baseline's, which another host recorded.
+## baseline re-run and required exactly equal, plus the same-run ratio of
+## block over scalar and the telemetry overhead against fixed bounds, from
+## 300 ms windows. No rate is compared with the baseline's, which another
+## host recorded.
 bench-diff:
 	$(GO) run ./cmd/experiments -bench-diff $(BENCH_BASELINE)
 
@@ -124,19 +122,6 @@ fleetobs:
 ## (reconciliation, zero drops, well-formed scrape), no ledger file.
 fleetobs-smoke:
 	$(GO) run ./cmd/experiments -run fleetobs -fleet-cells 24 -fleet-out ""
-
-## flowpipe: the flowgraph scheduler comparison (EXPERIMENTS.md E20) —
-## proves the backpressured pipeline runtime bit-identical to the
-## synchronous reference on the host datapath at every chunk size, then
-## reports both schedulers' Msps and the ring stall counters. Paper-scale
-## streams via FULL=1.
-flowpipe:
-	$(GO) run ./cmd/experiments -run flowpipe $(if $(FULL),-full)
-
-## flowpipe-smoke: the CI-sized variant — same bit-exactness gate on the
-## default (reduced) stream budget; any scheduler divergence exits 1.
-flowpipe-smoke:
-	$(GO) run ./cmd/experiments -run flowpipe
 
 ## incident: the flight-recorder drill (EXPERIMENTS.md E16) — replay a
 ## seeded SLO breach through the breach→dump path twice and require the

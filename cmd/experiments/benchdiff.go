@@ -18,8 +18,8 @@ import (
 //   - every seeded figure in the baseline, exactly (full mode only): the
 //     figures come from seeded experiments, so any difference — or a figure
 //     the fresh run no longer produces — is a behaviour change, not noise;
-//   - ratios of two rates measured in the same run (block over scalar,
-//     pipeline over sync), and the telemetry overhead, against fixed bounds.
+//   - the ratio of two rates measured in the same run (block over scalar)
+//     and the telemetry overhead, against fixed bounds.
 //
 // Absolute throughput is not compared with the baseline: the baseline was
 // recorded on another host, often at another core count. Throughput across
@@ -77,24 +77,14 @@ type gate struct {
 	tolerant  float64
 }
 
-// gates is the table of same-run gates for a host running procs
-// goroutines in parallel.
+// gates is the table of same-run gates.
 //
 // block_over_scalar: the fused block datapath must never lose to the
-// per-sample path. pipeline_over_sync: the pipelined flowgraph scheduler
-// must earn its rings — with more than one core it must at least match the
-// synchronous scheduler; on one core parallelism cannot pay, so it may cost
-// scheduling overhead (the ratio measures 0.89–0.96 there) but not more.
-// telemetry_overhead_pct: the live recorder plus fleet plane may cost at
-// most 3% of block throughput.
-func gates(procs int) []gate {
-	pipeFull := 1.0
-	if procs == 1 {
-		pipeFull = 0.85
-	}
+// per-sample path. telemetry_overhead_pct: the live recorder plus fleet
+// plane may cost at most 3% of block throughput.
+func gates() []gate {
 	return []gate{
 		{"block_over_scalar", "x", func(r *BenchReport) float64 { return r.ThroughputMsps.BlockOverScalar }, atLeast, 1.0, 0.9},
-		{"pipeline_over_sync", "x", func(r *BenchReport) float64 { return r.ThroughputMsps.PipelineOverSync }, atLeast, pipeFull, 0.8},
 		{"telemetry_overhead_pct", "%", func(r *BenchReport) float64 { return r.TelemetryOverheadPct }, atMost, 3, 15},
 	}
 }
@@ -149,8 +139,8 @@ func (o outcome) String() string {
 
 // evaluate judges fresh against the gate table: the same-run gates always,
 // and in full mode one exact gate per baseline figure.
-func evaluate(base, fresh *BenchReport, tolerant bool, procs int) []outcome {
-	table := gates(procs)
+func evaluate(base, fresh *BenchReport, tolerant bool) []outcome {
+	table := gates()
 	if !tolerant {
 		table = append(table, figureGates(base)...)
 	}
@@ -187,16 +177,15 @@ func runBenchDiff(baselinePath string, tolerant bool, frames, packets int) error
 	if tolerant {
 		window, label = tolerantWindow, "tolerant"
 	}
-	procs := runtime.GOMAXPROCS(0)
 	fmt.Printf("bench-diff (%s, %d GOMAXPROCS) against %s (recorded %s, %s)\n",
-		label, procs, baselinePath, base.Date, base.GoVersion)
+		label, runtime.GOMAXPROCS(0), baselinePath, base.Date, base.GoVersion)
 
 	fresh := &BenchReport{Figures: map[string]float64{}}
 	if err := measureAll(fresh, window, !tolerant && len(base.Figures) > 0, frames, packets); err != nil {
 		return err
 	}
 	failures := 0
-	for _, o := range evaluate(&base, fresh, tolerant, procs) {
+	for _, o := range evaluate(&base, fresh, tolerant) {
 		fmt.Println(o)
 		if !o.ok {
 			failures++

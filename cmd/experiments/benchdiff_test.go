@@ -3,20 +3,19 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// healthyReport is a report every gate passes in both modes at any core
-// count.
+// healthyReport is a report every gate passes in both modes.
 func healthyReport() *BenchReport {
 	r := &BenchReport{Figures: map[string]float64{
 		"fig6_pd_-4dB":      0.25,
 		"fig10_prr_weakest": 1,
 	}}
 	r.ThroughputMsps.BlockOverScalar = 2.3
-	r.ThroughputMsps.PipelineOverSync = 1.2
 	r.TelemetryOverheadPct = 0.5
 	return r
 }
@@ -37,42 +36,35 @@ func TestEvaluate(t *testing.T) {
 		name     string
 		edit     func(base, fresh *BenchReport)
 		tolerant bool
-		procs    int
 		want     []string
 	}{
-		{"healthy run passes", func(_, _ *BenchReport) {}, false, 2, nil},
+		{"healthy run passes", func(_, _ *BenchReport) {}, false, nil},
 		{"changed figure fails", func(_, f *BenchReport) { f.Figures["fig6_pd_-4dB"] = 0.26 },
-			false, 2, []string{"fig6_pd_-4dB"}},
+			false, []string{"fig6_pd_-4dB"}},
 		{"figure missing from fresh run fails", func(_, f *BenchReport) { delete(f.Figures, "fig10_prr_weakest") },
-			false, 2, []string{"fig10_prr_weakest"}},
+			false, []string{"fig10_prr_weakest"}},
 		{"tolerant mode does not gate figures", func(_, f *BenchReport) { f.Figures = map[string]float64{} },
-			true, 2, nil},
+			true, nil},
 		{"baseline without figures skips figure gates", func(b, f *BenchReport) { b.Figures, f.Figures = nil, nil },
-			false, 2, nil},
+			false, nil},
 		{"block slower than scalar fails full mode", func(_, f *BenchReport) { f.ThroughputMsps.BlockOverScalar = 0.95 },
-			false, 2, []string{"block_over_scalar"}},
+			false, []string{"block_over_scalar"}},
 		{"block slower than scalar within tolerant bound", func(_, f *BenchReport) { f.ThroughputMsps.BlockOverScalar = 0.95 },
-			true, 2, nil},
+			true, nil},
 		{"overhead over ceiling fails full mode", func(_, f *BenchReport) { f.TelemetryOverheadPct = 3.5 },
-			false, 2, []string{"telemetry_overhead_pct"}},
+			false, []string{"telemetry_overhead_pct"}},
 		{"negative overhead is noise and passes", func(_, f *BenchReport) { f.TelemetryOverheadPct = -9 },
-			false, 2, nil},
-		{"pipeline may trail sync on one proc", func(_, f *BenchReport) { f.ThroughputMsps.PipelineOverSync = 0.9 },
-			false, 1, nil},
-		{"pipeline must match sync on two procs", func(_, f *BenchReport) { f.ThroughputMsps.PipelineOverSync = 0.9 },
-			false, 2, []string{"pipeline_over_sync"}},
-		{"pipeline below one-proc floor fails", func(_, f *BenchReport) { f.ThroughputMsps.PipelineOverSync = 0.84 },
-			false, 1, []string{"pipeline_over_sync"}},
+			false, nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			base, fresh := healthyReport(), healthyReport()
 			c.edit(base, fresh)
-			out := evaluate(base, fresh, c.tolerant, c.procs)
+			out := evaluate(base, fresh, c.tolerant)
 			if got := failing(out); !reflect.DeepEqual(got, c.want) {
 				t.Errorf("failing gates = %v, want %v", got, c.want)
 			}
-			rows := len(gates(c.procs))
+			rows := len(gates())
 			if !c.tolerant {
 				rows += len(base.Figures)
 			}
@@ -96,8 +88,29 @@ func TestCommittedBaselineEvaluatesClean(t *testing.T) {
 		t.Fatalf("baseline has %d figures, want 12", len(base.Figures))
 	}
 	for _, tolerant := range []bool{false, true} {
-		if got := failing(evaluate(&base, &base, tolerant, base.GOMAXPROCS)); got != nil {
+		if got := failing(evaluate(&base, &base, tolerant)); got != nil {
 			t.Errorf("tolerant=%v: baseline fails its own gates %v", tolerant, got)
+		}
+	}
+}
+
+// A baseline that cannot be read or parsed stops bench-diff before it
+// prints its header or measures anything.
+func TestRunBenchDiffBadBaseline(t *testing.T) {
+	malformed := filepath.Join(t.TempDir(), "BENCH_bad.json")
+	if err := os.WriteFile(malformed, []byte(`{"figures": [`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ path, want string }{
+		{filepath.Join(t.TempDir(), "missing.json"), "read baseline"},
+		{malformed, "parse " + malformed},
+	} {
+		out, err := captureStdout(t, func() error { return runBenchDiff(c.path, true, 1, 1) })
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", c.path, err, c.want)
+		}
+		if out != "" {
+			t.Errorf("%s: printed %q before failing", c.path, out)
 		}
 	}
 }
@@ -107,7 +120,7 @@ func TestOutcomeString(t *testing.T) {
 	fresh.Figures["fig6_pd_-4dB"] = 0.25000000000000006
 	delete(fresh.Figures, "fig10_prr_weakest")
 	lines := map[string]string{}
-	for _, o := range evaluate(base, fresh, false, 2) {
+	for _, o := range evaluate(base, fresh, false) {
 		lines[o.name] = o.String()
 	}
 	for name, want := range map[string][]string{

@@ -44,14 +44,6 @@ type BenchReport struct {
 		// BlockOverScalar is CoreBlock / CorePerSample: the fused block
 		// datapath must never lose to the scalar path.
 		BlockOverScalar float64 `json:"block_over_scalar,omitempty"`
-		// FlowSync and FlowPipeline are the flowgraph runtime's rates on the
-		// full host datapath graph (source+noise→impairments→core→sink with
-		// a probe tap): the synchronous reference scheduler versus the
-		// backpressured pipelined one, measured after a bit-exactness check.
-		// PipelineOverSync is their ratio.
-		FlowSync         float64 `json:"flow_sync_Msps,omitempty"`
-		FlowPipeline     float64 `json:"flow_pipeline_Msps,omitempty"`
-		PipelineOverSync float64 `json:"pipeline_over_sync,omitempty"`
 	} `json:"throughput_msps"`
 
 	// TelemetryOverheadPct is the block-datapath throughput cost of running
@@ -142,23 +134,6 @@ func throughputSection(rep *BenchReport, window time.Duration) error {
 		rep.ThroughputMsps.BlockOverScalar =
 			rep.ThroughputMsps.CoreBlock / rep.ThroughputMsps.CorePerSample
 	}
-
-	// Flowgraph schedulers on the full host datapath graph: one chunk size
-	// (the default 4096) is enough for the gate; the flowpipe experiment
-	// sweeps more. RunFlowPipe verifies bit-exactness before timing.
-	fp, err := experiments.RunFlowPipe(experiments.FlowPipeConfig{
-		TotalSamples:  1 << 20,
-		VerifySamples: 1 << 17,
-		Chunks:        []int{4096},
-		Seed:          11,
-		MinDuration:   window,
-	})
-	if err != nil {
-		return err
-	}
-	rep.ThroughputMsps.FlowSync = fp.Points[0].SyncMsps
-	rep.ThroughputMsps.FlowPipeline = fp.Points[0].PipelineMsps
-	rep.ThroughputMsps.PipelineOverSync = fp.Points[0].Ratio
 	return nil
 }
 
@@ -322,7 +297,7 @@ func writeBenchJSON(path string, force bool, frames, packets int) error {
 	// The report is the gate table read against itself: every figure
 	// trivially matches, and the same-run gates show whether this baseline
 	// would pass a bench-diff on the host that records it.
-	for _, o := range evaluate(rep, rep, false, rep.GOMAXPROCS) {
+	for _, o := range evaluate(rep, rep, false) {
 		fmt.Println(o)
 	}
 	sum := profile.Capture()

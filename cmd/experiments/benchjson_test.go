@@ -2,6 +2,9 @@ package main
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -23,5 +26,20 @@ func TestOverheadPct(t *testing.T) {
 				t.Errorf("overheadPct(%v, %v) = %v, want %v", c.bare, c.instrumented, got, c.want)
 			}
 		})
+	}
+}
+
+func TestWriteBenchJSONRefusesExisting(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_existing.json")
+	const kept = "{}\n"
+	if err := os.WriteFile(path, []byte(kept), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := writeBenchJSON(path, false, 1, 1)
+	if err == nil || !strings.Contains(err.Error(), "exists") {
+		t.Fatalf("err = %v, want a refusal to overwrite", err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != kept {
+		t.Errorf("baseline changed to %q (read error %v)", data, err)
 	}
 }

@@ -23,7 +23,7 @@ import (
 )
 
 var (
-	runFlag      = flag.String("run", "all", "experiment: all, fig5, fig6, fig7, fig8, table1, fig10, fig11, fig12, selectivity, resources, reconfig, ablations, reaction, verdict, slo, chaos, incident, fleetobs, flowpipe")
+	runFlag      = flag.String("run", "all", "experiment: all, fig5, fig6, fig7, fig8, table1, fig10, fig11, fig12, selectivity, resources, reconfig, ablations, reaction, verdict, slo, chaos, incident, fleetobs")
 	fullFlag     = flag.Bool("full", false, "paper-scale statistical budgets (slow)")
 	parallelFlag = flag.Int("parallel", 0, "experiment worker fan-out (0 = GOMAXPROCS, 1 = sequential)")
 	benchJSON    = flag.String("bench-json", "", "write a machine-readable benchmark baseline to this path and exit")
@@ -103,7 +103,6 @@ func main() {
 	run("fleetobs", func() error {
 		return runFleetObs(*fleetCells, fleetFrames(frames), *fleetSeed, *fleetOut)
 	})
-	run("flowpipe", func() error { return runFlowPipe(*fullFlag) })
 
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", sel)

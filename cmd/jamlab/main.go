@@ -15,7 +15,7 @@
 //	inject wifi <mbps> <bytes> <count>   modulate+stream 802.11g frames
 //	inject wifib <bytes> <count>         modulate+stream 802.11b DSSS frames
 //	inject wimax <count>                 stream WiMAX downlink frames
-//	inject idle <ms>                     stream noise-floor samples
+//	inject idle <ms>                     stream noise-floor samples (0 < ms ≤ 1000)
 //	record <file>                 start recording jammer TX to an IQ capture
 //	save                          finalize the recording
 //	replay <file>                 stream a recorded capture into the detector
@@ -98,6 +98,17 @@ type console struct {
 	bcast *telemetry.Broadcaster
 }
 
+// newConsole returns a console on a fresh platform at the native 25 MSPS,
+// printing to out.
+func newConsole(out io.Writer) *console {
+	return &console{
+		jam:  reactivejam.New(),
+		rng:  rand.New(rand.NewSource(1)),
+		out:  out,
+		rate: 25_000_000,
+	}
+}
+
 var (
 	telemetryAddr = flag.String("telemetry-addr", "",
 		"serve /metrics, /stream and /debug/pprof/ on this address (enables telemetry)")
@@ -117,12 +128,7 @@ var (
 
 func main() {
 	flag.Parse()
-	c := &console{
-		jam:  reactivejam.New(),
-		rng:  rand.New(rand.NewSource(1)),
-		out:  os.Stdout,
-		rate: 25_000_000,
-	}
+	c := newConsole(os.Stdout)
 	if *telemetryAddr != "" || *traceOut != "" || *flightOut != "" || *profileDir != "" || *fleetFlag {
 		live := c.jam.EnableTelemetry()
 		// Flight recorder armed from the start; anomaly alerts (fed
@@ -330,8 +336,11 @@ func (c *console) eval(line string) error {
 		if err != nil {
 			return err
 		}
-		defer file.Close()
 		if err := c.rec.Finalize(file); err != nil {
+			file.Close()
+			return err
+		}
+		if err := file.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(c.out, "saved %d samples to %s\n", c.rec.Samples(), c.recPath)
@@ -482,11 +491,11 @@ func (c *console) inject(args []string) error {
 		if err != nil {
 			return err
 		}
-		nbytes, err := strconv.Atoi(args[2])
+		nbytes, err := atoiMin(args[2], 0, "byte count")
 		if err != nil {
 			return err
 		}
-		count, err := strconv.Atoi(args[3])
+		count, err := atoiMin(args[3], 1, "frame count")
 		if err != nil {
 			return err
 		}
@@ -532,11 +541,11 @@ func (c *console) inject(args []string) error {
 		if len(args) < 3 {
 			return fmt.Errorf("inject wifib <bytes> <count>")
 		}
-		nbytes, err := strconv.Atoi(args[1])
+		nbytes, err := atoiMin(args[1], 0, "byte count")
 		if err != nil {
 			return err
 		}
-		count, err := strconv.Atoi(args[2])
+		count, err := atoiMin(args[2], 1, "frame count")
 		if err != nil {
 			return err
 		}
@@ -559,7 +568,7 @@ func (c *console) inject(args []string) error {
 		if len(args) < 2 {
 			return fmt.Errorf("inject wimax <count>")
 		}
-		count, err := strconv.Atoi(args[1])
+		count, err := atoiMin(args[1], 1, "frame count")
 		if err != nil {
 			return err
 		}
@@ -587,6 +596,11 @@ func (c *console) inject(args []string) error {
 		if err != nil {
 			return err
 		}
+		// The whole span is one buffer, so bound it: 1 s at 25 MSPS is
+		// already 400 MB of samples.
+		if !(ms > 0 && ms <= maxIdleMs) {
+			return fmt.Errorf("idle duration %v ms is outside (0, %d]", ms, maxIdleMs)
+		}
 		n := int(ms / 1000 * float64(c.rate))
 		buf := make(dsp.Samples, n)
 		for i := range buf {
@@ -600,6 +614,22 @@ func (c *console) inject(args []string) error {
 	default:
 		return fmt.Errorf("unknown inject kind %q", args[0])
 	}
+}
+
+// maxIdleMs is the longest noise-floor span one inject idle command streams.
+const maxIdleMs = 1000
+
+// atoiMin parses s as an integer no smaller than lo; what names the value in
+// the error.
+func atoiMin(s string, lo int, what string) (int, error) {
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, err
+	}
+	if v < lo {
+		return 0, fmt.Errorf("%s %d is below %d", what, v, lo)
+	}
+	return v, nil
 }
 
 // process streams samples through the platform, tapping the TX output into

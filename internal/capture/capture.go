@@ -86,17 +86,26 @@ func Read(r io.Reader) (Header, dsp.Samples, error) {
 	if h.Samples > maxSamples {
 		return Header{}, nil, fmt.Errorf("capture: header claims %d samples", h.Samples)
 	}
-	buf := make([]byte, 4*h.Samples)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return Header{}, nil, fmt.Errorf("capture: payload: %w", err)
-	}
-	out := make(dsp.Samples, h.Samples)
-	for i := range out {
-		iq := fixed.IQ{
-			I: int16(binary.LittleEndian.Uint16(buf[4*i:])),
-			Q: int16(binary.LittleEndian.Uint16(buf[4*i+2:])),
+	// Read the payload in bounded chunks, so that what is allocated grows
+	// with the bytes actually present rather than with what the header
+	// claims.
+	const chunkSamples = 4096
+	out := make(dsp.Samples, 0, min(h.Samples, chunkSamples))
+	buf := make([]byte, 4*chunkSamples)
+	for remaining := h.Samples; remaining > 0; {
+		n := min(remaining, chunkSamples)
+		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
+			return Header{}, nil, fmt.Errorf("capture: payload after %d of %d samples: %w",
+				len(out), h.Samples, err)
 		}
-		out[i] = iq.Complex()
+		for i := range int(n) {
+			iq := fixed.IQ{
+				I: int16(binary.LittleEndian.Uint16(buf[4*i:])),
+				Q: int16(binary.LittleEndian.Uint16(buf[4*i+2:])),
+			}
+			out = append(out, iq.Complex())
+		}
+		remaining -= n
 	}
 	return h, out, nil
 }

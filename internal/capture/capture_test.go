@@ -2,8 +2,10 @@ package capture
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -106,6 +108,27 @@ func TestAbsurdHeaderRejected(t *testing.T) {
 	raw[29] = 1
 	if _, _, err := Read(bytes.NewReader(raw)); err == nil {
 		t.Error("absurd sample count accepted")
+	}
+}
+
+// A header that claims the 2^30-sample maximum but carries no payload must
+// fail on the missing bytes without first allocating for the claim.
+func TestHeaderOnlyClaimAllocatesLittle(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, Header{SampleRateHz: 1000}, nil); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint64(raw[24:], 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Read(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header-only recording accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("Read allocated %d bytes for a payload that is not there", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package dsp provides the digital signal processing primitives that every
 // other subsystem of the reactive jamming framework is built on: complex
 // baseband sample buffers, power and decibel conversions, FFT/IFFT, FIR
-// filtering, window functions, and rational resampling.
+// lowpass design, window functions, and rational resampling.
 //
 // All waveforms in the simulator are complex baseband I/Q streams
 // (complex128). Conversion to and from the fixed-point representation used

@@ -5,66 +5,6 @@ import (
 	"math"
 )
 
-// FIR is a finite impulse response filter over complex samples with real
-// coefficients. The zero value is unusable; construct with NewFIR. FIR keeps
-// per-instance delay-line state so it can filter a sample stream
-// incrementally (ProcessSample) or a whole buffer at once (FilterInto).
-type FIR struct {
-	taps  []float64
-	delay Samples // circular delay line, len == len(taps)
-	pos   int
-}
-
-// NewFIR returns a streaming FIR filter with the given tap coefficients.
-func NewFIR(taps []float64) *FIR {
-	if len(taps) == 0 {
-		panic("dsp: NewFIR with no taps")
-	}
-	t := make([]float64, len(taps))
-	copy(t, taps)
-	return &FIR{taps: t, delay: make(Samples, len(taps))}
-}
-
-// NumTaps returns the filter order plus one.
-func (f *FIR) NumTaps() int { return len(f.taps) }
-
-// Reset clears the delay line.
-func (f *FIR) Reset() {
-	for i := range f.delay {
-		f.delay[i] = 0
-	}
-	f.pos = 0
-}
-
-// ProcessSample pushes one input sample and returns one output sample.
-func (f *FIR) ProcessSample(x complex128) complex128 {
-	f.delay[f.pos] = x
-	var acc complex128
-	idx := f.pos
-	for _, t := range f.taps {
-		acc += f.delay[idx] * complex(t, 0)
-		idx--
-		if idx < 0 {
-			idx = len(f.delay) - 1
-		}
-	}
-	f.pos++
-	if f.pos == len(f.delay) {
-		f.pos = 0
-	}
-	return acc
-}
-
-// FilterInto filters x into dst (which must be at least len(x) long) without
-// allocating. The filter state persists across calls. dst and x may be the
-// same slice: each output sample is written only after the corresponding
-// input sample has entered the delay line.
-func (f *FIR) FilterInto(dst, x Samples) {
-	for i, v := range x {
-		dst[i] = f.ProcessSample(v)
-	}
-}
-
 // LowpassTaps designs a windowed-sinc lowpass filter with the given number
 // of taps and normalized cutoff (cutoff = fc/fs, 0 < cutoff < 0.5), using a
 // Hamming window. Taps are normalized to unit DC gain.

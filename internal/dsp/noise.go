@@ -42,17 +42,10 @@ func (n *NoiseSource) Sample() complex128 {
 // Block fills and returns a buffer of count noise samples.
 func (n *NoiseSource) Block(count int) Samples {
 	out := make(Samples, count)
-	n.Fill(out)
-	return out
-}
-
-// Fill overwrites out with noise samples, drawing exactly len(out) samples
-// from the stream — the allocation-free form of Block for callers that own
-// their buffers (the flowgraph runtime's reused ring chunks).
-func (n *NoiseSource) Fill(out Samples) {
 	for i := range out {
 		out[i] = n.Sample()
 	}
+	return out
 }
 
 // AddTo adds noise to x in place and returns x.

@@ -148,8 +148,11 @@ func (r *N210) MarkFrame(offsetSourceSamples int) {
 
 // Process streams a block of received baseband through the DDC (if any) and
 // the custom DSP core, returning the transmit-path output at 25 MSPS,
-// scaled by the front-end gains. The core runs in block mode; at the
-// default 0 dB gains the receive scaling pass is skipped entirely.
+// scaled by the front-end gains. The core runs in block mode with the RX
+// gain folded into its fused quantization sweep, so the scaling costs no
+// extra pass over the block (bit-identical to scaling each sample by
+// complex(rxGain, 0) first); the TX gain is applied only when it is not
+// unity.
 func (r *N210) Process(rx dsp.Samples) (dsp.Samples, error) {
 	if !r.started {
 		return nil, fmt.Errorf("radio: chains not started")
@@ -159,41 +162,13 @@ func (r *N210) Process(rx dsp.Samples) (dsp.Samples, error) {
 		in = r.ddc.Process(rx)
 	}
 	out := make(dsp.Samples, len(in))
-	r.processScaled(in, out)
-	return out, nil
-}
-
-// ProcessInto is the allocation-free form of Process for callers that own
-// their transmit buffers (the flowgraph runtime's reused ring chunks): rx is
-// streamed through the core into tx, which must be at least len(rx) long.
-// It requires the radio to run at the native 25 MSPS — a DDC resampler
-// changes the sample count, so a rate-converting radio cannot be a 1:1
-// streaming stage — and returns an error otherwise.
-func (r *N210) ProcessInto(rx, tx dsp.Samples) error {
-	if !r.started {
-		return fmt.Errorf("radio: chains not started")
-	}
-	if r.ddc != nil {
-		return fmt.Errorf("radio: ProcessInto needs the native %d Hz rate (DDC configured for %d Hz input)",
-			fpga.SampleRateHz, r.sourceHz)
-	}
-	r.processScaled(rx, tx[:len(rx)])
-	return nil
-}
-
-// processScaled runs the gain-folded core block path: the RX gain folds into
-// the core's fused quantization sweep, so the scaling costs no extra pass
-// over the block (bit-identical to scaling each sample by complex(rxGain, 0)
-// first), and the TX gain is applied only when it is not unity.
-func (r *N210) processScaled(in, out dsp.Samples) {
-	rxGain := dsp.AmplitudeFromDB(r.rxGainDB)
-	txGain := dsp.AmplitudeFromDB(r.txGainDB)
-	r.core.ProcessBlockScaled(in, out, rxGain)
-	if txGain != 1 {
+	r.core.ProcessBlockScaled(in, out, dsp.AmplitudeFromDB(r.rxGainDB))
+	if txGain := dsp.AmplitudeFromDB(r.txGainDB); txGain != 1 {
 		for i := range out {
 			out[i] *= complex(txGain, 0)
 		}
 	}
+	return out, nil
 }
 
 func gcd(a, b int) int {
