@@ -139,12 +139,12 @@ examples-smoke:
 	done
 
 ## cover: the coverage ratchet. Measures statement coverage across
-## ./internal/... and ./cmd/experiments/ (the bench-diff gate table) and
-## fails if the total drops more than half a point below the committed
-## COVERAGE_BASELINE. When coverage genuinely improves, re-record the floor:
-## `make cover-baseline`.
+## ./internal/... and ./cmd/... (the bench-diff gate table and the jamlab
+## console) and fails if the total drops more than half a point below the
+## committed COVERAGE_BASELINE. When coverage genuinely improves, re-record
+## the floor: `make cover-baseline`.
 cover:
-	$(GO) test -count=1 -coverprofile=coverage.out ./internal/... ./cmd/experiments/
+	$(GO) test -count=1 -coverprofile=coverage.out ./internal/... ./cmd/...
 	@total=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 	baseline=$$(cat COVERAGE_BASELINE); \
 	echo "cover: total $$total% (baseline $$baseline%, tolerance 0.5pt)"; \
@@ -155,6 +155,6 @@ cover:
 
 ## cover-baseline: re-record the coverage floor from the current tree.
 cover-baseline:
-	$(GO) test -count=1 -coverprofile=coverage.out ./internal/... ./cmd/experiments/
+	$(GO) test -count=1 -coverprofile=coverage.out ./internal/... ./cmd/...
 	@$(GO) tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }' > COVERAGE_BASELINE
 	@echo "cover-baseline: $$(cat COVERAGE_BASELINE)% recorded"

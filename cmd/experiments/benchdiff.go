@@ -156,15 +156,24 @@ func evaluate(base, fresh *BenchReport, tolerant bool) []outcome {
 	return out
 }
 
-// runBenchDiff measures the current tree and diffs it against the baseline.
-func runBenchDiff(baselinePath string, tolerant bool, frames, packets int) error {
-	data, err := os.ReadFile(baselinePath)
+// readBaseline reads and decodes a committed BENCH_*.json baseline.
+func readBaseline(path string) (*BenchReport, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("bench-diff: read baseline: %w", err)
+		return nil, fmt.Errorf("bench-diff: read baseline: %w", err)
 	}
 	var base BenchReport
 	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("bench-diff: parse %s: %w", baselinePath, err)
+		return nil, fmt.Errorf("bench-diff: parse %s: %w", path, err)
+	}
+	return &base, nil
+}
+
+// runBenchDiff measures the current tree and diffs it against the baseline.
+func runBenchDiff(baselinePath string, tolerant bool, frames, packets int) error {
+	base, err := readBaseline(baselinePath)
+	if err != nil {
+		return err
 	}
 	// Re-run at the budgets the baseline was recorded with, when it says.
 	if base.Frames > 0 {
@@ -185,7 +194,7 @@ func runBenchDiff(baselinePath string, tolerant bool, frames, packets int) error
 		return err
 	}
 	failures := 0
-	for _, o := range evaluate(&base, fresh, tolerant) {
+	for _, o := range evaluate(base, fresh, tolerant) {
 		fmt.Println(o)
 		if !o.ok {
 			failures++

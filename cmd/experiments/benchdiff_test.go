@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -135,4 +136,48 @@ func TestOutcomeString(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzEvaluateBaseline feeds arbitrary baselines through bench-diff's own
+// reader. Every baseline that parses must evaluate in full mode without
+// panicking, to one row per gate and per baseline figure, and a figure row
+// must pass exactly when the fresh report holds that figure with an equal
+// value.
+func FuzzEvaluateBaseline(f *testing.F) {
+	for _, name := range []string{"BENCH_2026-08-06.json", "BENCH_2026-08-08.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	dir := f.TempDir()
+	fresh := healthyReport()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "BENCH_fuzz.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		base, err := readBaseline(path)
+		if err != nil {
+			return
+		}
+		out := evaluate(base, fresh, false)
+		nGates := len(gates())
+		if len(out) != nGates+len(base.Figures) {
+			t.Fatalf("%d rows for %d gates and %d figures", len(out), nGates, len(base.Figures))
+		}
+		keys := make([]string, 0, len(base.Figures))
+		for k := range base.Figures {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for i, k := range keys {
+			o := out[nGates+i]
+			v, ok := fresh.Figures[k]
+			if want := ok && v == base.Figures[k]; o.name != k || o.ok != want {
+				t.Errorf("row %q ok=%v, want %q ok=%v", o.name, o.ok, k, want)
+			}
+		}
+	})
 }

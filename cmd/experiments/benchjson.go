@@ -139,14 +139,15 @@ func throughputSection(rep *BenchReport, window time.Duration) error {
 
 // overheadSection measures the telemetry overhead of the instrumented block
 // datapath against a bare core: the same block workload on a bare core and
-// on one with the live recorder attached, bound to a fleet cell, with the
-// aggregation loop snapshotting concurrently — the full observability tax.
+// on one with the live recorder attached, bound to a fleet cell, with a
+// stream broadcaster snapshotting the fleet concurrently, as jamlab's
+// /stream does — the full observability tax.
 //
 // Each of the overheadPairs windows alternates the two cores block by block
 // and compares their summed times, so load from other tenants of the host
 // lands on both sides alike; the median of the pairs discards a window that
-// a preemption hit on one side only. The aggregation loop runs through the
-// bare blocks too: on one core its (small) cost is split between the sides.
+// a preemption hit on one side only. The broadcaster runs through the bare
+// blocks too: on one core its (small) cost is split between the sides.
 func overheadSection(rep *BenchReport, window time.Duration) error {
 	buf := benchInput()
 	tx := make([]complex128, len(buf))
@@ -162,10 +163,11 @@ func overheadSection(rep *BenchReport, window time.Duration) error {
 	inst.SetRecorder(live)
 	agg := fleet.New(fleet.Options{})
 	agg.Cell("bench").BindLive(live)
+	bcast := telemetry.NewBroadcaster(50*time.Millisecond, agg.RollupSource())
 
 	bare.ProcessBlock(buf, tx)
 	inst.ProcessBlock(buf, tx)
-	agg.Start(50 * time.Millisecond)
+	bcast.Start()
 	pcts := make([]float64, overheadPairs)
 	for i := range pcts {
 		var bareT, instT time.Duration
@@ -179,7 +181,7 @@ func overheadSection(rep *BenchReport, window time.Duration) error {
 		}
 		pcts[i] = overheadPct(1/bareT.Seconds(), 1/instT.Seconds())
 	}
-	agg.Stop()
+	bcast.Stop()
 	sort.Float64s(pcts)
 	rep.TelemetryOverheadPct = pcts[len(pcts)/2]
 	return nil

@@ -26,8 +26,9 @@
 //
 // Flags:
 //
-//	-telemetry-addr host:port     serve Prometheus-style metrics at /metrics,
-//	                              live SSE rollups at /stream (a multi-client
+//	-telemetry-addr host:port     serve this console as the "jamlab" cell of a
+//	                              one-cell fleet: the fleet exposition at
+//	                              /metrics, its SSE rollups at /stream (a
 //	                              broadcast that drops stalled subscribers),
 //	                              and net/http/pprof at /debug/pprof/
 //	-stream-interval duration     /stream push cadence (default 1s)
@@ -36,21 +37,20 @@
 //	-flight-out file.json         arm the flight recorder; an anomaly alert
 //	                              (or shutdown) dumps the incident here
 //	-profile-dir dir              continuous CPU/heap profiling into dir
-//	-fleet                        fleet telemetry plane: this console becomes
-//	                              the "jamlab" cell of a fleet aggregator;
-//	                              /metrics serves the cardinality-bounded
-//	                              fleet exposition and /stream the fleet's
-//	                              rollups
 //
 // Any of these flags attaches the live telemetry recorder; injected frames
 // are marked so reaction-latency histograms measure frame-start→RF-on. With
 // the recorder attached, a streaming anomaly detector watches every
 // processed block and journals alerts as first-class events. A one-line
 // telemetry summary prints on shutdown.
+// The end of input, quit, SIGINT and SIGTERM all take that shutdown path,
+// which also ends every /stream response and drains the server.
 package main
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -60,8 +60,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro"
@@ -87,15 +89,17 @@ type console struct {
 	recPath string
 
 	// Observability plane (nil unless telemetry is enabled).
-	flight  *flight.Recorder
-	det     *anomaly.Detector
-	dumped  bool
-	sampler *profile.Sampler
+	flight    *flight.Recorder
+	flightOut string // incident dump path ("" writes no dump)
+	det       *anomaly.Detector
+	dumped    bool
+	sampler   *profile.Sampler
 
-	// Fleet plane (nil unless -fleet).
-	agg *fleet.Aggregator
-	// Live /stream broadcaster (nil unless -fleet or -telemetry-addr).
+	// Telemetry server (nil unless -telemetry-addr): agg is the one-cell
+	// fleet behind /metrics and bcast streams its rollups on /stream.
+	agg   *fleet.Aggregator
 	bcast *telemetry.Broadcaster
+	srv   *http.Server
 }
 
 // newConsole returns a console on a fresh platform at the native 25 MSPS,
@@ -120,36 +124,21 @@ var (
 		"write the flight-recorder incident dump here (enables telemetry)")
 	profileDir = flag.String("profile-dir", "",
 		"capture periodic CPU/heap profiles into this directory (enables telemetry)")
-	fleetFlag = flag.Bool("fleet", false,
-		"serve the fleet telemetry plane on -telemetry-addr: /metrics becomes the "+
-			"cardinality-bounded fleet exposition (this console is the 'jamlab' cell) "+
-			"and /stream the fleet's rollups (enables telemetry)")
+)
+
+// Bounds of the telemetry server: a keep-alive connection idle between
+// requests is closed after idleTimeout (a /stream in progress is never
+// idle), and shutdown drains the server within drainTimeout.
+const (
+	idleTimeout  = time.Minute
+	drainTimeout = 5 * time.Second
 )
 
 func main() {
 	flag.Parse()
 	c := newConsole(os.Stdout)
-	if *telemetryAddr != "" || *traceOut != "" || *flightOut != "" || *profileDir != "" || *fleetFlag {
-		live := c.jam.EnableTelemetry()
-		// Flight recorder armed from the start; anomaly alerts (fed
-		// synchronously per processed block) trigger incident dumps.
-		c.flight = flight.New(live, flight.Options{})
-		c.flight.Arm()
-		c.det = anomaly.New(live, anomaly.Config{})
-		c.det.OnAlert = func(a anomaly.Alert) {
-			fmt.Fprintf(c.out, "anomaly: %s z=%.1f (value %.4g, baseline %.4g) at cycle %d\n",
-				a.Name, a.Score, a.Value, a.Mean, a.Cycle)
-			if *flightOut != "" && !c.dumped {
-				d := c.flight.Trigger(flight.TriggerAnomaly, a.Cycle,
-					fmt.Sprintf("anomaly on %s: z=%.1f", a.Name, a.Score))
-				if err := writeDump(*flightOut, d); err != nil {
-					fmt.Fprintf(c.out, "error: flight dump: %v\n", err)
-					return
-				}
-				c.dumped = true
-				fmt.Fprintf(c.out, "flight recorder: incident dump written to %s\n", *flightOut)
-			}
-		}
+	if *telemetryAddr != "" || *traceOut != "" || *flightOut != "" || *profileDir != "" {
+		c.enableTelemetry(*flightOut)
 	}
 	if *profileDir != "" {
 		c.sampler = profile.NewSampler(profile.Config{Dir: *profileDir})
@@ -158,73 +147,125 @@ func main() {
 		}
 		fmt.Fprintf(c.out, "profiling: CPU/heap captures into %s\n", *profileDir)
 	}
-	if *fleetFlag {
-		// This console is one cell of a fleet: its live recorder binds to
-		// the "jamlab" cell so the aggregation plane pulls it on every
-		// snapshot, and /stream broadcasts the fleet's rollups, counting
-		// the stalled subscribers it drops in the fleet exposition.
-		c.agg = fleet.New(fleet.Options{
-			Budgets: fleet.DefaultBudgets(c.jam.GroupDelayCycles()),
-			DroppedClients: func() uint64 {
-				if c.bcast == nil {
-					return 0
-				}
-				return c.bcast.DroppedClients()
-			},
-		})
-		c.agg.Cell("jamlab").BindLive(c.jam.Telemetry())
-		c.bcast = telemetry.NewBroadcaster(*streamInterval, c.agg.RollupSource())
-	}
 	if *telemetryAddr != "" {
-		mux := http.NewServeMux()
-		if c.agg != nil {
-			mux.Handle("/metrics", c.agg.Handler())
-			c.agg.Start(*streamInterval)
-		} else {
-			live := c.jam.Telemetry()
-			mux.Handle("/metrics", c.jam.MetricsHandler())
-			c.bcast = telemetry.NewBroadcaster(*streamInterval, func(seq uint64) []telemetry.Rollup {
-				return []telemetry.Rollup{telemetry.RollupFrom("jamlab", seq, live)}
-			})
-		}
-		mux.Handle("/stream", c.bcast)
-		c.bcast.Start()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		ln, err := net.Listen("tcp", *telemetryAddr)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(c.out, "telemetry: http://%s/metrics, pprof at /debug/pprof/\n", ln.Addr())
-		// No write timeout: /stream responses are long-lived by design.
-		srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-		go func() { log.Fatal(srv.Serve(ln)) }()
+		c.serveTelemetry(ln, *streamInterval)
+		fmt.Fprintf(c.out, "telemetry: http://%s/metrics, /stream, pprof at /debug/pprof/\n", ln.Addr())
 	}
 	var in io.Reader = os.Stdin
 	if args := flag.Args(); len(args) > 0 {
 		in = strings.NewReader(strings.ReplaceAll(strings.Join(args, " "), ";", "\n"))
 	}
-	sc := bufio.NewScanner(in)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	fmt.Fprintln(c.out, "jamlab — reactive jamming event builder (type 'quit' to exit)")
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if line == "quit" || line == "exit" {
-			break
-		}
-		if err := c.eval(line); err != nil {
-			fmt.Fprintf(c.out, "error: %v\n", err)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	err := c.run(ctx, in)
+	stop() // a second signal kills the process during the drain
+	if err != nil {
 		log.Fatal(err)
 	}
 	c.shutdown(*traceOut)
+}
+
+// enableTelemetry attaches the live recorder, arms the flight recorder and
+// starts the anomaly detector (fed synchronously per processed block), whose
+// first alert writes an incident dump to flightOut ("" writes none).
+func (c *console) enableTelemetry(flightOut string) {
+	live := c.jam.EnableTelemetry()
+	c.flightOut = flightOut
+	c.flight = flight.New(live, flight.Options{})
+	c.flight.Arm()
+	c.det = anomaly.New(live, anomaly.Config{})
+	c.det.OnAlert = func(a anomaly.Alert) {
+		fmt.Fprintf(c.out, "anomaly: %s z=%.1f (value %.4g, baseline %.4g) at cycle %d\n",
+			a.Name, a.Score, a.Value, a.Mean, a.Cycle)
+		if c.flightOut != "" && !c.dumped {
+			d := c.flight.Trigger(flight.TriggerAnomaly, a.Cycle,
+				fmt.Sprintf("anomaly on %s: z=%.1f", a.Name, a.Score))
+			if err := writeDump(c.flightOut, d); err != nil {
+				fmt.Fprintf(c.out, "error: flight dump: %v\n", err)
+				return
+			}
+			c.dumped = true
+			fmt.Fprintf(c.out, "flight recorder: incident dump written to %s\n", c.flightOut)
+		}
+	}
+}
+
+// serveTelemetry binds the live recorder as the "jamlab" cell of a one-cell
+// fleet and serves it on ln: the fleet exposition at /metrics, the fleet's
+// rollups every interval at /stream, and net/http/pprof at /debug/pprof/.
+// Telemetry must be enabled; shutdown drains the server.
+func (c *console) serveTelemetry(ln net.Listener, interval time.Duration) {
+	c.agg = fleet.New(fleet.Options{
+		Budgets: fleet.DefaultBudgets(c.jam.GroupDelayCycles()),
+		// The exposition counts the stalled /stream subscribers dropped.
+		DroppedClients: func() uint64 { return c.bcast.DroppedClients() },
+	})
+	c.agg.Cell("jamlab").BindLive(c.jam.Telemetry())
+	c.bcast = telemetry.NewBroadcaster(interval, c.agg.RollupSource())
+	c.bcast.Start()
+
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", c.agg.Handler())
+	mux.Handle("/stream", c.bcast)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	// No write timeout: /stream and /debug/pprof/profile responses are
+	// long by design.
+	c.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second, IdleTimeout: idleTimeout}
+	go func() {
+		if err := c.srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			log.Fatal(err)
+		}
+	}()
+}
+
+// run evaluates commands from in, one per line, until quit, the end of the
+// input, or ctx is done. A read blocked on in when run returns stays
+// blocked: main exits after shutdown.
+func (c *console) run(ctx context.Context, in io.Reader) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	lines := make(chan string)
+	var scanErr error
+	go func() {
+		defer close(lines)
+		sc := bufio.NewScanner(in)
+		for sc.Scan() {
+			select {
+			case lines <- strings.TrimSpace(sc.Text()):
+			case <-ctx.Done():
+				return
+			}
+		}
+		scanErr = sc.Err()
+	}()
+	for {
+		select {
+		case <-ctx.Done():
+			fmt.Fprintln(c.out, "interrupted")
+			return nil
+		case line, ok := <-lines:
+			if !ok {
+				return scanErr
+			}
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			if line == "quit" || line == "exit" {
+				return nil
+			}
+			if err := c.eval(line); err != nil {
+				fmt.Fprintf(c.out, "error: %v\n", err)
+			}
+		}
+	}
 }
 
 // writeDump writes one flight-recorder dump as indented JSON.
@@ -256,12 +297,12 @@ func (c *console) shutdown(tracePath string) {
 	}
 	// No anomaly fired during the session: capture a manual snapshot so
 	// -flight-out always yields a dump.
-	if *flightOut != "" && !c.dumped {
+	if c.flightOut != "" && !c.dumped {
 		d := c.flight.Trigger(flight.TriggerManual, c.cycle(), "shutdown snapshot")
-		if err := writeDump(*flightOut, d); err != nil {
+		if err := writeDump(c.flightOut, d); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(c.out, "flight recorder: shutdown snapshot written to %s\n", *flightOut)
+		fmt.Fprintf(c.out, "flight recorder: shutdown snapshot written to %s\n", c.flightOut)
 	}
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
@@ -277,11 +318,15 @@ func (c *console) shutdown(tracePath string) {
 		}
 		fmt.Fprintf(c.out, "trace written to %s\n", tracePath)
 	}
-	if c.bcast != nil {
+	if c.srv != nil {
+		// End every /stream response first: the drain waits for them.
 		c.bcast.Stop()
-	}
-	if c.agg != nil {
-		c.agg.Stop()
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		if err := c.srv.Shutdown(ctx); err != nil {
+			fmt.Fprintf(c.out, "error: telemetry drain: %v\n", err)
+			c.srv.Close()
+		}
+		cancel()
 		fs := c.agg.Snapshot()
 		fmt.Fprintf(c.out, "fleet: %d cell(s), SLO pass %d fail %d, %d dropped stream client(s)\n",
 			len(fs.Cells), fs.SLOPassing, fs.SLOFailing, fs.StreamDroppedClients)

@@ -25,11 +25,6 @@ type FleetObsConfig struct {
 	FramesPerCell int
 	// Seed is the master seed; each cell derives its own.
 	Seed int64
-	// LabelBudget bounds the `cell` label cardinality of the scrape
-	// (default 32).
-	LabelBudget int
-	// TopK bounds the worst-cell rankings (default 8).
-	TopK int
 }
 
 // FleetCellOutcome retains one cell's own recorder snapshot — the ground
@@ -74,18 +69,8 @@ func RunFleetObs(cfg FleetObsConfig) (*FleetObsResult, error) {
 	if cfg.FramesPerCell <= 0 {
 		cfg.FramesPerCell = 6
 	}
-	if cfg.LabelBudget <= 0 {
-		cfg.LabelBudget = 32
-	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 8
-	}
 	budgets := fleet.DefaultBudgets(WiFiFrontEndGroupDelayCycles())
-	agg := fleet.New(fleet.Options{
-		Budgets:     budgets,
-		TopK:        cfg.TopK,
-		LabelBudget: cfg.LabelBudget,
-	})
+	agg := fleet.New(fleet.Options{Budgets: budgets})
 	prev := FleetSink()
 	SetFleetSink(agg)
 	defer SetFleetSink(prev)

@@ -25,7 +25,7 @@ func fleetObsLedger(t *testing.T, res *FleetObsResult) []byte {
 // byte-identical fleet ledgers sequentially and at full pool width, and
 // the fleet plane reconciles bit-for-bit with every cell's own recorder.
 func TestFleetObsDeterministicAcrossPoolWidths(t *testing.T) {
-	cfg := FleetObsConfig{Cells: 24, FramesPerCell: 3, Seed: 7, LabelBudget: 8, TopK: 4}
+	cfg := FleetObsConfig{Cells: 24, FramesPerCell: 3, Seed: 7}
 	var ledgers [][]byte
 	for _, workers := range []int{1, 8} {
 		withParallelism(t, workers, func() {
@@ -52,22 +52,30 @@ func TestFleetObsDeterministicAcrossPoolWidths(t *testing.T) {
 }
 
 // TestFleetObsScrapeWithinBudget: the OpenMetrics export of a fleetobs run
-// passes the cardinality lint at the configured label budget.
+// with more cells than the label budget collapses the rest into
+// cell="other" and passes the cardinality lint at the aggregator's budget.
 func TestFleetObsScrapeWithinBudget(t *testing.T) {
-	res, err := RunFleetObs(FleetObsConfig{Cells: 12, FramesPerCell: 2, Seed: 3, LabelBudget: 4})
+	res, err := RunFleetObs(FleetObsConfig{Cells: 33, FramesPerCell: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	budget := res.Agg.LabelBudget()
+	if len(res.Snap.Cells) <= budget {
+		t.Fatalf("%d cells do not exceed the label budget %d", len(res.Snap.Cells), budget)
+	}
 	var buf bytes.Buffer
-	if err := res.Snap.WriteOpenMetrics(&buf, res.Agg.LabelBudget()); err != nil {
+	if err := res.Snap.WriteOpenMetrics(&buf, budget); err != nil {
 		t.Fatal(err)
 	}
-	cells, err := fleet.LintMetrics(strings.NewReader(buf.String()), res.Agg.LabelBudget())
+	cells, err := fleet.LintMetrics(strings.NewReader(buf.String()), budget)
 	if err != nil {
 		t.Fatalf("lint: %v\n%s", err, buf.String())
 	}
-	if cells != 4 {
-		t.Fatalf("labelled cells = %d, want 4", cells)
+	if cells != budget {
+		t.Fatalf("labelled cells = %d, want %d", cells, budget)
+	}
+	if want := `cell="` + fleet.OverflowCell + `"`; !strings.Contains(buf.String(), want) {
+		t.Errorf("scrape lacks the %s series", want)
 	}
 }
 

@@ -15,7 +15,6 @@
 package anomaly
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/telemetry"
@@ -238,10 +237,4 @@ func EncodeArg(m Metric, score float64) uint64 {
 // DecodeArg unpacks an EvAnomalyAlert journal Arg.
 func DecodeArg(arg uint64) (m Metric, milliZ uint32) {
 	return Metric(arg >> 32), uint32(arg & 0xFFFFFFFF)
-}
-
-// WriteAlert renders one alert as a log line.
-func WriteAlert(a Alert) string {
-	return fmt.Sprintf("anomaly: %s = %g strayed %.1f sigma from rolling mean %g at cycle %d",
-		a.Name, a.Value, a.Score, a.Mean, a.Cycle)
 }

@@ -9,13 +9,45 @@ import (
 	"time"
 )
 
-// Broadcaster serves the live SSE rollup stream to any number of clients:
-// one goroutine pulls the rollup source every interval, marshals the SSE
-// payload once, and fans it out to every subscriber over a bounded
-// per-client queue. A subscriber that stops reading — a stalled TCP
-// connection, a wedged consumer — fills its queue and is dropped and
-// counted, instead of backpressuring the broadcast tick and starving the
-// healthy clients.
+// HistRollup is one histogram's headline figures inside a rollup.
+type HistRollup struct {
+	Name  string `json:"name"`
+	Count uint64 `json:"count"`
+	P50   uint64 `json:"p50"`
+	P99   uint64 `json:"p99"`
+	Max   uint64 `json:"max"`
+}
+
+// Rollup is one cell's periodic digest: the counter block, per-histogram
+// headline figures, and the observability-plane tallies (anomaly alerts,
+// flight dumps, journal drops, completed engagements).
+type Rollup struct {
+	// Seq is the tick number, shared by every cell emitted in one tick.
+	Seq uint64 `json:"seq"`
+	// Cell names the datapath cell the rollup describes.
+	Cell string `json:"cell"`
+	// Counters is the cell's counter block.
+	Counters CounterSnapshot `json:"counters"`
+	// Histograms carries the headline figures per latency histogram.
+	Histograms []HistRollup `json:"histograms"`
+	// Alerts and Dumps count anomaly alerts raised and flight-recorder
+	// dumps captured so far; Dropped and Engagements mirror the journal.
+	Alerts      uint64 `json:"alerts"`
+	Dumps       uint64 `json:"dumps"`
+	Dropped     uint64 `json:"dropped"`
+	Engagements uint64 `json:"engagements"`
+}
+
+// RollupSource produces the per-cell rollups for one stream tick.
+type RollupSource func(seq uint64) []Rollup
+
+// Broadcaster serves the live SSE rollup stream (`/stream`) to any number
+// of clients: one goroutine pulls the rollup source every interval, marshals
+// the tick's payload once — one `rollup` event with a JSON body per cell —
+// and fans it out to every subscriber over a bounded per-client queue. A
+// subscriber that stops reading — a stalled TCP connection, a wedged
+// consumer — fills its queue and is dropped and counted, instead of
+// backpressuring the broadcast tick and starving the healthy clients.
 type Broadcaster struct {
 	interval time.Duration
 	source   RollupSource
@@ -25,6 +57,9 @@ type Broadcaster struct {
 	seq     uint64
 	stop    chan struct{}
 	done    chan struct{}
+	// stopped holds from Stop to the next Start: a subscriber arriving then
+	// is closed at once rather than left waiting for ticks.
+	stopped bool
 
 	dropped atomic.Uint64
 }
@@ -35,6 +70,9 @@ const streamClientQueue = 8
 
 type streamClient struct {
 	frames chan []byte
+	// stopped is set before frames is closed when the broadcaster stopped,
+	// as opposed to dropping the client for stalling.
+	stopped bool
 }
 
 // NewBroadcaster returns a broadcaster pulling the source every interval
@@ -61,12 +99,14 @@ func (b *Broadcaster) Start() {
 	if b.stop != nil {
 		return
 	}
+	b.stopped = false
 	b.stop = make(chan struct{})
 	b.done = make(chan struct{})
 	go b.run(b.stop, b.done)
 }
 
-// Stop halts the loop and disconnects every subscriber.
+// Stop halts the loop and disconnects every subscriber, present and
+// future, until the next Start.
 func (b *Broadcaster) Stop() {
 	b.mu.Lock()
 	if b.stop == nil {
@@ -75,11 +115,13 @@ func (b *Broadcaster) Stop() {
 	}
 	stop, done := b.stop, b.done
 	b.stop, b.done = nil, nil
+	b.stopped = true
 	b.mu.Unlock()
 	close(stop)
 	<-done
 	b.mu.Lock()
 	for c := range b.clients {
+		c.stopped = true
 		close(c.frames)
 		delete(b.clients, c)
 	}
@@ -143,15 +185,27 @@ func marshalFrame(rollups []Rollup) []byte {
 }
 
 // subscribe registers a new client. The first frame is generated
-// immediately so a consumer never waits a full interval for data.
+// immediately so a consumer never waits a full interval for data. After
+// Stop the client comes back already closed.
 func (b *Broadcaster) subscribe() *streamClient {
 	c := &streamClient{frames: make(chan []byte, streamClientQueue)}
 	b.mu.Lock()
 	seq := b.seq
 	b.seq++
-	b.clients[c] = struct{}{}
 	b.mu.Unlock()
-	c.frames <- marshalFrame(b.source(seq))
+	frame := marshalFrame(b.source(seq))
+
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.stopped {
+		c.stopped = true
+		close(c.frames)
+		return c
+	}
+	// The queue is empty, so this send cannot block; queuing the frame
+	// before registering keeps it ahead of every tick's.
+	c.frames <- frame
+	b.clients[c] = struct{}{}
 	return c
 }
 
@@ -165,8 +219,8 @@ func (b *Broadcaster) unsubscribe(c *streamClient) {
 	b.mu.Unlock()
 }
 
-// ServeHTTP streams broadcast frames to the client until it disconnects or
-// is dropped for stalling.
+// ServeHTTP streams broadcast frames to the client until it disconnects, is
+// dropped for stalling, or the broadcaster stops.
 func (b *Broadcaster) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -185,9 +239,12 @@ func (b *Broadcaster) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			return
 		case frame, ok := <-c.frames:
 			if !ok {
-				// Dropped as a slow client (or broadcaster stopped): a
-				// final comment line tells a live consumer why.
-				fmt.Fprint(w, ": dropped (slow client)\n\n")
+				// A final comment line tells a live consumer why.
+				reason := ": dropped (slow client)\n\n"
+				if c.stopped {
+					reason = ": stream stopped\n\n"
+				}
+				fmt.Fprint(w, reason)
 				flusher.Flush()
 				return
 			}

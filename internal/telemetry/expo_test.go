@@ -1,132 +1,50 @@
-package telemetry
+package telemetry_test
 
 import (
-	"bufio"
-	"fmt"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
+	"repro/internal/telemetry/fleet"
 )
 
-// TestMetricsScrapeFormat is the exposition regression gate: every stable
-// metric name must appear with its TYPE line, the journal drop counter and
-// per-histogram sample counts must be present, and histogram buckets must be
-// cumulative in le order. Renaming or dropping a metric breaks dashboards,
-// so this test pins the contract.
-func TestMetricsScrapeFormat(t *testing.T) {
-	live := NewLive(8) // tiny ring: force drops so journal_dropped_total is live
-	c := &Counters{}
-	live.BindCounters(c)
-	c.Samples.Store(1000)
-	c.JamTriggers.Store(2)
+// TestJournalOverflowExposedOnMetrics fills a deliberately shallow journal
+// past its ring depth and checks the overflow is visible everywhere an
+// operator would look: Live.Dropped, the snapshot, and the /metrics scrape
+// of a fleet cell bound to the recorder (cell_journal_dropped_total) —
+// alongside the engagement counter so a scrape can tell "journal truncated"
+// apart from "nothing happened".
+func TestJournalOverflowExposedOnMetrics(t *testing.T) {
+	l := telemetry.NewLive(8)
 	for i := 0; i < 20; i++ {
-		live.Event(EvHostPoll, uint64(i), 0, 0)
+		l.Event(telemetry.EvEnergyHighEdge, uint64(100*i), 0, uint32(i+1))
+		l.Event(telemetry.EvHoldoffRelease, uint64(100*i+50), 0, uint32(i+1))
 	}
-	live.Event(EvJamRFOn, 100, 0, 1)
-	live.Event(EvJamRFOff, 1100, 0, 1)
-	live.Event(EvAnomalyAlert, 1200, 0, 0)
-	live.Event(EvFlightDump, 1300, 0, 0)
-
-	srv := httptest.NewServer(live.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
+	const want = 40 - 8
+	if got := l.Dropped(); got != want {
+		t.Fatalf("Dropped() = %d, want %d", got, want)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("Content-Type = %q", ct)
+	s := l.Snapshot()
+	if s.Dropped != want {
+		t.Errorf("snapshot Dropped = %d, want %d", s.Dropped, want)
+	}
+	if s.Engagements != 20 {
+		t.Errorf("snapshot Engagements = %d, want 20 (counted, not journal-limited)", s.Engagements)
 	}
 
-	types := map[string]string{} // name -> TYPE
-	values := map[string]float64{}
-	buckets := map[string][]uint64{} // histogram name -> cumulative counts in le order
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			f := strings.Fields(rest)
-			if len(f) != 2 {
-				t.Fatalf("malformed TYPE line %q", line)
-			}
-			types[f[0]] = f[1]
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) != 2 {
-			t.Fatalf("malformed sample line %q", line)
-		}
-		v, err := strconv.ParseFloat(f[1], 64)
-		if err != nil {
-			t.Fatalf("bad value in %q: %v", line, err)
-		}
-		values[f[0]] = v
-		if i := strings.Index(f[0], "_bucket{"); i >= 0 {
-			name := f[0][:i]
-			buckets[name] = append(buckets[name], uint64(v))
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Stable counter names, all with TYPE counter.
-	for _, name := range []string{
-		"samples_total", "xcorr_detections_total", "energy_high_detections_total",
-		"energy_low_detections_total", "jam_triggers_total", "jam_samples_total",
-		"reg_writes_total", "host_polls_total", "journal_events",
-		"journal_dropped_total", "engagements_total",
-		"anomaly_alerts_total", "flight_dumps_total",
+	agg := fleet.New(fleet.Options{})
+	agg.Cell("jamlab").BindLive(l)
+	rec := httptest.NewRecorder()
+	agg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
+	for _, line := range []string{
+		`reactivejam_cell_journal_dropped_total{cell="jamlab"} 32`,
+		`reactivejam_cell_engagements_total{cell="jamlab"} 20`,
+		"reactivejam_fleet_journal_dropped_total 32",
 	} {
-		full := metricPrefix + name
-		if types[full] != "counter" {
-			t.Errorf("%s: TYPE = %q, want counter", full, types[full])
+		if !strings.Contains(body, line) {
+			t.Errorf("/metrics missing %q\n%s", line, body)
 		}
-		if _, ok := values[full]; !ok {
-			t.Errorf("%s: no sample line", full)
-		}
-	}
-	if values[metricPrefix+"journal_dropped_total"] == 0 {
-		t.Error("journal_dropped_total = 0 despite forced ring overflow")
-	}
-	if values[metricPrefix+"anomaly_alerts_total"] != 1 ||
-		values[metricPrefix+"flight_dumps_total"] != 1 {
-		t.Error("observability counters missing the journaled events")
-	}
-
-	// Every histogram exposes _count and _sum plus cumulative buckets.
-	for _, h := range []string{
-		HistReaction, HistDetectToRF, HistTriggerToRF, HistJamBurst, HistXCorrLead,
-	} {
-		full := metricPrefix + h
-		if types[full] != "histogram" {
-			t.Errorf("%s: TYPE = %q, want histogram", full, types[full])
-		}
-		count, ok := values[full+"_count"]
-		if !ok {
-			t.Errorf("%s_count missing", full)
-		}
-		if _, ok := values[full+"_sum"]; !ok {
-			t.Errorf("%s_sum missing", full)
-		}
-		bs := buckets[full]
-		if len(bs) == 0 {
-			t.Errorf("%s: no buckets", full)
-			continue
-		}
-		for i := 1; i < len(bs); i++ {
-			if bs[i] < bs[i-1] {
-				t.Errorf("%s: buckets not cumulative at %d: %v", full, i, bs)
-			}
-		}
-		// The +Inf bucket equals the sample count.
-		inf, ok := values[fmt.Sprintf("%s_bucket{le=\"+Inf\"}", full)]
-		if !ok || inf != count {
-			t.Errorf("%s: +Inf bucket %v (present %v) != count %v", full, inf, ok, count)
-		}
-	}
-	if got := values[metricPrefix+HistJamBurst+"_count"]; got != 1 {
-		t.Errorf("jam-burst sample count = %v, want 1", got)
 	}
 }

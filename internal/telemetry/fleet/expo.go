@@ -179,7 +179,7 @@ func (s *Snapshot) WriteOpenMetrics(w io.Writer, labelBudget int) error {
 
 // Handler returns an http.Handler serving the fleet exposition (mount it
 // at /metrics). Each scrape takes a fresh snapshot, so the surface is
-// always current even without the background loop.
+// always current.
 func (a *Aggregator) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")

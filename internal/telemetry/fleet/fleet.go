@@ -2,10 +2,11 @@
 // the substrate a fleet-scale engagement service stands on. Each testbed
 // cell (one radio/core/jammer stack) owns a cheap CellRecorder — the
 // existing zero-alloc atomic counter block plus the log-linear latency
-// histograms — and an Aggregator periodically snapshots every cell and
-// merges the shards into fleet rollups: summed counters, histogram merges
-// that are exact under any merge order, per-cell SLO verdicts via the
-// internal/telemetry/slo budget machinery, and top-K worst-cell rankings.
+// histograms — and an Aggregator snapshots every cell on demand (each
+// scrape, each stream tick) and merges the shards into fleet rollups:
+// summed counters, histogram merges that are exact under any merge order,
+// per-cell SLO verdicts via the internal/telemetry/slo budget machinery,
+// and top-K worst-cell rankings.
 //
 // The hot path stays lock-free: cells increment their own atomic counters
 // and the per-cell mutex only guards edge-rate state (histograms, outcome
@@ -21,8 +22,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/slo"
@@ -91,21 +90,6 @@ func (c *CellRecorder) AddOutcome(frames, jammed uint64) {
 	c.mu.Unlock()
 }
 
-// ObserveReaction records one end-to-end reaction latency (cycles) for
-// cells that feed the fleet plane directly instead of absorbing snapshots.
-func (c *CellRecorder) ObserveReaction(cycles uint64) {
-	c.mu.Lock()
-	c.reaction.Observe(cycles)
-	c.mu.Unlock()
-}
-
-// ObserveTriggerToRF records one trigger-fire→RF-on turnaround (cycles).
-func (c *CellRecorder) ObserveTriggerToRF(cycles uint64) {
-	c.mu.Lock()
-	c.triggerToRF.Observe(cycles)
-	c.mu.Unlock()
-}
-
 // snapshot captures the cell under its own lock. A bound live recorder is
 // snapshotted outside c.mu first (Live has its own mutex; taking them in
 // this fixed order, never nested the other way, avoids ordering hazards).
@@ -115,8 +99,11 @@ func (c *CellRecorder) snapshot() CellSnapshot {
 	l := c.live
 	c.mu.Unlock()
 	hasLive := l != nil
+	var alerts, dumps uint64
 	if hasLive {
 		liveSnap = l.Snapshot()
+		alerts = l.EventCount(telemetry.EvAnomalyAlert)
+		dumps = l.EventCount(telemetry.EvFlightDump)
 	}
 
 	c.mu.Lock()
@@ -138,6 +125,7 @@ func (c *CellRecorder) snapshot() CellSnapshot {
 		triggerToRF.MergeSnapshot(liveSnap.Histogram(telemetry.HistTriggerToRF))
 		s.Dropped += liveSnap.Dropped
 		s.Engagements += liveSnap.Engagements
+		s.Alerts, s.Dumps = alerts, dumps
 	}
 	s.Reaction = reaction.Snapshot(telemetry.HistReaction)
 	s.TriggerToRF = triggerToRF.Snapshot(telemetry.HistTriggerToRF)
@@ -196,12 +184,6 @@ type shard struct {
 type Aggregator struct {
 	opts   Options
 	shards [numShards]shard
-
-	latest atomic.Pointer[Snapshot]
-
-	runMu sync.Mutex
-	stop  chan struct{}
-	done  chan struct{}
 }
 
 // New returns an aggregator with the given options.
@@ -297,7 +279,6 @@ func (a *Aggregator) Snapshot() *Snapshot {
 	if a.opts.DroppedClients != nil {
 		s.StreamDroppedClients = a.opts.DroppedClients()
 	}
-	a.latest.Store(s)
 	return s
 }
 
@@ -310,48 +291,4 @@ func fnRate(frames, jammed uint64) float64 {
 		missed = frames - jammed
 	}
 	return float64(missed) / float64(frames)
-}
-
-// Latest returns the most recent snapshot (nil before the first one).
-func (a *Aggregator) Latest() *Snapshot { return a.latest.Load() }
-
-// Start launches the background aggregation loop: a snapshot every
-// interval until Stop. Restarting a running aggregator is a no-op.
-func (a *Aggregator) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	a.runMu.Lock()
-	defer a.runMu.Unlock()
-	if a.stop != nil {
-		return
-	}
-	a.stop = make(chan struct{})
-	a.done = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		a.Snapshot()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				a.Snapshot()
-			}
-		}
-	}(a.stop, a.done)
-}
-
-// Stop halts the background loop (no-op when not running).
-func (a *Aggregator) Stop() {
-	a.runMu.Lock()
-	defer a.runMu.Unlock()
-	if a.stop == nil {
-		return
-	}
-	close(a.stop)
-	<-a.done
-	a.stop, a.done = nil, nil
 }

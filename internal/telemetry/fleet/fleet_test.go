@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/slo"
@@ -177,27 +176,16 @@ func TestCellRecorderBindLive(t *testing.T) {
 	if c := a.Snapshot().CellByName("jamlab"); c.Counters.Samples != 510 {
 		t.Fatalf("samples = %d, want 510", c.Counters.Samples)
 	}
-}
 
-// TestAggregatorBackgroundLoop: Start publishes snapshots via Latest.
-func TestAggregatorBackgroundLoop(t *testing.T) {
-	a := New(Options{Budgets: testBudgets()})
-	feedCell(a, "cell-0", 4, 90, 0)
-	a.Start(time.Millisecond)
-	defer a.Stop()
-	deadline := time.After(5 * time.Second)
-	for {
-		if s := a.Latest(); s != nil && len(s.Cells) == 1 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("background loop never published a snapshot")
-		case <-time.After(time.Millisecond):
+	// The recorder's alert and dump tallies reach the cell and fleet
+	// rollups.
+	live.Event(telemetry.EvAnomalyAlert, 200, 0, 0)
+	live.Event(telemetry.EvFlightDump, 300, 0, 0)
+	for _, r := range a.RollupSource()(0) {
+		if r.Alerts != 1 || r.Dumps != 1 {
+			t.Errorf("%s rollup alerts/dumps = %d/%d, want 1/1", r.Cell, r.Alerts, r.Dumps)
 		}
 	}
-	a.Stop()
-	a.Stop() // idempotent
 }
 
 // TestCellConcurrentRegistration: concurrent Cell() calls on the same and

@@ -44,23 +44,14 @@ func cellRollup(seq uint64, c *CellSnapshot) telemetry.Rollup {
 		Seq:         seq,
 		Cell:        c.Cell,
 		Counters:    c.Counters,
+		Alerts:      c.Alerts,
+		Dumps:       c.Dumps,
 		Dropped:     c.Dropped,
 		Engagements: c.Engagements,
-		Histograms: []telemetry.HistRollup{
-			{
-				Name:  c.Reaction.Name,
-				Count: c.Reaction.Count,
-				P50:   c.Reaction.P50,
-				P99:   c.Reaction.P99,
-				Max:   c.Reaction.Max,
-			},
-			{
-				Name:  c.TriggerToRF.Name,
-				Count: c.TriggerToRF.Count,
-				P50:   c.TriggerToRF.P50,
-				P99:   c.TriggerToRF.P99,
-				Max:   c.TriggerToRF.Max,
-			},
-		},
+		Histograms:  []telemetry.HistRollup{histRollup(c.Reaction), histRollup(c.TriggerToRF)},
 	}
+}
+
+func histRollup(h telemetry.HistogramSnapshot) telemetry.HistRollup {
+	return telemetry.HistRollup{Name: h.Name, Count: h.Count, P50: h.P50, P99: h.P99, Max: h.Max}
 }

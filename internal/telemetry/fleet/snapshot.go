@@ -17,6 +17,11 @@ type CellSnapshot struct {
 	TriggerToRF telemetry.HistogramSnapshot
 	Dropped     uint64
 	Engagements uint64
+	// Alerts and Dumps count the anomaly alerts and flight-recorder dumps
+	// journaled by a bound live recorder (zero for absorbed cells). Only
+	// the stream rollups carry them.
+	Alerts uint64
+	Dumps  uint64
 	// Frames and Jammed are the AddOutcome ground truth; FNRate is their
 	// miss rate, computed at snapshot time.
 	Frames uint64
@@ -88,6 +93,8 @@ func (s *Snapshot) mergeTotals() {
 		triggerToRF.MergeSnapshot(c.TriggerToRF)
 		t.Dropped += c.Dropped
 		t.Engagements += c.Engagements
+		t.Alerts += c.Alerts
+		t.Dumps += c.Dumps
 		t.Frames += c.Frames
 		t.Jammed += c.Jammed
 	}

@@ -1,6 +1,11 @@
 package telemetry
 
-import "math/bits"
+import (
+	"fmt"
+	"io"
+	"math/bits"
+	"sort"
+)
 
 // Histogram is a log-linear latency histogram in hardware clock ticks:
 // values 0..15 get exact buckets, and every power-of-two octave above is
@@ -165,3 +170,39 @@ func (h *Histogram) Buckets(fn func(upper uint64, count uint64)) {
 		}
 	}
 }
+
+// WriteHistogramTable renders one histogram as an aligned ASCII table with
+// cycle and microsecond columns and a bar per bucket — the worked-example
+// format used by EXPERIMENTS.md and cmd/experiments.
+func WriteHistogramTable(w io.Writer, h HistogramSnapshot) error {
+	if h.Count == 0 {
+		_, err := fmt.Fprintf(w, "%s: no observations\n", h.Name)
+		return err
+	}
+	if _, err := fmt.Fprintf(w,
+		"%s: n=%d  min=%v  p50=%v  p90=%v  p99=%v  max=%v\n",
+		h.Name, h.Count, CyclesToDuration(h.Min), CyclesToDuration(h.P50),
+		CyclesToDuration(h.P90), CyclesToDuration(h.P99), CyclesToDuration(h.Max)); err != nil {
+		return err
+	}
+	var peak uint64
+	for _, b := range h.Buckets {
+		if b[1] > peak {
+			peak = b[1]
+		}
+	}
+	sort.Slice(h.Buckets, func(i, j int) bool { return h.Buckets[i][0] < h.Buckets[j][0] })
+	for _, b := range h.Buckets {
+		bar := int(b[1] * 40 / peak)
+		if bar == 0 {
+			bar = 1
+		}
+		if _, err := fmt.Fprintf(w, "  <= %8d cyc (%9v) %7d %s\n",
+			b[0], CyclesToDuration(b[0]), b[1], bars[:bar]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+const bars = "########################################"

@@ -169,11 +169,7 @@ func (s HistogramSnapshot) P50Duration() time.Duration { return CyclesToDuration
 // P99Duration returns the 99th percentile as simulated wall time.
 func (s HistogramSnapshot) P99Duration() time.Duration { return CyclesToDuration(s.P99) }
 
-func snapshotHist(name string, h *Histogram) HistogramSnapshot {
-	return h.Snapshot(name)
-}
-
-// Histogram names used in snapshots and the exposition endpoint.
+// Histogram names used in snapshots and stream rollups.
 const (
 	HistReaction    = "reaction_cycles"
 	HistDetectToRF  = "detect_to_rf_cycles"
@@ -213,43 +209,17 @@ func (l *Live) Snapshot() Snapshot {
 		Dropped:     l.journal.Dropped(),
 		Engagements: l.eventsByKind[EvHoldoffRelease],
 		Histograms: []HistogramSnapshot{
-			snapshotHist(HistReaction, &l.reaction),
-			snapshotHist(HistDetectToRF, &l.detectToRF),
-			snapshotHist(HistTriggerToRF, &l.triggerToRF),
-			snapshotHist(HistJamBurst, &l.burst),
-			snapshotHist(HistXCorrLead, &l.lead),
+			l.reaction.Snapshot(HistReaction),
+			l.detectToRF.Snapshot(HistDetectToRF),
+			l.triggerToRF.Snapshot(HistTriggerToRF),
+			l.burst.Snapshot(HistJamBurst),
+			l.lead.Snapshot(HistXCorrLead),
 		},
 	}
 	if l.counters != nil {
 		s.Counters = l.counters.Snapshot()
 	}
 	return s
-}
-
-// Merge folds a snapshot of another recorder into this one's histograms:
-// every histogram in the snapshot whose name matches one of l's is added
-// bucket-by-bucket. Counters, journal and pairing state are untouched —
-// merge is for aggregating latency distributions across the per-worker
-// recorders of a parallel sweep. Taking a Snapshot first (instead of locking
-// two Live instances) keeps the operation free of lock-ordering hazards, so
-// it is safe to call while both recorders keep capturing.
-func (l *Live) Merge(s Snapshot) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, hs := range s.Histograms {
-		switch hs.Name {
-		case HistReaction:
-			l.reaction.MergeSnapshot(hs)
-		case HistDetectToRF:
-			l.detectToRF.MergeSnapshot(hs)
-		case HistTriggerToRF:
-			l.triggerToRF.MergeSnapshot(hs)
-		case HistJamBurst:
-			l.burst.MergeSnapshot(hs)
-		case HistXCorrLead:
-			l.lead.MergeSnapshot(hs)
-		}
-	}
 }
 
 // Reset clears the journal, histograms and pairing state (bound counters

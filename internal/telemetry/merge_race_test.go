@@ -54,39 +54,3 @@ func TestCounterMergeRace(t *testing.T) {
 		t.Fatalf("accumulator lost the last merge: %d < %d", acc.Samples, lastSamples)
 	}
 }
-
-// TestLiveMergeWhileObserving covers the histogram half of the same audit:
-// Live.Merge folds a snapshot into a recorder whose hot path keeps
-// observing events concurrently. Counts must add up exactly afterwards.
-func TestLiveMergeWhileObserving(t *testing.T) {
-	src := NewLive(64)
-	for i := 0; i < 100; i++ {
-		src.Event(EvTriggerFire, uint64(i*10), 0, 1)
-		src.Event(EvJamRFOn, uint64(i*10+5), 0, 1)
-	}
-	snap := src.Snapshot()
-
-	dst := NewLive(64)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			dst.Event(EvTriggerFire, uint64(i*10), 0, 2)
-			dst.Event(EvJamRFOn, uint64(i*10+7), 0, 2)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			dst.Merge(snap)
-		}
-	}()
-	wg.Wait()
-
-	got := dst.Snapshot().Histogram(HistTriggerToRF).Count
-	want := uint64(100 + 10*100)
-	if got != want {
-		t.Fatalf("merged trigger→RF count = %d, want %d", got, want)
-	}
-}

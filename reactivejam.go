@@ -23,7 +23,6 @@ package reactivejam
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"time"
 
 	"repro/internal/core"
@@ -279,7 +278,7 @@ type TelemetrySummary struct {
 
 // EnableTelemetry attaches a live event recorder (journal, histograms and
 // counters) to the core. Idempotent; returns the recorder for direct access
-// to snapshots and the trace/metrics writers.
+// to snapshots and the trace writer.
 func (f *Framework) EnableTelemetry() *telemetry.Live {
 	if f.tel == nil {
 		f.tel = telemetry.NewLive(telemetry.DefaultJournalDepth)
@@ -310,15 +309,6 @@ func (f *Framework) WriteTrace(w io.Writer) error {
 		return fmt.Errorf("reactivejam: telemetry not enabled")
 	}
 	return f.tel.WriteTrace(w)
-}
-
-// MetricsHandler returns the Prometheus-style text exposition handler, or
-// nil when telemetry is disabled.
-func (f *Framework) MetricsHandler() http.Handler {
-	if f.tel == nil {
-		return nil
-	}
-	return f.tel.Handler()
 }
 
 // Summary digests the current telemetry state. Zero-valued when telemetry
