@@ -15,7 +15,7 @@ endif
 ## build must not fetch dependencies).
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci build vet test race bench-test bench bench-smoke bench-json bench-diff bench-diff-smoke slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke
+.PHONY: ci build vet test race bench-test bench bench-smoke bench-pairs bench-json bench-diff bench-diff-smoke slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke
 
 ## ci: the full tier-1 verify path — vet, build, tests, then the race
 ## detector over every package (the register bus, clock and telemetry
@@ -71,6 +71,19 @@ bench:
 ## iteration of the core datapath benchmarks, no timing claims.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='CorePerSample|CoreDatapath' -benchtime=1x .
+
+## bench-pairs: judge a performance change with the repository benchmark
+## in alternating pairs against a parent revision (scripts/benchpairs.sh):
+## per run the calibrated and wall-clock throughput and cal_ms, per side
+## the calibration loop's address. The defaults compare the working tree
+## with HEAD; e.g. `make bench-pairs BENCH_PARENT=HEAD~1 BENCH_SEED=11-20`
+## runs pair i at seed 10+i.
+BENCH_PARENT ?= HEAD
+BENCH_PAIRS ?= 10
+BENCH_WORKLOAD ?= link-reactive
+BENCH_SEED ?= 1
+bench-pairs:
+	bash scripts/benchpairs.sh $(BENCH_PARENT) $(BENCH_PAIRS) $(BENCH_WORKLOAD) $(BENCH_SEED)
 
 ## bench-json: write the machine-readable benchmark baseline
 ## ($(BENCH_BASELINE)). Refuses to overwrite an existing baseline or to

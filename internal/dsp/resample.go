@@ -12,8 +12,15 @@ type Resampler struct {
 	l, m  int
 	taps  []float64
 	phase [][]float64 // polyphase banks, phase[p][k] multiplies x[n-k]
-	hist  Samples     // most recent input samples, newest last
-	acc   int         // output phase accumulator
+	// hist is a doubled ring of the last tapsPerPhase input samples: each
+	// sample is written at pos and pos+tapsPerPhase, so hist[pos:] always
+	// holds the window newest first without wrapping. fill counts the
+	// samples seen up to tapsPerPhase, for the warm-up.
+	hist Samples
+	pos  int
+	fill int
+	acc  int     // output phase accumulator
+	out  Samples // output buffer, reused by every Process call
 }
 
 // NewResampler creates an L/M rational resampler. tapsPerPhase controls
@@ -45,7 +52,7 @@ func NewResampler(l, m, tapsPerPhase int) *Resampler {
 		phase[p] = bank
 	}
 	return &Resampler{l: l, m: m, taps: taps, phase: phase,
-		hist: make(Samples, 0, tapsPerPhase)}
+		hist: make(Samples, 2*tapsPerPhase)}
 }
 
 // Ratio returns the reduced interpolation and decimation factors.
@@ -61,49 +68,64 @@ func (r *Resampler) GroupDelayOutputSamples() float64 {
 
 // Reset clears filter state.
 func (r *Resampler) Reset() {
-	r.hist = r.hist[:0]
+	r.pos, r.fill = 0, 0
 	r.acc = 0
 }
 
 // Process consumes a block of input samples and returns the resampled
 // output. Streaming state is preserved across calls so that consecutive
 // blocks are seamless.
+//
+// The returned slice is the resampler's own buffer: it stays valid only
+// until the next call to Process, which overwrites it. Callers that keep
+// output across calls must copy it.
 func (r *Resampler) Process(in Samples) Samples {
-	tapsPerPhase := len(r.phase[0])
-	out := make(Samples, 0, len(in)*r.l/r.m+1)
+	taps := len(r.phase[0])
+	if need := len(in)*r.l/r.m + 1; cap(r.out) < need {
+		r.out = make(Samples, 0, need)
+	}
+	out := r.out[:0]
+	hist, pos, fill, acc := r.hist, r.pos, r.fill, r.acc
 	for _, x := range in {
-		r.hist = append(r.hist, x)
-		if len(r.hist) > tapsPerPhase {
-			r.hist = r.hist[1:]
+		if pos == 0 {
+			pos = taps
 		}
+		pos--
+		hist[pos] = x
+		hist[pos+taps] = x
+		if fill < taps {
+			fill++
+		}
+		win := hist[pos : pos+fill]
 		// Each input sample advances the virtual upsampled stream by L
 		// positions; emit an output whenever the accumulator crosses M.
-		for r.acc < r.l {
-			p := r.acc
-			out = append(out, r.dot(p))
-			r.acc += r.m
+		for acc < r.l {
+			out = append(out, dot(r.phase[acc], win))
+			acc += r.m
 		}
-		r.acc -= r.l
+		acc -= r.l
 	}
+	r.pos, r.fill, r.acc = pos, fill, acc
+	r.out = out
 	return out
 }
 
-func (r *Resampler) dot(p int) complex128 {
-	bank := r.phase[p]
-	var acc complex128
-	n := len(r.hist)
-	for k, c := range bank {
-		idx := n - 1 - k
-		if idx < 0 {
-			break
-		}
-		acc += r.hist[idx] * complex(c, 0)
+// dot is one polyphase output: the bank against the history window, newest
+// sample first, summed in bank order. Multiplying by the real tap on each
+// rail is bit-equal to the complex product x*complex(c, 0) for finite x.
+func dot(bank []float64, win Samples) complex128 {
+	bank = bank[:len(win)]
+	var re, im float64
+	for k, x := range win {
+		c := bank[k]
+		re += real(x) * c
+		im += imag(x) * c
 	}
-	return acc
+	return complex(re, im)
 }
 
 // Resample is a convenience wrapper that resamples a whole buffer with a
-// fresh L/M resampler and returns the result.
+// fresh L/M resampler and returns the result, which the caller owns.
 func Resample(in Samples, l, m int) Samples {
 	return NewResampler(l, m, 8).Process(in)
 }

@@ -40,6 +40,7 @@ type N210 struct {
 
 	ddc      *dsp.Resampler // source-rate → 25 MSPS, when needed
 	sourceHz int
+	tx       dsp.Samples // transmit output, reused by every Process call
 
 	started bool
 }
@@ -153,6 +154,10 @@ func (r *N210) MarkFrame(offsetSourceSamples int) {
 // extra pass over the block (bit-identical to scaling each sample by
 // complex(rxGain, 0) first); the TX gain is applied only when it is not
 // unity.
+//
+// The returned slice is the radio's own transmit buffer: it stays valid
+// only until the next call to Process, which overwrites every sample of it.
+// Callers that keep transmit output across calls must copy it.
 func (r *N210) Process(rx dsp.Samples) (dsp.Samples, error) {
 	if !r.started {
 		return nil, fmt.Errorf("radio: chains not started")
@@ -161,7 +166,12 @@ func (r *N210) Process(rx dsp.Samples) (dsp.Samples, error) {
 	if r.ddc != nil {
 		in = r.ddc.Process(rx)
 	}
-	out := make(dsp.Samples, len(in))
+	if cap(r.tx) < len(in) {
+		// Doubling bounds the reallocations when block sizes creep up, as
+		// when a victim's rate fallback lengthens every frame.
+		r.tx = make(dsp.Samples, max(len(in), 2*cap(r.tx)))
+	}
+	out := r.tx[:len(in)]
 	r.core.ProcessBlockScaled(in, out, dsp.AmplitudeFromDB(r.rxGainDB))
 	if txGain := dsp.AmplitudeFromDB(r.txGainDB); txGain != 1 {
 		for i := range out {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/fpga"
 )
@@ -155,5 +156,84 @@ func TestTXGainScalesOutput(t *testing.T) {
 	}
 	if peak < 3 { // WGN unit power × 10 amplitude gain
 		t.Errorf("TX peak %v with +20 dB gain, expected >3", peak)
+	}
+}
+
+// TestProcessOverwritesReusedTXBuffer pins the transmit-buffer contract:
+// Process hands out the radio's own buffer and the next call writes every
+// sample of it. The buffer is poisoned with NaN between calls, and the
+// next call must still equal, bit for bit, a fresh radio's output on the
+// same input sequence — with and without the DDC, at unity and non-unity
+// TX gain, across idle, delay, burst and quiet spans.
+func TestProcessOverwritesReusedTXBuffer(t *testing.T) {
+	makeRadio := func(sourceHz int, txGainDB float64) *N210 {
+		r := New()
+		if err := r.SetSourceRate(sourceHz); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.SetTXGain(txGainDB); err != nil {
+			t.Fatal(err)
+		}
+		bus := r.Core().Bus()
+		for a, v := range map[uint8]uint32{
+			core.RegEnergyConfig:     1,
+			core.RegEnergyThreshHigh: 600,
+			core.RegTriggerConfig:    2 | 1<<12, // single-stage energy-high trigger
+			core.RegJammerWaveform:   0,         // WGN
+			core.RegJammerUptime:     500,
+			core.RegJammerDelay:      20,
+			core.RegJammerGainAnt:    1000,
+		} {
+			if err := bus.Write(a, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Start()
+		return r
+	}
+	// Three equal chunks: quiet into a rising edge, the burst running on,
+	// and a quiet tail followed by a second rise.
+	const chunk = 3000
+	in := make(dsp.Samples, 3*chunk)
+	for i := range in {
+		if (i >= 1000 && i < 4500) || i >= 8000 {
+			in[i] = complex(0.5, -0.25)
+		}
+	}
+	nan := complex(math.NaN(), math.NaN())
+	for _, sourceHz := range []int{fpga.SampleRateHz, 20_000_000} {
+		for _, gainDB := range []float64{0, 6} {
+			poisoned := makeRadio(sourceHz, gainDB)
+			fresh := makeRadio(sourceHz, gainDB)
+			for c := 0; c < 3; c++ {
+				part := in[c*chunk : (c+1)*chunk]
+				got, err := poisoned.Process(part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.Process(part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh.tx = nil // the reference never reuses a buffer
+				if len(got) != len(want) {
+					t.Fatalf("source %d Hz, %v dB, chunk %d: %d samples, want %d",
+						sourceHz, gainDB, c, len(got), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+						math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+						t.Fatalf("source %d Hz, %v dB, chunk %d: sample %d = %v, fresh radio %v",
+							sourceHz, gainDB, c, i, got[i], want[i])
+					}
+				}
+				for i := range got {
+					got[i] = nan
+				}
+			}
+			if poisoned.Core().Stats().JamSamples == 0 {
+				t.Fatalf("source %d Hz, %v dB: the jammer never fired", sourceHz, gainDB)
+			}
+		}
 	}
 }

@@ -8,11 +8,11 @@ import (
 	"repro/internal/dsp"
 )
 
-// Differential suite for the batch fast path: the packed Viterbi decoder is
-// pinned against the retained tracebackDecode reference, and the frame
-// codecs against a composition of the exported single-shot primitives. All
-// comparisons are exact (==), not tolerance-based — the fast path must be
-// bit-identical, or the seeded experiment figures would drift.
+// Differential suite for the batch fast path: the frame codecs are pinned
+// against a composition of the exported single-shot primitives (the packed
+// Viterbi decoder has its own suite in viterbi_test.go). All comparisons are
+// exact (==), not tolerance-based — the fast path must be bit-identical, or
+// the seeded experiment figures would drift.
 
 // legacyModulate rebuilds Modulate's output from the exported per-symbol
 // primitives, the way the pre-batch implementation composed them.
@@ -138,72 +138,6 @@ func TestRxFrameMatchesDemodulateAllRates(t *testing.T) {
 		}
 		if !bytes.Equal(want.PSDU, psdu) {
 			t.Fatalf("%v: loopback payload mismatch", r)
-		}
-	}
-}
-
-// TestPackedViterbiMatchesReference pins viterbiScratch.decode against
-// tracebackDecode on the same depunctured sequences: all three puncture
-// rates, terminated and open trellises, random bit corruptions and extra
-// erasures beyond the puncturing pattern's own.
-func TestPackedViterbiMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	punctures := []Puncture{Punct1_2, Punct2_3, Punct3_4}
-	var vs viterbiScratch
-	for trial := 0; trial < 200; trial++ {
-		p := punctures[trial%len(punctures)]
-		terminated := trial%2 == 0
-		n := 12 + rng.Intn(200)
-		bits := make([]uint8, n)
-		for i := range bits {
-			bits[i] = uint8(rng.Intn(2))
-		}
-		if terminated {
-			for i := n - 6; i < n; i++ {
-				bits[i] = 0
-			}
-		}
-		coded := ConvEncode(bits, p)
-		// Corrupt some hard bits.
-		for f := 0; f < 1+rng.Intn(4); f++ {
-			coded[rng.Intn(len(coded))] ^= 1
-		}
-		seq, err := depuncture(coded, p, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Inject extra erasures on top of the punctured positions.
-		for e := 0; e < rng.Intn(5); e++ {
-			seq[rng.Intn(len(seq))] = erasure
-		}
-
-		want := tracebackDecode(seq, n, terminated)
-		got := make([]uint8, n)
-		vs.decode(seq, got, terminated)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d (p=%v terminated=%v n=%d): packed decode diverges from reference",
-				trial, p, terminated, n)
-		}
-	}
-}
-
-// TestPackedViterbiOutOfAlphabetInput pins the bmLUT clamp row: values
-// outside {0, 1, erasure} must cost every branch equally, exactly like the
-// reference's "mismatches both outputs" treatment.
-func TestPackedViterbiOutOfAlphabetInput(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	var vs viterbiScratch
-	for trial := 0; trial < 50; trial++ {
-		n := 24 + rng.Intn(60)
-		seq := make([]uint8, 2*n)
-		for i := range seq {
-			seq[i] = uint8(rng.Intn(6)) // includes 3, 4, 5: out of alphabet
-		}
-		want := tracebackDecode(seq, n, false)
-		got := make([]uint8, n)
-		vs.decode(seq, got, false)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: clamp row diverges from reference", trial)
 		}
 	}
 }
@@ -368,43 +302,5 @@ func BenchmarkDemodulate(b *testing.B) {
 		if _, err := Demodulate(frame, 100, 260); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func viterbiBenchInput(b *testing.B) ([]uint8, int) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(48))
-	n := 4000
-	bits := make([]uint8, n)
-	for i := range bits {
-		bits[i] = uint8(rng.Intn(2))
-	}
-	coded := ConvEncode(bits, Punct3_4)
-	seq, err := depuncture(coded, Punct3_4, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return seq, n
-}
-
-func BenchmarkViterbiPacked(b *testing.B) {
-	seq, n := viterbiBenchInput(b)
-	var vs viterbiScratch
-	out := make([]uint8, n)
-	b.SetBytes(int64(n))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vs.decode(seq, out, false)
-	}
-}
-
-func BenchmarkViterbiReference(b *testing.B) {
-	seq, n := viterbiBenchInput(b)
-	b.SetBytes(int64(n))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tracebackDecode(seq, n, false)
 	}
 }

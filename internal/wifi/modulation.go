@@ -31,12 +31,22 @@ func (c Constellation) String() string {
 	}
 }
 
-// Normalization factors K_MOD (§17.3.5.7) giving unit average symbol power.
-var kmod = map[Constellation]float64{
+// Normalization factors K_MOD (§17.3.5.7) giving unit average symbol power,
+// indexed by constellation.
+var kmodTable = [...]float64{
 	BPSK:  1,
 	QPSK:  1 / math.Sqrt2,
 	QAM16: 1 / math.Sqrt(10),
 	QAM64: 1 / math.Sqrt(42),
+}
+
+// kmod returns the constellation's K_MOD, or 0 for an unknown one (whose
+// callers then panic or return, as for any unknown constellation).
+func (c Constellation) kmod() float64 {
+	if int(c) < len(kmodTable) {
+		return kmodTable[c]
+	}
+	return 0
 }
 
 // gray2 maps 1 bit to a PAM-2 level, gray4/gray8 map 2/3 bits (Gray coded,
@@ -87,7 +97,7 @@ func gray8(b0, b1, b2 uint8) float64 {
 // Map converts bpsc bits into one constellation point with unit average
 // power. bits must hold exactly c's bits per point.
 func (c Constellation) Map(bits []uint8) complex128 {
-	k := kmod[c]
+	k := c.kmod()
 	switch c {
 	case BPSK:
 		return complex(gray2(bits[0])*k, 0)
@@ -156,7 +166,7 @@ func slicePAM8(v float64) (uint8, uint8, uint8) {
 // Demap hard-slices one equalized constellation point into bpsc bits,
 // appending to dst and returning it.
 func (c Constellation) Demap(p complex128, dst []uint8) []uint8 {
-	k := kmod[c]
+	k := c.kmod()
 	re, im := real(p)/k, imag(p)/k
 	switch c {
 	case BPSK:

@@ -65,7 +65,7 @@ var (
 // DemapSoft produces the constellation's LLRs for one equalized point,
 // appended to dst. Bit order matches Demap.
 func (c Constellation) DemapSoft(p complex128, dst []LLR) []LLR {
-	k := kmod[c]
+	k := c.kmod()
 	re, im := real(p)/k, imag(p)/k
 	switch c {
 	case BPSK:

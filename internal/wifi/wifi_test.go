@@ -254,6 +254,27 @@ func TestConstellationUnitPower(t *testing.T) {
 	}
 }
 
+// TestUnknownConstellation pins the out-of-table behavior: Map and Demap
+// panic, DemapSoft returns dst unchanged.
+func TestUnknownConstellation(t *testing.T) {
+	c := Constellation(4)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s of %v did not panic", name, c)
+			}
+		}()
+		f()
+	}
+	mustPanic("Map", func() { c.Map(make([]uint8, 6)) })
+	mustPanic("Demap", func() { c.Demap(1, nil) })
+	dst := []LLR{1, 2}
+	if got := c.DemapSoft(1, dst); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("DemapSoft of %v = %v, want dst unchanged", c, got)
+	}
+}
+
 func TestMapDemapRoundTripProperty(t *testing.T) {
 	f := func(v uint8, cSel uint8) bool {
 		c := []Constellation{BPSK, QPSK, QAM16, QAM64}[cSel%4]

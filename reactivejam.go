@@ -212,6 +212,11 @@ func (f *Framework) SetHostWaveform(buf []complex128) {
 // Process streams received complex baseband through the platform and
 // returns the transmit output (zero while not jamming). The output is at
 // the core's native 25 MSPS regardless of the source rate.
+//
+// The returned slice is the radio's own transmit buffer, reused so that a
+// warm stream allocates nothing per call: it stays valid only until the
+// next call to Process. Callers that keep transmit output across calls must
+// copy it.
 func (f *Framework) Process(rx []complex128) ([]complex128, error) {
 	return f.radio.Process(rx)
 }

@@ -178,3 +178,43 @@ func TestHostStreamWaveform(t *testing.T) {
 		t.Error("ResetStats incomplete")
 	}
 }
+
+// TestProcessZeroAllocWarm pins the heap-free stream: once warm, a
+// 4096-sample chunk through Framework.Process allocates nothing, at the
+// native rate and through the 20 MSPS DDC, while detecting and jamming.
+func TestProcessZeroAllocWarm(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	chunk := make(dsp.Samples, 4096)
+	for i := range chunk {
+		chunk[i] = complex(rng.NormFloat64(), rng.NormFloat64()) * 1e-4
+		if i%2048 >= 1024 {
+			chunk[i] += complex(0.4, 0)
+		}
+	}
+	for _, sourceHz := range []int{25_000_000, wifi.SampleRate} {
+		f := New()
+		if err := f.DetectEnergyRise(10); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.SetPersonality(Personality{Waveform: WGN, Uptime: 10 * time.Microsecond, Gain: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.SetSourceRate(sourceHz); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Process(chunk); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := f.Process(chunk); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("source %d Hz: warm Process allocates %v times per 4096-sample chunk, want 0", sourceHz, allocs)
+		}
+		if f.Stats().JamTriggers == 0 {
+			t.Errorf("source %d Hz: the chunk never triggered the jammer", sourceHz)
+		}
+	}
+}
