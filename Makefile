@@ -1,38 +1,30 @@
 GO ?= go
 
-## BENCH_BASELINE: the committed benchmark baseline that bench-json writes
-## and bench-diff compares against. Defaults to the newest BENCH_*.json in
-## the repo root; falls back to a date-stamped name when none exists yet.
-## Override per-invocation: `make bench-diff BENCH_BASELINE=BENCH_old.json`.
-BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-ifeq ($(BENCH_BASELINE),)
-BENCH_BASELINE = BENCH_$(shell date +%Y-%m-%d).json
-endif
-
 ## STATICCHECK_VERSION: the pinned honnef.co/go/tools release `make
 ## staticcheck` expects. The target runs the binary when it is on PATH and
 ## prints a skip note otherwise (the CI image does not ship it and the
 ## build must not fetch dependencies).
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci build vet test race bench-test bench bench-smoke bench-pairs bench-json bench-diff bench-diff-smoke slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke
+.PHONY: ci build vet test race bench-test bench bench-smoke bench-pairs overhead slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke
 
 ## ci: the full tier-1 verify path — vet, build, tests, then the race
 ## detector over every package (the register bus, clock and telemetry
 ## recorder are exercised cross-goroutine by design), plus one iteration
 ## of the core throughput benchmark so datapath regressions that only
 ## break under -bench are caught here. The slo target gates the paper's
-## reaction-latency and false-alarm budgets, and bench-diff-smoke checks
-## the same-run ratios and telemetry overhead of the bench-diff gate table
-## in tolerant mode so the whole chain fits a CI smoke budget. Throughput
-## across commits is judged by the benchmark in bench/. examples-smoke
-## keeps the executable documentation honest, and cover enforces the coverage
-## ratchet against COVERAGE_BASELINE. fleetobs-smoke runs the fleet
-## telemetry drill at small scale and fails on journal drops, a
-## reconciliation mismatch, or a malformed / over-budget metrics scrape.
+## reaction-latency and false-alarm budgets, and overhead bounds the cost
+## of live telemetry on the block datapath. Every seeded figure is pinned
+## by the golden in `go test ./...` (internal/experiments/testdata/
+## figures.golden). Throughput across commits is judged by the benchmark
+## in bench/. examples-smoke keeps the executable documentation honest,
+## and cover enforces the coverage ratchet against COVERAGE_BASELINE.
+## fleetobs-smoke runs the fleet telemetry drill at small scale and fails
+## on journal drops, a reconciliation mismatch, or a malformed /
+## over-budget metrics scrape.
 ## bench-test runs the benchmark module's own tests, which `go test ./...`
 ## cannot reach.
-ci: vet staticcheck build test race bench-test bench-smoke slo bench-diff-smoke fleetobs-smoke examples-smoke cover
+ci: vet staticcheck build test race bench-test bench-smoke slo overhead fleetobs-smoke examples-smoke cover
 
 ## staticcheck: zero-findings lint gate, pinned to $(STATICCHECK_VERSION).
 ## Skips with a note when the binary is absent (no network fetches in CI).
@@ -85,31 +77,11 @@ BENCH_SEED ?= 1
 bench-pairs:
 	bash scripts/benchpairs.sh $(BENCH_PARENT) $(BENCH_PAIRS) $(BENCH_WORKLOAD) $(BENCH_SEED)
 
-## bench-json: write the machine-readable benchmark baseline
-## ($(BENCH_BASELINE)). Refuses to overwrite an existing baseline or to
-## record one from a dirty working tree unless FORCE=1 is set — a baseline
-## must correspond to a commit, or bench-diff compares against nothing
-## reproducible.
-bench-json:
-	@if [ -z "$(FORCE)" ] && ! git diff --quiet HEAD 2>/dev/null; then \
-		echo "bench-json: working tree is dirty; commit first or set FORCE=1" >&2; \
-		exit 1; \
-	fi
-	$(GO) run ./cmd/experiments -bench-json $(BENCH_BASELINE) $(if $(FORCE),-force)
-
-## bench-diff: measure the current tree and judge it with the gate table in
-## cmd/experiments/benchdiff.go — full mode: every seeded figure of the
-## baseline re-run and required exactly equal, plus the same-run ratio of
-## block over scalar and the telemetry overhead against fixed bounds, from
-## 300 ms windows. No rate is compared with the baseline's, which another
-## host recorded.
-bench-diff:
-	$(GO) run ./cmd/experiments -bench-diff $(BENCH_BASELINE)
-
-## bench-diff-smoke: the tolerant variant used by `make ci` — 40 ms
-## windows, looser bounds on the same-run gates, no figure re-runs.
-bench-diff-smoke:
-	$(GO) run ./cmd/experiments -bench-diff $(BENCH_BASELINE) -tolerant
+## overhead: the telemetry-overhead gate — the block datapath with the
+## live recorder attached and the fleet plane snapshotting against a bare
+## core, 5 interleaved pairs of 300 ms windows; a median above 3% exits 1.
+overhead:
+	$(GO) run ./cmd/experiments -run overhead
 
 ## slo: evaluate the paper-derived service-level budgets (reaction p99
 ## within Ten_det + Tinit + front-end group delay, late-jam fraction,
@@ -152,7 +124,7 @@ examples-smoke:
 	done
 
 ## cover: the coverage ratchet. Measures statement coverage across
-## ./internal/... and ./cmd/... (the bench-diff gate table and the jamlab
+## ./internal/... and ./cmd/... (the experiments command and the jamlab
 ## console) and fails if the total drops more than half a point below the
 ## committed COVERAGE_BASELINE. When coverage genuinely improves, re-record
 ## the floor: `make cover-baseline`.

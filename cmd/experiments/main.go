@@ -23,13 +23,9 @@ import (
 )
 
 var (
-	runFlag      = flag.String("run", "all", "experiment: all, fig5, fig6, fig7, fig8, table1, fig10, fig11, fig12, selectivity, resources, reconfig, ablations, reaction, verdict, slo, chaos, incident, fleetobs")
+	runFlag      = flag.String("run", "all", "experiment: all, fig5, fig6, fig7, fig8, table1, fig10, fig12, selectivity, resources, reconfig, ablations, reaction, verdict, slo, chaos, incident, fleetobs, overhead")
 	fullFlag     = flag.Bool("full", false, "paper-scale statistical budgets (slow)")
 	parallelFlag = flag.Int("parallel", 0, "experiment worker fan-out (0 = GOMAXPROCS, 1 = sequential)")
-	benchJSON    = flag.String("bench-json", "", "write a machine-readable benchmark baseline to this path and exit")
-	forceFlag    = flag.Bool("force", false, "allow -bench-json to overwrite an existing baseline")
-	benchDiff    = flag.String("bench-diff", "", "compare a fresh measurement against this baseline and exit non-zero on regression")
-	tolerantFlag = flag.Bool("tolerant", false, "bench-diff smoke mode: short windows, loose ratio bounds, no figure re-runs")
 	ledgerFlag   = flag.String("ledger", "", "with -run verdict: write the per-packet JSONL verdict ledger to this path")
 	chaosSeed    = flag.Int64("chaos-seed", 42, "with -run chaos: master seed of the fault-campaign sweep")
 	chaosOut     = flag.String("chaos-out", "chaos_report.jsonl", "with -run chaos: JSONL campaign report path (empty to skip)")
@@ -56,19 +52,6 @@ func main() {
 		experiments.SetFACalibrationScale(25)
 	}
 
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *forceFlag, frames, packets); err != nil {
-			log.Fatalf("bench-json: %v", err)
-		}
-		return
-	}
-	if *benchDiff != "" {
-		if err := runBenchDiff(*benchDiff, *tolerantFlag, frames, packets); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
 	ran := false
 	run := func(name string, f func() error) {
 		if !all && sel != name {
@@ -88,8 +71,7 @@ func main() {
 	run("fig7", func() error { return fig7(frames) })
 	run("fig8", func() error { return fig8(frames) })
 	run("table1", func() error { return table1() })
-	run("fig10", func() error { return fig10and11(packets, true) })
-	run("fig11", func() error { return fig10and11(packets, false) })
+	run("fig10", func() error { return fig10and11(packets) })
 	run("fig12", func() error { return fig12(wimaxFrames) })
 	run("selectivity", func() error { return selectivity(frames / 3) })
 	run("resources", func() error { return resources() })
@@ -103,6 +85,7 @@ func main() {
 	run("fleetobs", func() error {
 		return runFleetObs(*fleetCells, fleetFrames(frames), *fleetSeed, *fleetOut)
 	})
+	run("overhead", runOverhead)
 
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", sel)
@@ -232,12 +215,9 @@ func table1() error {
 	return nil
 }
 
-func fig10and11(packets int, bandwidth bool) error {
-	if bandwidth {
-		fmt.Println("UDP bandwidth vs measured SIR at the AP (paper Fig. 10)")
-	} else {
-		fmt.Println("packet reception ratio vs measured SIR at the AP (paper Fig. 11)")
-	}
+func fig10and11(packets int) error {
+	fmt.Println("UDP bandwidth and packet reception ratio vs measured SIR at the AP")
+	fmt.Println("(paper Figs. 10 and 11)")
 	base, err := experiments.BaselineBandwidthKbps(packets, 1)
 	if err != nil {
 		return err
@@ -260,12 +240,8 @@ func fig10and11(packets int, bandwidth bool) error {
 		}
 		fmt.Printf("  %s:\n", ty.name)
 		for _, p := range pts {
-			if bandwidth {
-				fmt.Printf("    SIR %6.1f dB   %8.0f Kbps\n",
-					p.Result.SIRdB, p.Result.BandwidthKbps)
-				continue
-			}
-			fmt.Printf("    SIR %6.1f dB   PRR %.2f\n", p.Result.SIRdB, p.Result.PRR)
+			fmt.Printf("    SIR %6.1f dB   %8.0f Kbps   PRR %.2f\n",
+				p.Result.SIRdB, p.Result.BandwidthKbps, p.Result.PRR)
 		}
 	}
 	return nil
