@@ -103,23 +103,86 @@ type DetectionResult struct {
 // -60 dBFS per sample at the jammer ADC.
 const noiseFloorPower = 1e-6
 
-// frameWaveform builds one transmitted frame at 20 MSPS.
-func frameWaveform(kind FrameKind, seq int, seed int64) (dsp.Samples, error) {
+// frameSource synthesizes the §3.2 test frames of one kind into storage
+// it owns: the pseudo-frame waveform is built once, and full frames reuse
+// one modem codec, PSDU and waveform, so a warm source allocates nothing.
+type frameSource struct {
+	kind FrameKind
+	seed int64
+	tx   wifi.TxCodec
+	body [64]byte // a full frame's MPDU, before the FCS
+	psdu []byte
+	wave dsp.Samples // the pseudo-frame, or the last full frame
+	buf  dsp.Samples // the last framed waveform
+}
+
+func newFrameSource(kind FrameKind, seed int64) *frameSource {
+	s := &frameSource{kind: kind, seed: seed}
 	switch kind {
 	case SingleLongPreamble:
-		return wifi.ModulatePseudoFrame(wifi.PseudoLong), nil
+		s.wave = wifi.ModulatePseudoFrame(wifi.PseudoLong)
 	case SingleShortPreamble:
-		return wifi.ModulatePseudoFrame(wifi.PseudoShort), nil
-	default:
-		psdu := make([]byte, 64)
-		for i := range psdu {
-			psdu[i] = byte((seq + i) * 31)
-		}
-		return wifi.Modulate(wifi.AppendFCS(psdu), wifi.TxConfig{
-			Rate:          wifi.Rate24,
-			ScramblerSeed: uint8((seed+int64(seq))%126) + 1,
-		})
+		s.wave = wifi.ModulatePseudoFrame(wifi.PseudoShort)
 	}
+	return s
+}
+
+// frame returns frame seq's waveform at 20 MSPS, valid until the next call.
+func (s *frameSource) frame(seq int) (dsp.Samples, error) {
+	if s.kind == SingleLongPreamble || s.kind == SingleShortPreamble {
+		return s.wave, nil
+	}
+	for i := range s.body {
+		s.body[i] = byte((seq + i) * 31)
+	}
+	s.psdu = wifi.AppendFCSTo(s.psdu[:0], s.body[:])
+	wave, err := s.tx.TxFrame(s.wave[:0], s.psdu, wifi.TxConfig{
+		Rate:          wifi.Rate24,
+		ScramblerSeed: uint8((s.seed+int64(seq))%126) + 1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.wave = wave
+	return wave, nil
+}
+
+// framed returns frame seq's waveform between gap zero samples on either
+// side, and the waveform's power. The buffer is valid until the next call.
+func (s *frameSource) framed(seq, gap int) (dsp.Samples, float64, error) {
+	wave, err := s.frame(seq)
+	if err != nil {
+		return nil, 0, err
+	}
+	n := len(wave) + 2*gap
+	if cap(s.buf) < n {
+		s.buf = make(dsp.Samples, n)
+	}
+	buf := s.buf[:n]
+	clear(buf[:gap])
+	copy(buf[gap:], wave)
+	clear(buf[gap+len(wave):])
+	return buf, wave.Power(), nil
+}
+
+// faChunk is the block size in which the noise-only calibration streams
+// through the radio.
+const faChunk = 1 << 14
+
+// processNoise streams n samples from noise through r in faChunk blocks
+// from one reused buffer: the §3.2 terminated input.
+func processNoise(r *radio.N210, noise *dsp.NoiseSource, n int) error {
+	chunk := make(dsp.Samples, min(n, faChunk))
+	for done := 0; done < n; done += len(chunk) {
+		chunk = chunk[:min(len(chunk), n-done)]
+		for i := range chunk {
+			chunk[i] = noise.Sample()
+		}
+		if _, err := r.Process(chunk); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // buildDetector assembles a jammer radio with the requested detection
@@ -204,8 +267,7 @@ func CharacterizeDetection(cfg DetectionConfig) (*DetectionResult, error) {
 	// 2M samples at 20 MSPS input (2.5M at the core) ≈ 0.1 s. Kept modest;
 	// cmd/experiments -full raises it via FACalibrationScale.
 	faSamples := 2_000_000 * faCalibrationScale
-	block := noise.Block(faSamples)
-	if _, err := r.Process(block); err != nil {
+	if err := processNoise(r, noise, faSamples); err != nil {
 		return nil, err
 	}
 	faCount := count()
@@ -228,19 +290,18 @@ func CharacterizeDetection(cfg DetectionConfig) (*DetectionResult, error) {
 		front := impair.New(cfg.Impairments)
 		noise := dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+int64(snr*100))
 		amp := math.Sqrt(noiseFloorPower * dsp.FromDB(snr))
+		src := newFrameSource(cfg.Kind, cfg.Seed)
 		framesDetected := 0
 		var detections uint64
 		for f := 0; f < cfg.FramesPerPoint; f++ {
-			wave, err := frameWaveform(cfg.Kind, f, cfg.Seed)
-			if err != nil {
-				return err
-			}
 			// Scale the unit-power frame to the target SNR over noise and
 			// surround it with idle gap (the paper sends 130 frames/s; the
 			// inter-frame gap only needs to re-arm the detectors).
-			buf := make(dsp.Samples, len(wave)+2*interFrameGap)
-			copy(buf[interFrameGap:], wave)
-			scale := amp / math.Sqrt(wave.Power())
+			buf, power, err := src.framed(f, interFrameGap)
+			if err != nil {
+				return err
+			}
+			scale := amp / math.Sqrt(power)
 			for i := range buf {
 				buf[i] = front.ProcessSample(buf[i]*complex(scale, 0)) + noise.Sample()
 			}

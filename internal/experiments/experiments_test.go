@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dsp"
 	"repro/internal/iperf"
 	"repro/internal/testbed"
+	"repro/internal/wifi"
 )
 
 // Small budgets keep the unit tests quick; cmd/experiments and the benches
@@ -129,6 +131,59 @@ func TestCharacterizeValidation(t *testing.T) {
 	cfg.EnergyThresholdDB = 0
 	if _, err := CharacterizeDetection(cfg); err == nil {
 		t.Error("no detector armed accepted")
+	}
+}
+
+// TestFrameSourceMatchesModulate pins the reused-buffer frame synthesis
+// against a fresh wifi.Modulate of the same PSDU (the per-frame form it
+// replaced), sample for sample, for every frame kind, and checks that a
+// warm source frames without allocating.
+func TestFrameSourceMatchesModulate(t *testing.T) {
+	const seed = 5
+	for _, kind := range []FrameKind{FullFrame, SingleLongPreamble, SingleShortPreamble} {
+		src := newFrameSource(kind, seed)
+		for f := 0; f < 4; f++ {
+			var want dsp.Samples
+			switch kind {
+			case SingleLongPreamble:
+				want = wifi.ModulatePseudoFrame(wifi.PseudoLong)
+			case SingleShortPreamble:
+				want = wifi.ModulatePseudoFrame(wifi.PseudoShort)
+			default:
+				psdu := make([]byte, 64)
+				for i := range psdu {
+					psdu[i] = byte((f + i) * 31)
+				}
+				var err error
+				want, err = wifi.Modulate(wifi.AppendFCS(psdu), wifi.TxConfig{
+					Rate: wifi.Rate24, ScramblerSeed: uint8((seed+f)%126) + 1,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			buf, power, err := src.framed(f, interFrameGap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(buf) != len(want)+2*interFrameGap || power != want.Power() {
+				t.Fatalf("%v frame %d: %d samples at power %v, want %d at %v",
+					kind, f, len(buf), power, len(want)+2*interFrameGap, want.Power())
+			}
+			for i, v := range buf {
+				w := complex128(0)
+				if i >= interFrameGap && i < interFrameGap+len(want) {
+					w = want[i-interFrameGap]
+				}
+				if v != w {
+					t.Fatalf("%v frame %d sample %d: %v, want %v", kind, f, i, v, w)
+				}
+			}
+			buf[interFrameGap/2] = 1 // a caller's scaling must not leak into the next frame
+		}
+		if n := testing.AllocsPerRun(10, func() { _, _, _ = src.framed(7, interFrameGap) }); n != 0 {
+			t.Errorf("%v: a warm frame source allocates %v times per frame", kind, n)
+		}
 	}
 }
 

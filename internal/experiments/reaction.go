@@ -113,14 +113,13 @@ func MeasureReactionLatency(cfg ReactionConfig) (*ReactionResult, error) {
 	noise := dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+77)
 	amp := math.Sqrt(noiseFloorPower * dsp.FromDB(cfg.SNRdB))
 	const lead = 512 // quiet samples before the frame (re-arms the detector)
+	src := newFrameSource(FullFrame, cfg.Seed)
 	for f := 0; f < cfg.Frames; f++ {
-		wave, err := frameWaveform(FullFrame, f, cfg.Seed)
+		buf, power, err := src.framed(f, lead)
 		if err != nil {
 			return nil, err
 		}
-		buf := make(dsp.Samples, lead+len(wave)+lead)
-		copy(buf[lead:], wave)
-		scale := amp / math.Sqrt(wave.Power())
+		scale := amp / math.Sqrt(power)
 		for i := range buf {
 			buf[i] = buf[i]*complex(scale, 0) + noise.Sample()
 		}

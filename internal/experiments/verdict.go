@@ -108,7 +108,7 @@ func RunVerdictLedger(cfg VerdictConfig) (*VerdictOutcome, error) {
 	r.Core().SetRecorder(faLive)
 	noise := dsp.NewNoiseSource(noiseFloorPower, d.Seed+9999)
 	faSamples := 2_000_000 * faCalibrationScale
-	if _, err := r.Process(noise.Block(faSamples)); err != nil {
+	if err := processNoise(r, noise, faSamples); err != nil {
 		return nil, err
 	}
 	counterFA := count()
@@ -138,14 +138,13 @@ func RunVerdictLedger(cfg VerdictConfig) (*VerdictOutcome, error) {
 	framesDetected := 0
 	var detections uint64
 	packets := make([]verdict.Packet, 0, d.FramesPerPoint)
+	src := newFrameSource(d.Kind, d.Seed)
 	for f := 0; f < d.FramesPerPoint; f++ {
-		wave, err := frameWaveform(d.Kind, f, d.Seed)
+		buf, power, err := src.framed(f, interFrameGap)
 		if err != nil {
 			return nil, err
 		}
-		buf := make(dsp.Samples, len(wave)+2*interFrameGap)
-		copy(buf[interFrameGap:], wave)
-		scale := amp / math.Sqrt(wave.Power())
+		scale := amp / math.Sqrt(power)
 		for i := range buf {
 			buf[i] = front.ProcessSample(buf[i]*complex(scale, 0)) + pNoise.Sample()
 		}

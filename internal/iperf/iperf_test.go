@@ -2,6 +2,7 @@ package iperf
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -187,6 +188,50 @@ func TestReproducibleRuns(t *testing.T) {
 	}
 	if a.PRR != b.PRR || a.BandwidthKbps != b.BandwidthKbps || a.SIRdB != b.SIRdB {
 		t.Errorf("same seed, different results: %+v vs %+v", a, b)
+	}
+}
+
+// TestConcurrentRunsMatchSequential runs links of different payload sizes
+// at once, so pooled exchange scratch is taken, grown and returned while
+// other runs hold theirs, and requires each result to equal the same run
+// made alone.
+func TestConcurrentRunsMatchSequential(t *testing.T) {
+	payloads := []int{100, 300, 1470, 300}
+	want := make([]Result, len(payloads))
+	for i, p := range payloads {
+		link := testLink()
+		link.PayloadBytes = p
+		res, err := Run(link, reactive(50*time.Microsecond, 20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = *res
+	}
+	got := make([]Result, len(payloads))
+	errs := make([]error, len(payloads))
+	var wg sync.WaitGroup
+	for i, p := range payloads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			link := testLink()
+			link.PayloadBytes = p
+			res, err := Run(link, reactive(50*time.Microsecond, 20))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = *res
+		}()
+	}
+	wg.Wait()
+	for i := range payloads {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want[i] {
+			t.Errorf("payload %d B: concurrent run %+v, alone %+v", payloads[i], got[i], want[i])
+		}
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package profile is the continuous-profiling leg of the observability
 // plane: a Sampler that periodically captures CPU and heap profiles to a
 // directory during long runs (jamlab serving sessions, experiment
-// campaigns), and a one-shot Capture that summarizes the process's memory
-// and GC state for attachment to the benchmark baseline. The pprof files
-// are standard `go tool pprof` inputs; the Summary is small, JSON-friendly
-// and append-only so baselines stay diffable.
+// campaigns) and, when stopped, summarizes what it wrote together with the
+// process's memory and GC state (jamlab prints that Summary at shutdown).
+// The pprof files are standard `go tool pprof` inputs; the Summary is
+// small and JSON-friendly.
 package profile
 
 import (
@@ -32,16 +32,16 @@ type Summary struct {
 	GCPauseTotalNS uint64 `json:"gc_pause_total_ns"`
 	// NumGoroutine is the live goroutine count at capture.
 	NumGoroutine int `json:"num_goroutine"`
-	// CPUProfiles and HeapProfiles count the files a Sampler wrote (zero
-	// for a one-shot Capture).
+	// CPUProfiles and HeapProfiles count the files the Sampler wrote.
 	CPUProfiles  int `json:"cpu_profiles,omitempty"`
 	HeapProfiles int `json:"heap_profiles,omitempty"`
-	// Dir is the Sampler's output directory (empty for one-shot).
+	// Dir is the Sampler's output directory.
 	Dir string `json:"dir,omitempty"`
 }
 
-// Capture returns a one-shot summary of the process's memory/GC state.
-func Capture() Summary {
+// capture summarizes the process's memory/GC state; Stop adds the
+// Sampler's fields.
+func capture() Summary {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return Summary{
@@ -191,7 +191,7 @@ func (s *Sampler) Stop() (Summary, error) {
 	<-s.done
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sum := Capture()
+	sum := capture()
 	sum.CPUProfiles = s.cpu
 	sum.HeapProfiles = s.heap
 	sum.Dir = s.cfg.Dir

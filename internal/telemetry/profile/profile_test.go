@@ -8,7 +8,7 @@ import (
 )
 
 func TestCaptureSummaryPopulated(t *testing.T) {
-	s := Capture()
+	s := capture()
 	if s.HeapAllocBytes == 0 || s.TotalAllocBytes == 0 || s.SysBytes == 0 {
 		t.Errorf("empty memory figures: %+v", s)
 	}
@@ -16,7 +16,7 @@ func TestCaptureSummaryPopulated(t *testing.T) {
 		t.Errorf("goroutines = %d", s.NumGoroutine)
 	}
 	if s.CPUProfiles != 0 || s.HeapProfiles != 0 || s.Dir != "" {
-		t.Errorf("one-shot capture carries sampler fields: %+v", s)
+		t.Errorf("capture carries sampler fields: %+v", s)
 	}
 }
 

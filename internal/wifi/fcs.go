@@ -12,11 +12,14 @@ import (
 
 // AppendFCS returns data with its 4-byte FCS appended.
 func AppendFCS(data []byte) []byte {
-	fcs := crc32.ChecksumIEEE(data)
-	out := make([]byte, len(data)+4)
-	copy(out, data)
-	binary.LittleEndian.PutUint32(out[len(data):], fcs)
-	return out
+	return AppendFCSTo(make([]byte, 0, len(data)+4), data)
+}
+
+// AppendFCSTo appends data and its 4-byte FCS to dst and returns the
+// extended slice; dst must not overlap data.
+func AppendFCSTo(dst, data []byte) []byte {
+	dst = append(dst, data...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(data))
 }
 
 // CheckFCS verifies and strips the FCS, reporting whether it matched.

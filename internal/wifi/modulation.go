@@ -49,68 +49,46 @@ func (c Constellation) kmod() float64 {
 	return 0
 }
 
-// gray2 maps 1 bit to a PAM-2 level, gray4/gray8 map 2/3 bits (Gray coded,
-// per Figure 116 of the standard) to PAM-4/PAM-8 levels.
-func gray2(b0 uint8) float64 {
-	if b0 == 0 {
-		return -1
-	}
-	return 1
-}
+// mapTable[c][v] is constellation c's unit-power point for the bit group
+// v, its first bit the most significant: Gray-coded PAM levels (Figure 116
+// of the standard) on I and Q, each times K_MOD.
+var mapTable [len(kmodTable)][64]complex128
 
-func gray4(b0, b1 uint8) float64 {
-	// b0 b1: 00->-3 01->-1 11->+1 10->+3
-	switch b0<<1 | b1 {
-	case 0b00:
-		return -3
-	case 0b01:
-		return -1
-	case 0b11:
-		return 1
-	default:
-		return 3
+func init() {
+	for c := range mapTable {
+		n, k := Constellation(c).Bits(), kmodTable[c]
+		for v := 0; v < 1<<n; v++ {
+			if n == 1 {
+				mapTable[c][v] = complex(pamLevel(v, 1)*k, 0)
+				continue
+			}
+			h := n / 2
+			mapTable[c][v] = complex(pamLevel(v>>h, h)*k, pamLevel(v&(1<<h-1), h)*k)
+		}
 	}
 }
 
-func gray8(b0, b1, b2 uint8) float64 {
-	// 000->-7 001->-5 011->-3 010->-1 110->+1 111->+3 101->+5 100->+7
-	switch b0<<2 | b1<<1 | b2 {
-	case 0b000:
-		return -7
-	case 0b001:
-		return -5
-	case 0b011:
-		return -3
-	case 0b010:
-		return -1
-	case 0b110:
-		return 1
-	case 0b111:
-		return 3
-	case 0b101:
-		return 5
-	default:
-		return 7
+// pamLevel is the level of the Gray-coded m-bit group g: the odd integers
+// from −(2^m − 1) to 2^m − 1 in the order of g's Gray decoding.
+func pamLevel(g, m int) float64 {
+	i := g
+	for s := 1; s < m; s++ {
+		i ^= g >> s
 	}
+	return float64(2*i - (1<<m - 1))
 }
 
 // Map converts bpsc bits into one constellation point with unit average
 // power. bits must hold exactly c's bits per point.
 func (c Constellation) Map(bits []uint8) complex128 {
-	k := c.kmod()
-	switch c {
-	case BPSK:
-		return complex(gray2(bits[0])*k, 0)
-	case QPSK:
-		return complex(gray2(bits[0])*k, gray2(bits[1])*k)
-	case QAM16:
-		return complex(gray4(bits[0], bits[1])*k, gray4(bits[2], bits[3])*k)
-	case QAM64:
-		return complex(gray8(bits[0], bits[1], bits[2])*k,
-			gray8(bits[3], bits[4], bits[5])*k)
-	default:
+	if int(c) >= len(mapTable) {
 		panic(fmt.Sprintf("wifi: unknown constellation %v", c))
 	}
+	v := 0
+	for _, b := range bits[:c.Bits()] {
+		v = v<<1 | int(b&1)
+	}
+	return mapTable[c][v&63]
 }
 
 // Bits returns the number of bits per constellation point.

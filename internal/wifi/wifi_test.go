@@ -254,6 +254,36 @@ func TestConstellationUnitPower(t *testing.T) {
 	}
 }
 
+// TestMapTableMatchesGrayFormula pins every mapTable entry == to the
+// Gray-coded formula of Figure 116 of the standard, each axis's level times
+// K_MOD, for all four constellations and every bit group.
+func TestMapTableMatchesGrayFormula(t *testing.T) {
+	gray := map[int][]float64{ // levels indexed by the axis's bit group
+		1: {-1, 1},
+		2: {0b00: -3, 0b01: -1, 0b11: 1, 0b10: 3},
+		3: {0b000: -7, 0b001: -5, 0b011: -3, 0b010: -1, 0b110: 1, 0b111: 3, 0b101: 5, 0b100: 7},
+	}
+	for _, c := range []Constellation{BPSK, QPSK, QAM16, QAM64} {
+		n, k := c.Bits(), c.kmod()
+		bits := make([]uint8, n)
+		for v := 0; v < 1<<n; v++ {
+			for i := range bits {
+				bits[i] = uint8(v >> (n - 1 - i) & 1)
+			}
+			var want complex128
+			if n == 1 {
+				want = complex(gray[1][v]*k, 0)
+			} else {
+				h := n / 2
+				want = complex(gray[h][v>>h]*k, gray[h][v&(1<<h-1)]*k)
+			}
+			if got := c.Map(bits); got != want {
+				t.Errorf("%v bits %v: Map = %v, want %v", c, bits, got, want)
+			}
+		}
+	}
+}
+
 // TestUnknownConstellation pins the out-of-table behavior: Map and Demap
 // panic, DemapSoft returns dst unchanged.
 func TestUnknownConstellation(t *testing.T) {

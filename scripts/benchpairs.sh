@@ -9,9 +9,10 @@
 # lasts BENCHMARK.json's run_seconds. SEED may be a range FIRST-LAST: pair
 # i then runs at seed FIRST+i-1, cycling through the range.
 #
-# PARENT_REV is checked out into a temporary git worktree (removed on
-# exit); the change is the working tree as it is. Both sides run
-# bench/run.sh from their own checkout, so each builds its own binary.
+# PARENT_REV is exported with git archive into a temporary directory
+# (removed on exit; TMPDIR chooses where); the change is the working tree
+# as it is. Both sides run bench/run.sh from their own copy, so each builds
+# its own binary.
 # Pair i runs the parent first when i is odd and the change first when i
 # is even, so a slow phase of the host hits both sides alike.
 #
@@ -22,6 +23,13 @@
 # number, while wall-clock throughput stays put. Results files stay under
 # the temporary directory and are removed with it; nothing under bench/ is
 # written.
+#
+# The verdict applies the rule a claimed gain must meet: the change wins at
+# least nine tenths of the pairs on calibrated throughput, and the medians
+# differ by more than the parent's inter-quartile range. It prints both
+# sides' quartiles, and the wins on wall-clock throughput as well: calibrated
+# wins without wall-clock ones point at the calibration loop, not the
+# program.
 set -euo pipefail
 
 usage="usage: scripts/benchpairs.sh PARENT_REV [PAIRS] [WORKLOAD] [SEED]"
@@ -38,12 +46,10 @@ seconds=$(sed -nE 's/.*"run_seconds": *([0-9.]+).*/\1/p' BENCHMARK.json)
 seconds=${seconds:-25}
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/benchpairs.XXXXXX")
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach --quiet "$tmp/parent" "$parent_rev"
+trap 'rm -rf "$tmp"' EXIT
+parent_sha=$(git rev-parse --short "$parent_rev^{commit}")
+mkdir "$tmp/parent"
+git archive "$parent_rev" | tar -x -C "$tmp/parent"
 
 # field FILE — pulls "calibrated wall cal_ms alloc setup sha" from the last
 # results record.
@@ -66,7 +72,7 @@ run() {
 	echo "$side $vals" >>"$tmp/runs"
 }
 
-echo "benchpairs: $workload seeds $seeds, $pairs pairs of ${seconds}s runs; parent $(git -C "$tmp/parent" rev-parse --short HEAD), change = working tree"
+echo "benchpairs: $workload seeds $seeds, $pairs pairs of ${seconds}s runs; parent $parent_sha, change = working tree"
 printf '%-5s %-5s %-7s %s\n' pair seed side "throughput(units/cal-s) wall_throughput cal_ms alloc_B_per_unit setup_s outputs_sha"
 for pair in $(seq 1 "$pairs"); do
 	seed=$((first_seed + (pair - 1) % (last_seed - first_seed + 1)))
@@ -87,6 +93,24 @@ for side in parent change; do
 		awk '{ v[NR] = $1 } END { print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; }
 	echo "$side: main.calLoop at $addr; median throughput $(median 2) units/cal-s, wall $(median 3), cal_ms $(median 4), alloc_B_per_unit $(median 5), setup_s $(median 6)"
 done
-# A pair is won when the change's calibrated throughput beats the parent's.
-awk '$1 == "parent" { p[++np] = $2 } $1 == "change" { c[++nc] = $2 }
-	END { w = 0; for (i = 1; i <= np && i <= nc; i++) if (c[i] > p[i]) w++; print "change wins " w " of " np " pairs" }' "$tmp/runs"
+# A pair is won when the change beats the parent on that throughput; ties
+# count for neither side. Quartiles interpolate linearly between ranks.
+awk '
+	$1 == "parent" { pc[++np] = $2; pw[np] = $3 }
+	$1 == "change" { cc[++nc] = $2; cw[nc] = $3 }
+	function q(v, n, p,   s, i, j, t, h) {
+		for (i = 1; i <= n; i++) s[i] = v[i]
+		for (i = 2; i <= n; i++) for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
+		h = 1 + (n - 1) * p; i = int(h)
+		return (i >= n) ? s[n] : s[i] + (h - i) * (s[i + 1] - s[i])
+	}
+	END {
+		n = (np < nc) ? np : nc
+		for (i = 1; i <= n; i++) { wc += cc[i] > pc[i]; ww += cw[i] > pw[i] }
+		printf "change wins %d of %d pairs on calibrated throughput, %d of %d on wall-clock\n", wc, n, ww, n
+		printf "parent quartiles (calibrated): %.6g %.6g %.6g\n", q(pc, np, .25), q(pc, np, .5), q(pc, np, .75)
+		printf "change quartiles (calibrated): %.6g %.6g %.6g\n", q(cc, nc, .25), q(cc, nc, .5), q(cc, nc, .75)
+		gap = q(cc, nc, .5) - q(pc, np, .5); iqr = q(pc, np, .75) - q(pc, np, .25)
+		printf "median gap %+.6g vs parent IQR %.6g: %s\n", gap, iqr, (gap > iqr || -gap > iqr) ? "exceeds" : "does not exceed"
+		printf "gain rule (>= 9/10 calibrated wins and gap > parent IQR): %s\n", (n > 0 && wc * 10 >= 9 * n && gap > iqr) ? "met" : "not met"
+	}' "$tmp/runs"
