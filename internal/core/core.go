@@ -39,26 +39,10 @@ const (
 	FusionAny
 )
 
-// Stats carries the host-feedback counters of the core. It is a snapshot
-// of the telemetry counter block — the same memory the exposition endpoint
-// reads — so host feedback and telemetry can never drift apart.
-type Stats struct {
-	// Samples is the number of baseband samples processed.
-	Samples uint64
-	// XCorrDetections counts cross-correlator trigger edges.
-	XCorrDetections uint64
-	// EnergyHighDetections and EnergyLowDetections count energy edges.
-	EnergyHighDetections uint64
-	EnergyLowDetections  uint64
-	// JamTriggers counts serviced jamming events.
-	JamTriggers uint64
-	// JamSamples counts transmitted jamming samples.
-	JamSamples uint64
-	// RegWrites counts user register-bus writes.
-	RegWrites uint64
-	// HostPolls counts host-feedback polls.
-	HostPolls uint64
-}
+// Stats carries the host-feedback counters of the core. It is the
+// telemetry counter block's snapshot type — the same memory the exposition
+// endpoint reads — so host feedback and telemetry can never drift apart.
+type Stats = telemetry.CounterSnapshot
 
 // Core is the complete custom DSP core. Construct with New. Core is not
 // safe for concurrent use from multiple goroutines; the register bus it
@@ -245,19 +229,7 @@ func (c *Core) SetFusion(mode FusionMode, events []trigger.Event, window uint64)
 func (c *Core) Antenna() uint8 { return c.antenna }
 
 // Stats returns a snapshot of the host-feedback counters.
-func (c *Core) Stats() Stats {
-	s := c.counters.Snapshot()
-	return Stats{
-		Samples:              s.Samples,
-		XCorrDetections:      s.XCorrDetections,
-		EnergyHighDetections: s.EnergyHighDetections,
-		EnergyLowDetections:  s.EnergyLowDetections,
-		JamTriggers:          s.JamTriggers,
-		JamSamples:           s.JamSamples,
-		RegWrites:            s.RegWrites,
-		HostPolls:            s.HostPolls,
-	}
-}
+func (c *Core) Stats() Stats { return c.counters.Snapshot() }
 
 // ResetStats clears the feedback counters only.
 func (c *Core) ResetStats() { c.counters.Reset() }

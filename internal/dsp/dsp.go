@@ -158,18 +158,6 @@ func fft(x Samples, inverse bool) {
 	}
 }
 
-// FFTShift reorders a spectrum so that DC is in the middle, matching the
-// conventional subcarrier indexing used by the OFDM modems. It returns a new
-// buffer.
-func FFTShift(x Samples) Samples {
-	n := len(x)
-	out := make(Samples, n)
-	h := (n + 1) / 2
-	copy(out, x[h:])
-	copy(out[n-h:], x[:h])
-	return out
-}
-
 // Tone synthesizes n samples of a complex exponential at frequency freq
 // given sample rate rate, with unit amplitude.
 func Tone(n int, freq, rate float64) Samples {
@@ -178,27 +166,6 @@ func Tone(n int, freq, rate float64) Samples {
 	for i := range out {
 		ph := w * float64(i)
 		out[i] = complex(math.Cos(ph), math.Sin(ph))
-	}
-	return out
-}
-
-// Correlate computes the complex cross-correlation of x against the
-// conjugated template h at every lag where the template fully overlaps:
-// out[k] = sum_i x[k+i] * conj(h[i]), k = 0..len(x)-len(h).
-// It is the reference (full-precision) correlator used to validate the
-// sign-bit hardware correlator.
-func Correlate(x, h Samples) Samples {
-	if len(h) == 0 || len(x) < len(h) {
-		return nil
-	}
-	out := make(Samples, len(x)-len(h)+1)
-	for k := range out {
-		var acc complex128
-		for i, hv := range h {
-			xv := x[k+i]
-			acc += xv * complex(real(hv), -imag(hv))
-		}
-		out[k] = acc
 	}
 	return out
 }

@@ -89,17 +89,6 @@ func TestFFTPanicsOnNonPow2(t *testing.T) {
 	FFT(make(Samples, 12))
 }
 
-func TestFFTShift(t *testing.T) {
-	x := Samples{0, 1, 2, 3}
-	got := FFTShift(x)
-	want := Samples{2, 3, 0, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FFTShift = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestPowerAndScale(t *testing.T) {
 	x := Samples{1, 1i, -1, -1i}
 	if p := x.Power(); math.Abs(p-1) > 1e-12 {
@@ -134,32 +123,6 @@ func TestDBConversions(t *testing.T) {
 	}
 	if got := AmplitudeFromDB(20); math.Abs(got-10) > 1e-9 {
 		t.Errorf("AmplitudeFromDB(20) = %v, want 10", got)
-	}
-}
-
-func TestCorrelatePeakAtTrueOffset(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	h := randSamples(rng, 64)
-	x := make(Samples, 256)
-	copy(x[100:], h)
-	out := Correlate(x, h)
-	best, bestMag := 0, 0.0
-	for k, v := range out {
-		if m := cmplx.Abs(v); m > bestMag {
-			best, bestMag = k, m
-		}
-	}
-	if best != 100 {
-		t.Errorf("correlation peak at %d, want 100", best)
-	}
-}
-
-func TestCorrelateDegenerate(t *testing.T) {
-	if Correlate(make(Samples, 4), make(Samples, 8)) != nil {
-		t.Error("template longer than input should return nil")
-	}
-	if Correlate(make(Samples, 4), nil) != nil {
-		t.Error("empty template should return nil")
 	}
 }
 

@@ -51,16 +51,3 @@ func Hamming(n int) []float64 {
 	}
 	return w
 }
-
-// Hann returns an n-point Hann window.
-func Hann(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.5 - 0.5*math.Cos(2*math.Pi*float64(i)/float64(n-1))
-	}
-	return w
-}

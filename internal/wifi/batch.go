@@ -7,18 +7,23 @@ import (
 	"repro/internal/dsp"
 )
 
-// Batch frame codecs: the zero-alloc fast path through the whole modem.
+// Frame codecs: the one transmitter and the one receiver of the modem.
 //
 // A TxCodec or RxCodec owns every scratch buffer one frame's worth of OFDM
-// symbols needs — transform points, interleaver blocks, coded-bit streams,
-// Viterbi metrics and decision words — so processing N symbols touches the
-// allocator zero times once the grow-only slices have reached the frame
-// size. The per-symbol arithmetic is bit-for-bit the same as the exported
-// single-shot primitives (Interleave, MapSymbolBits, AssembleSymbol, ...);
-// the differential tests in batch_test.go pin that equivalence.
+// symbols needs — transform points, interleaver blocks, coded-bit streams
+// and LLRs, Viterbi metrics and decision words — so the hard-decision path
+// touches the allocator zero times once the grow-only slices have reached
+// the frame size. Each codec chains the package's per-symbol steps
+// (convEncodeInto, interleaveInto, mapSymbolBitsInto, assembleSymbolInto,
+// and their inverses); batch_test.go pins TxFrame against an independent
+// per-symbol composition of the same steps.
 //
-// Modulate, Demodulate and Sync route through sync.Pool-managed codecs, so
-// existing callers get the fast path with the old allocating signatures.
+// The receiver is one pipeline with two decision back-ends: header (sync,
+// channel estimate, the always-hard SIGNAL field, truncation checks), then
+// either RxFrame's hard DATA path into the packed Viterbi decoder or
+// rxFrameSoft's LLR DATA path into the soft trellis (soft.go), then finish
+// (descramble and pack). Modulate, Demodulate and DemodulateSoft borrow
+// sync.Pool-managed codecs and copy their results out.
 
 // maxCBPS is the largest N_CBPS of any rate (64-QAM: 288 coded bits).
 const maxCBPS = 288
@@ -108,7 +113,8 @@ func (c *TxCodec) TxFrame(dst dsp.Samples, psdu []byte, cfg TxConfig) (dsp.Sampl
 }
 
 // RxCodec carries the reusable receive-side scratch, including the packed
-// Viterbi working set and the Sync correlation magnitudes.
+// Viterbi working set, the soft path's LLR streams and the sync
+// correlation magnitudes.
 type RxCodec struct {
 	mags   []float64
 	freq   [FFTSize]complex128
@@ -116,20 +122,33 @@ type RxCodec struct {
 	points [NumDataCarriers]complex128
 	h      Channel
 	db     [maxCBPS]uint8 // demapped (still interleaved) symbol bits
-	deint  [maxCBPS]uint8 // deinterleaved symbol bits
+	deint  [maxCBPS]uint8 // deinterleaved SIGNAL bits
 	sigDec [24]uint8
 	coded  []uint8 // whole DATA field's deinterleaved coded bits
 	bits   []uint8 // Viterbi output data bits
 	psdu   []byte
 	vit    viterbiScratch
 	res    RxResult
+
+	llrDB  [maxCBPS]LLR // soft-demapped (still interleaved) symbol LLRs
+	llrs   []LLR        // whole DATA field's deinterleaved LLRs
+	llrSeq []LLR        // depunctured LLR stream (2 per data bit)
 }
 
 var rxPool = sync.Pool{New: func() any { return new(RxCodec) }}
 
-// sync is the scratch-reusing core of Sync: it correlates the window against
-// the cached conjugated LTS taps and requires the characteristic double peak
-// 64 samples apart.
+// grow returns s resized to n, reallocating only when its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// sync locates the first long training symbol by correlating the window
+// against the cached conjugated LTS taps and requiring the characteristic
+// double peak 64 samples apart. It examines candidate start positions in
+// [from, to).
 func (c *RxCodec) sync(x dsp.Samples, from, to int) (int, error) {
 	if from < 0 {
 		from = 0
@@ -143,13 +162,10 @@ func (c *RxCodec) sync(x dsp.Samples, from, to int) (int, error) {
 	}
 	// Correlation magnitude at every candidate offset in the window plus
 	// one LTS length (for the second peak).
-	n := to - from + FFTSize + 1
-	if cap(c.mags) < n {
-		c.mags = make([]float64, n)
-	}
-	mags := c.mags[:n]
+	c.mags = grow(c.mags, to-from+FFTSize+1)
+	mags := c.mags
 	lts := ltsConjCached
-	for i := 0; i < n; i++ {
+	for i := range mags {
 		k := from + i
 		var acc complex128
 		for j := 0; j < FFTSize; j++ {
@@ -158,7 +174,7 @@ func (c *RxCodec) sync(x dsp.Samples, from, to int) (int, error) {
 		mags[i] = real(acc)*real(acc) + imag(acc)*imag(acc)
 	}
 	best, bestScore := -1, 0.0
-	for i := 0; i+FFTSize < n; i++ {
+	for i := 0; i+FFTSize < len(mags); i++ {
 		score := mags[i] + mags[i+FFTSize]
 		if score > bestScore {
 			best, bestScore = i, score
@@ -180,11 +196,11 @@ func (c *RxCodec) sync(x dsp.Samples, from, to int) (int, error) {
 	return from + best, nil
 }
 
-// RxFrame recovers one PPDU from the waveform, searching for the long
-// preamble start in [searchFrom, searchTo). The returned RxResult (and its
-// PSDU) alias codec scratch and are valid until the next RxFrame call;
-// Demodulate copies them out for callers that keep the data.
-func (c *RxCodec) RxFrame(x dsp.Samples, searchFrom, searchTo int) (*RxResult, error) {
+// header is the receiver front end both DATA back-ends share: sync in
+// [searchFrom, searchTo), channel estimate, the hard-decoded SIGNAL field
+// (short, BPSK and rate 1/2) and both truncation checks. It fills the
+// codec's result except its PSDU and returns the DATA field's samples.
+func (c *RxCodec) header(x dsp.Samples, searchFrom, searchTo int) (dsp.Samples, error) {
 	ltsStart, err := c.sync(x, searchFrom, searchTo)
 	if err != nil {
 		return nil, err
@@ -195,13 +211,12 @@ func (c *RxCodec) RxFrame(x dsp.Samples, searchFrom, searchTo int) (*RxResult, e
 	estimateChannelInto(&c.h, &c.freq, &c.f2,
 		x[ltsStart:ltsStart+FFTSize], x[ltsStart+FFTSize:ltsStart+2*FFTSize])
 
-	// SIGNAL symbol.
 	sigStart := ltsStart + 2*FFTSize
 	disassembleSymbolInto(c.points[:], &c.freq, x[sigStart:sigStart+SymbolLen], &c.h, 0)
 	db := demapSymbolPointsInto(c.db[:0], c.points[:], Rate6)
 	sigCBPS := Rate6.CodedBitsPerSymbol()
 	deinterleaveInto(c.deint[:sigCBPS], db, Rate6)
-	seq, err := depunctureInto(c.vit.seq[:0], c.deint[:sigCBPS], Punct1_2, 24)
+	seq, err := depunctureInto(c.vit.seq[:0], c.deint[:sigCBPS], Punct1_2, 24, erasure)
 	if err != nil {
 		return nil, err
 	}
@@ -212,50 +227,57 @@ func (c *RxCodec) RxFrame(x dsp.Samples, searchFrom, searchTo int) (*RxResult, e
 		return nil, err
 	}
 
-	// DATA symbols.
 	nsym := NumDataSymbols(rate, length)
 	dataStart := sigStart + SymbolLen
 	if len(x) < dataStart+nsym*SymbolLen {
 		return nil, fmt.Errorf("wifi: frame truncated (%d of %d data symbols)",
 			(len(x)-dataStart)/SymbolLen, nsym)
 	}
-	cbps := rate.CodedBitsPerSymbol()
-	if cap(c.coded) < nsym*cbps {
-		c.coded = make([]uint8, 0, nsym*cbps)
-	}
-	coded := c.coded[:0]
-	for s := 0; s < nsym; s++ {
-		start := dataStart + s*SymbolLen
-		disassembleSymbolInto(c.points[:], &c.freq, x[start:start+SymbolLen], &c.h, 1+s)
-		db = demapSymbolPointsInto(c.db[:0], c.points[:], rate)
-		deinterleaveInto(c.deint[:cbps], db, rate)
-		coded = append(coded, c.deint[:cbps]...)
-	}
-	c.coded = coded
-	nbits := nsym * rate.BitsPerSymbol()
-	seq, err = depunctureInto(c.vit.seq[:0], coded, rate.Puncture(), nbits)
-	if err != nil {
-		return nil, err
-	}
-	c.vit.seq = seq
-	if cap(c.bits) < nbits {
-		c.bits = make([]uint8, nbits)
-	}
-	bits := c.bits[:nbits]
-	c.vit.decode(seq, bits, false)
+	c.res = RxResult{LTSIndex: ltsStart, Rate: rate, Length: length}
+	return x[dataStart : dataStart+nsym*SymbolLen], nil
+}
 
-	// Descramble: the first 7 bits carry the seed (SERVICE bits are zero).
+// finish is the receiver tail both DATA back-ends share: it descrambles
+// the decoded DATA bits in place (the first 7 carry the seed, as the
+// SERVICE bits are zero) and packs the PSDU into codec scratch.
+func (c *RxCodec) finish(bits []uint8) *RxResult {
 	desc := Scrambler{state: RecoverSeed(bits[:7])}
 	desc.Process(bits[7:])
 	for i := 0; i < 7; i++ {
 		bits[i] = 0
 	}
-	psduBits := bits[ServiceBits : ServiceBits+8*length]
-	if cap(c.psdu) < length {
-		c.psdu = make([]byte, length)
+	c.psdu = grow(c.psdu, c.res.Length)
+	bitsToBytesInto(c.psdu, bits[ServiceBits:ServiceBits+8*c.res.Length])
+	c.res.PSDU = c.psdu
+	return &c.res
+}
+
+// RxFrame recovers one PPDU from the waveform with hard decisions,
+// searching for the long preamble start in [searchFrom, searchTo). The
+// returned RxResult (and its PSDU) alias codec scratch and are valid until
+// the codec's next frame; Demodulate copies them out for callers that keep
+// the data.
+func (c *RxCodec) RxFrame(x dsp.Samples, searchFrom, searchTo int) (*RxResult, error) {
+	data, err := c.header(x, searchFrom, searchTo)
+	if err != nil {
+		return nil, err
 	}
-	psdu := c.psdu[:length]
-	bitsToBytesInto(psdu, psduBits)
-	c.res = RxResult{LTSIndex: ltsStart, Rate: rate, Length: length, PSDU: psdu}
-	return &c.res, nil
+	rate := c.res.Rate
+	nsym, cbps := len(data)/SymbolLen, rate.CodedBitsPerSymbol()
+	c.coded = grow(c.coded, nsym*cbps)
+	coded := c.coded
+	for s := 0; s < nsym; s++ {
+		disassembleSymbolInto(c.points[:], &c.freq, data[s*SymbolLen:(s+1)*SymbolLen], &c.h, 1+s)
+		db := demapSymbolPointsInto(c.db[:0], c.points[:], rate)
+		deinterleaveInto(coded[s*cbps:(s+1)*cbps], db, rate)
+	}
+	nbits := nsym * rate.BitsPerSymbol()
+	seq, err := depunctureInto(c.vit.seq[:0], coded, rate.Puncture(), nbits, erasure)
+	if err != nil {
+		return nil, err
+	}
+	c.vit.seq = seq
+	c.bits = grow(c.bits, nbits)
+	c.vit.decode(seq, c.bits, false)
+	return c.finish(c.bits), nil
 }

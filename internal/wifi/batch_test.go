@@ -8,14 +8,16 @@ import (
 	"repro/internal/dsp"
 )
 
-// Differential suite for the batch fast path: the frame codecs are pinned
-// against a composition of the exported single-shot primitives (the packed
-// Viterbi decoder has its own suite in viterbi_test.go). All comparisons are
-// exact (==), not tolerance-based — the fast path must be bit-identical, or
-// the seeded experiment figures would drift.
+// Differential suite for the frame codecs. TxFrame is pinned against an
+// independent per-symbol composition of the package's coding steps (the
+// packed Viterbi decoder has its own suite in viterbi_test.go, the soft
+// back-end its own in soft_test.go). All comparisons are exact (==), not
+// tolerance-based — the codecs must be bit-identical, or the seeded
+// experiment figures would drift.
 
-// legacyModulate rebuilds Modulate's output from the exported per-symbol
-// primitives, the way the pre-batch implementation composed them.
+// legacyModulate rebuilds Modulate's output symbol by symbol from the
+// per-symbol steps, each into fresh buffers, the way the pre-batch
+// implementation composed them.
 func legacyModulate(t *testing.T, psdu []byte, cfg TxConfig) dsp.Samples {
 	t.Helper()
 	seed := cfg.ScramblerSeed & 0x7F
@@ -23,22 +25,28 @@ func legacyModulate(t *testing.T, psdu []byte, cfg TxConfig) dsp.Samples {
 		seed = 0x5D
 	}
 	encode := func(bits []uint8, r Rate, firstSymIndex int) dsp.Samples {
-		coded := ConvEncode(bits, r.Puncture())
+		coded := convEncodeInto(nil, bits, r.Puncture())
 		cbps := r.CodedBitsPerSymbol()
 		var out dsp.Samples
 		for s := 0; s < len(coded)/cbps; s++ {
-			il := Interleave(coded[s*cbps:(s+1)*cbps], r)
-			pts := MapSymbolBits(il, r)
-			out = append(out, AssembleSymbol(pts, firstSymIndex+s)...)
+			il := make([]uint8, cbps)
+			interleaveInto(il, coded[s*cbps:(s+1)*cbps], r)
+			pts := make([]complex128, NumDataCarriers)
+			mapSymbolBitsInto(pts, il, r)
+			var freq [FFTSize]complex128
+			sym := make(dsp.Samples, SymbolLen)
+			assembleSymbolInto(sym, &freq, pts, firstSymIndex+s)
+			out = append(out, sym...)
 		}
 		return out
 	}
+	var sig [24]uint8
+	signalFieldInto(&sig, cfg.Rate, len(psdu))
 	out := Preamble()
-	out = append(out, encode(signalField(cfg.Rate, len(psdu)), Rate6, 0)...)
+	out = append(out, encode(sig[:], Rate6, 0)...)
 	nbits := NumDataSymbols(cfg.Rate, len(psdu)) * cfg.Rate.BitsPerSymbol()
-	bits := make([]uint8, 0, nbits)
-	bits = append(bits, make([]uint8, ServiceBits)...)
-	bits = append(bits, BytesToBits(psdu)...)
+	bits := make([]uint8, ServiceBits, nbits)
+	bits = bytesToBitsInto(bits, psdu)
 	bits = append(bits, make([]uint8, nbits-len(bits))...)
 	NewScrambler(seed).Process(bits)
 	for i := 0; i < TailBits; i++ {
@@ -300,6 +308,20 @@ func BenchmarkDemodulate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Demodulate(frame, 100, 260); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDemodulateSoft times the soft-decision back-end on the same
+// frame: the LLR DATA path and the int32 reference trellis.
+func BenchmarkDemodulateSoft(b *testing.B) {
+	frame, _, _ := benchFrame(b)
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DemodulateSoft(frame, 100, 260); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,11 +12,6 @@ func bytesToBitsInto(dst []uint8, b []byte) []uint8 {
 	return dst
 }
 
-// BytesToBits expands bytes into bits, LSB first.
-func BytesToBits(b []byte) []uint8 {
-	return bytesToBitsInto(make([]uint8, 0, len(b)*8), b)
-}
-
 // bitsToBytesInto packs bits (LSB first) into dst; len(dst) must be
 // len(bits)/8.
 func bitsToBytesInto(dst []byte, bits []uint8) {
@@ -27,12 +22,4 @@ func bitsToBytesInto(dst []byte, bits []uint8) {
 		}
 		dst[i] = v
 	}
-}
-
-// BitsToBytes packs bits (LSB first) into bytes; len(bits) must be a
-// multiple of 8.
-func BitsToBytes(bits []uint8) []byte {
-	out := make([]byte, len(bits)/8)
-	bitsToBytesInto(out, bits)
-	return out
 }

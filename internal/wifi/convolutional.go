@@ -39,9 +39,9 @@ func (p Puncture) String() string {
 
 // punctPatterns holds the keep-mask over one puncturing period of the A,B
 // output stream (interleaved A0 B0 A1 B1 ...), one shared table per rate.
-// ConvEncode and depuncture hit these on every frame; hoisting them to
-// package level removes the per-call slice allocation the old pattern()
-// paid.
+// convEncodeInto and depunctureInto hit these on every frame; hoisting
+// them to package level removes the per-call slice allocation the old
+// pattern() paid.
 var punctPatterns = [...][]bool{
 	Punct1_2: {true, true},
 	// Period 4 (2 input bits): keep A0 B0 A1, drop B1.
@@ -90,15 +90,9 @@ func parity7(v uint32) uint8 {
 	return uint8(v & 1)
 }
 
-// ConvEncode encodes data bits with the rate-1/2 mother code and applies the
-// puncturing pattern. The caller appends the 6 zero tail bits beforehand if
-// trellis termination is wanted.
-func ConvEncode(bits []uint8, p Puncture) []uint8 {
-	return convEncodeInto(make([]uint8, 0, len(bits)*2), bits, p)
-}
-
-// convEncodeInto is the allocation-free form of ConvEncode: coded bits are
-// appended to out (which the caller sizes with adequate capacity).
+// convEncodeInto encodes data bits with the rate-1/2 mother code, applies
+// the puncturing pattern and appends the coded bits to out. The caller
+// appends the 6 zero tail bits beforehand if trellis termination is wanted.
 func convEncodeInto(out []uint8, bits []uint8, p Puncture) []uint8 {
 	mask := p.pattern()
 	var state uint32 // 6-bit shift register of previous inputs
@@ -122,27 +116,23 @@ func convEncodeInto(out []uint8, bits []uint8, p Puncture) []uint8 {
 	return out
 }
 
-// viterbiTables holds the per-state branch outputs, computed once.
-var branchOut [numStates][2][2]uint8 // [state][input] -> (outA, outB)
-
-// branchPair packs each branch's (outA, outB) into a 2-bit index
-// outA<<1|outB, the key into the per-step branch-metric LUT row.
+// branchPair packs the coded output pair (outA, outB) of the branch from
+// each state on each input bit into a 2-bit index outA<<1|outB, the key
+// into a step's branch-metric row. Computed once.
 var branchPair [numStates][2]uint8
 
 // bmLUT is the branch-metric lookup table: bmLUT[rA][rB][pair] is the
 // Hamming cost of emitting output pair `pair` when the received coded pair
 // is (rA, rB). Received values are 0, 1, erasure (2, free), or "unknown"
-// (3, every branch pays 1 — matching the reference decoder's treatment of
-// out-of-alphabet inputs, which mismatch both coded values).
+// (3, every branch pays 1): every out-of-alphabet input is clamped to 3,
+// since it mismatches both coded values.
 var bmLUT [4][4][4]int32
 
 func init() {
 	for s := 0; s < numStates; s++ {
 		for in := 0; in < 2; in++ {
 			reg := (uint32(s) << 1) | uint32(in)
-			branchOut[s][in][0] = parity7(reg & genA)
-			branchOut[s][in][1] = parity7(reg & genB)
-			branchPair[s][in] = branchOut[s][in][0]<<1 | branchOut[s][in][1]
+			branchPair[s][in] = parity7(reg&genA)<<1 | parity7(reg&genB)
 		}
 	}
 	cost := func(r int, out uint8) int32 {
@@ -167,15 +157,11 @@ func init() {
 // erasure marks a punctured (missing) coded bit position for the decoder.
 const erasure uint8 = 2
 
-// depuncture reinserts erasure marks at the punctured positions so the
-// Viterbi decoder can skip them in its metric.
-func depuncture(coded []uint8, p Puncture, numDataBits int) ([]uint8, error) {
-	return depunctureInto(make([]uint8, 0, numDataBits*2), coded, p, numDataBits)
-}
-
-// depunctureInto is the allocation-free form of depuncture, appending the
-// erasure-marked stream to out.
-func depunctureInto(out []uint8, coded []uint8, p Puncture, numDataBits int) ([]uint8, error) {
+// depunctureInto reinserts the erasure mark erased at the punctured
+// positions, appending the 2·numDataBits stream to out, so the decoder can
+// skip them in its metric. The hard path marks with erasure, the soft path
+// with llrErasure.
+func depunctureInto[T uint8 | LLR](out, coded []T, p Puncture, numDataBits int, erased T) ([]T, error) {
 	mask := p.pattern()
 	need := numDataBits * 2 * p.kept() / len(mask)
 	if len(coded) < need {
@@ -189,89 +175,11 @@ func depunctureInto(out []uint8, coded []uint8, p Puncture, numDataBits int) ([]
 			out = append(out, coded[src])
 			src++
 		} else {
-			out = append(out, erasure)
+			out = append(out, erased)
 		}
 		if pos++; pos == len(mask) {
 			pos = 0
 		}
 	}
 	return out, nil
-}
-
-// ViterbiDecode performs hard-decision maximum-likelihood decoding of coded
-// bits back to numDataBits data bits. The trellis starts in state 0; if the
-// encoder was tail-terminated the final state 0 is forced, otherwise the
-// best end state wins. Punctured positions are treated as erasures.
-//
-// The decode runs on the bit-packed fast path (viterbiScratch.decode) with
-// pooled metric and decision storage; the retained tracebackDecode is the
-// bit-exactness reference for the differential suite.
-func ViterbiDecode(coded []uint8, p Puncture, numDataBits int, terminated bool) ([]uint8, error) {
-	vs := viterbiPool.Get().(*viterbiScratch)
-	defer viterbiPool.Put(vs)
-	seq, err := depunctureInto(vs.seq[:0], coded, p, numDataBits)
-	if err != nil {
-		return nil, err
-	}
-	vs.seq = seq
-	out := make([]uint8, numDataBits)
-	vs.decode(seq, out, terminated)
-	return out, nil
-}
-
-// tracebackDecode runs the add-compare-select recursion with explicit
-// predecessor bookkeeping per step for an unambiguous traceback. Retained
-// as the reference implementation the packed decoder is pinned against.
-func tracebackDecode(seq []uint8, numDataBits int, terminated bool) []uint8 {
-	const inf = int32(1) << 30
-	metric := make([]int32, numStates)
-	next := make([]int32, numStates)
-	for s := 1; s < numStates; s++ {
-		metric[s] = inf
-	}
-	prev := make([][numStates]uint8, numDataBits) // predecessor state
-
-	for t := 0; t < numDataBits; t++ {
-		rA, rB := seq[2*t], seq[2*t+1]
-		for s := range next {
-			next[s] = inf
-		}
-		for s := 0; s < numStates; s++ {
-			m := metric[s]
-			if m >= inf {
-				continue
-			}
-			for in := 0; in < 2; in++ {
-				ns := ((s << 1) | in) & (numStates - 1)
-				bm := m
-				if rA != erasure && branchOut[s][in][0] != rA {
-					bm++
-				}
-				if rB != erasure && branchOut[s][in][1] != rB {
-					bm++
-				}
-				if bm < next[ns] {
-					next[ns] = bm
-					prev[t][ns] = uint8(s)
-				}
-			}
-		}
-		metric, next = next, metric
-	}
-
-	best := 0
-	if !terminated {
-		for s := 1; s < numStates; s++ {
-			if metric[s] < metric[best] {
-				best = s
-			}
-		}
-	}
-	out := make([]uint8, numDataBits)
-	state := best
-	for t := numDataBits - 1; t >= 0; t-- {
-		out[t] = uint8(state & 1)
-		state = int(prev[t][state])
-	}
-	return out
 }

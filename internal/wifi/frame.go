@@ -42,14 +42,7 @@ func signalFieldInto(bits *[24]uint8, r Rate, length int) {
 	}
 }
 
-// signalField builds the 24 SIGNAL bits.
-func signalField(r Rate, length int) []uint8 {
-	var bits [24]uint8
-	signalFieldInto(&bits, r, length)
-	return bits[:]
-}
-
-// parseSignalField inverts signalField.
+// parseSignalField inverts signalFieldInto.
 func parseSignalField(bits []uint8) (r Rate, length int, err error) {
 	if len(bits) < 24 {
 		return 0, 0, fmt.Errorf("wifi: SIGNAL field too short")

@@ -7,9 +7,9 @@ package wifi
 //
 // The two-permutation index arithmetic runs once per (rate, position) at
 // package init into per-rate permutation tables; the per-symbol hot path is
-// then a single gather/scatter over the table, which is what the batch
-// frame codecs use to (de)interleave whole symbols with no index math and
-// no allocation.
+// then a single gather/scatter over the table, which is what the frame
+// codecs use to (de)interleave whole symbols with no index math and no
+// allocation.
 
 // interleaveIndex maps input index k (0..cbps-1) to output index j for a
 // symbol with cbps coded bits and bpsc bits per subcarrier. Retained as the
@@ -51,26 +51,12 @@ func interleaveInto(dst, src []uint8, r Rate) {
 	}
 }
 
-// deinterleaveInto inverts interleaveInto. dst and src must not alias.
-func deinterleaveInto(dst, src []uint8, r Rate) {
+// deinterleaveInto inverts interleaveInto, on hard bits or on LLRs. dst and
+// src must not alias.
+func deinterleaveInto[T uint8 | LLR](dst, src []T, r Rate) {
 	perm := interleavePerm[r]
 	_ = dst[len(perm)-1]
 	for k, j := range perm {
 		dst[k] = src[j]
 	}
-}
-
-// Interleave permutes one symbol's worth of coded bits (len must equal
-// N_CBPS for the rate).
-func Interleave(bits []uint8, r Rate) []uint8 {
-	out := make([]uint8, r.CodedBitsPerSymbol())
-	interleaveInto(out, bits, r)
-	return out
-}
-
-// Deinterleave inverts Interleave.
-func Deinterleave(bits []uint8, r Rate) []uint8 {
-	out := make([]uint8, r.CodedBitsPerSymbol())
-	deinterleaveInto(out, bits, r)
-	return out
 }

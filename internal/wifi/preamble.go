@@ -14,8 +14,7 @@ import (
 //
 // The waveforms are pure functions of the standard, so they are rendered
 // once at package init; the exported accessors hand out defensive copies,
-// while the modem fast paths (Sync, the batch frame codecs) read the cached
-// buffers directly.
+// while the frame codecs read the cached buffers directly.
 
 // shortSeq is the frequency-domain short training sequence S(-26..26)
 // before the sqrt(13/6) scaling; entries are (1+j) multiples.
@@ -61,7 +60,7 @@ func ifft64(freq dsp.Samples) dsp.Samples {
 // The cached preamble waveforms, rendered once. stsCached is one 16-sample
 // short training repetition, ltsCached the 64-sample long training symbol,
 // preambleCached the full 320-sample PLCP preamble. ltsConjCached holds the
-// conjugated LTS taps Sync correlates with.
+// conjugated LTS taps the receiver's sync correlates with.
 var (
 	stsCached      = renderShortTrainingSymbol()
 	ltsCached      = renderLongTrainingSymbol()

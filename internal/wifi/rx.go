@@ -12,10 +12,13 @@ import (
 // valid FCS counts as received; a frame whose payload was hit by the jammer
 // fails here and triggers MAC retransmission.
 //
-// The exported entry points borrow a pooled RxCodec (see batch.go) so the
-// per-frame symbol pipeline and Viterbi decode reuse scratch instead of
-// allocating; callers that process many frames back to back can hold their
-// own RxCodec and use RxFrame directly for the fully allocation-free path.
+// There is one receiver, RxCodec (batch.go): a shared front end and tail
+// around a hard-decision DATA path (RxFrame, Demodulate) and a
+// soft-decision one (DemodulateSoft, soft.go). The exported entry points
+// borrow a pooled RxCodec so the per-frame symbol pipeline and Viterbi
+// decode reuse scratch instead of allocating; callers that process many
+// frames back to back can hold their own RxCodec and use RxFrame directly
+// for the fully allocation-free path.
 
 // RxResult reports one demodulated PPDU.
 type RxResult struct {
@@ -31,15 +34,6 @@ type RxResult struct {
 // ErrSync is returned when no plausible long training sequence is found.
 var ErrSync = fmt.Errorf("wifi: synchronization failed")
 
-// Sync locates the first long training symbol by correlating against the
-// known LTS and requiring the characteristic double peak 64 samples apart.
-// The search examines candidate start positions in [from, to).
-func Sync(x dsp.Samples, from, to int) (int, error) {
-	c := rxPool.Get().(*RxCodec)
-	defer rxPool.Put(c)
-	return c.sync(x, from, to)
-}
-
 // Demodulate recovers one PPDU from the waveform, searching for the long
 // preamble start in [searchFrom, searchTo). On success the PSDU has been
 // Viterbi-decoded and descrambled; FCS checking is the caller's (MAC's)
@@ -47,7 +41,11 @@ func Sync(x dsp.Samples, from, to int) (int, error) {
 func Demodulate(x dsp.Samples, searchFrom, searchTo int) (*RxResult, error) {
 	c := rxPool.Get().(*RxCodec)
 	defer rxPool.Put(c)
-	res, err := c.RxFrame(x, searchFrom, searchTo)
+	return detach(c.RxFrame(x, searchFrom, searchTo))
+}
+
+// detach copies a codec-owned result out for a caller that keeps it.
+func detach(res *RxResult, err error) (*RxResult, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -1,18 +1,19 @@
 package wifi
 
 import (
-	"fmt"
 	"math"
+
+	"repro/internal/dsp"
 )
 
-// Soft-decision receive path: instead of hard-slicing each equalized
-// subcarrier to bits, the demapper emits log-likelihood ratios and the
-// Viterbi decoder accumulates them, buying roughly 2 dB over hard
-// decisions on AWGN and substantially more resilience when a jamming burst
-// corrupts a contiguous run of symbols. The paper's receivers are
-// commodity hardware (hard or soft unknown); this path exists as the
-// "improved victim" ablation — how much harder does a soft receiver make
-// the jammer's job?
+// Soft-decision back-end of the receiver: between RxCodec's shared header
+// and finish, the DATA symbols are demapped to log-likelihood ratios
+// instead of hard bits, and the reference trellis (trellisDecode)
+// accumulates them, buying roughly 2 dB over hard decisions on AWGN and
+// substantially more resilience when a jamming burst corrupts a contiguous
+// run of symbols. The paper's receivers are commodity hardware (hard or
+// soft unknown); this path exists as the "improved victim" ablation — how
+// much harder does a soft receiver make the jammer's job?
 
 // LLR is a clipped integer log-likelihood ratio: positive favors bit 0.
 type LLR int8
@@ -93,179 +94,62 @@ func (c Constellation) DemapSoft(p complex128, dst []LLR) []LLR {
 	}
 }
 
-// DemapSymbolPointsSoft converts 48 equalized points into one symbol's
-// interleaved LLRs.
-func DemapSymbolPointsSoft(points []complex128, r Rate) []LLR {
-	c := r.Constellation()
-	out := make([]LLR, 0, r.CodedBitsPerSymbol())
-	for _, p := range points {
-		out = c.DemapSoft(p, out)
-	}
-	return out
-}
-
-// DeinterleaveSoft inverts the block interleaver on LLRs, gathering through
-// the same per-rate permutation tables the hard path uses.
-func DeinterleaveSoft(llrs []LLR, r Rate) []LLR {
-	perm := interleavePerm[r]
-	out := make([]LLR, len(perm))
-	for k, j := range perm {
-		out[k] = llrs[j]
-	}
-	return out
-}
-
-// depunctureSoft reinserts zero-LLR erasures at the punctured positions.
-func depunctureSoft(llrs []LLR, p Puncture, numDataBits int) ([]LLR, error) {
-	mask := p.pattern()
-	need := numDataBits * 2 * p.kept() / len(mask)
-	if len(llrs) < need {
-		return nil, errShortSoft(len(llrs), need)
-	}
-	out := make([]LLR, 0, numDataBits*2)
-	src, pos := 0, 0
-	for len(out) < numDataBits*2 {
-		if mask[pos] {
-			out = append(out, llrs[src])
-			src++
-		} else {
-			out = append(out, llrErasure)
-		}
-		pos++
-		if pos == len(mask) {
-			pos = 0
-		}
-	}
-	return out, nil
-}
-
-type errShortSoftT struct{ got, need int }
-
-func errShortSoft(got, need int) error { return errShortSoftT{got, need} }
-func (e errShortSoftT) Error() string {
-	return fmt.Sprintf("wifi: soft decode has %d coded LLRs, needs %d", e.got, e.need)
-}
-
-// ViterbiDecodeSoft is the soft-decision counterpart of ViterbiDecode: the
-// branch metric accumulates the LLR mass that contradicts each candidate
-// coded bit, so confident wrong bits cost more than uncertain ones.
-func ViterbiDecodeSoft(llrs []LLR, p Puncture, numDataBits int, terminated bool) ([]uint8, error) {
-	seq, err := depunctureSoft(llrs, p, numDataBits)
-	if err != nil {
-		return nil, err
-	}
-	const inf = int32(1) << 30
-	metric := make([]int32, numStates)
-	next := make([]int32, numStates)
-	for s := 1; s < numStates; s++ {
-		metric[s] = inf
-	}
-	prev := make([][numStates]uint8, numDataBits)
-
-	cost := func(llr LLR, bit uint8) int32 {
-		// llr > 0 favors bit 0: transmitting bit 1 against it costs llr.
+// viterbiDecodeSoft decodes the depunctured LLR stream seq (2 per data
+// bit, erasures 0) on trellisDecode. The branch metric accumulates the LLR
+// mass that contradicts each candidate coded bit, so confident wrong bits
+// cost more than uncertain ones.
+func viterbiDecodeSoft(seq []LLR, terminated bool) []uint8 {
+	// cost prices sending bit against llr: llr > 0 favors bit 0, so
+	// transmitting bit 1 against it costs llr, and vice versa.
+	cost := func(llr LLR, bit int) int32 {
 		if bit == 1 {
-			if llr > 0 {
-				return int32(llr)
-			}
-			return 0
+			return int32(max(llr, 0))
 		}
-		if llr < 0 {
-			return int32(-llr)
-		}
-		return 0
+		return int32(max(-llr, 0))
 	}
-
-	for t := 0; t < numDataBits; t++ {
+	var row [4]int32
+	return trellisDecode(len(seq)/2, terminated, func(t int) *[4]int32 {
 		lA, lB := seq[2*t], seq[2*t+1]
-		for s := range next {
-			next[s] = inf
+		for pair := range row {
+			row[pair] = cost(lA, pair>>1) + cost(lB, pair&1)
 		}
-		for s := 0; s < numStates; s++ {
-			m := metric[s]
-			if m >= inf {
-				continue
-			}
-			for in := 0; in < 2; in++ {
-				ns := ((s << 1) | in) & (numStates - 1)
-				bm := m + cost(lA, branchOut[s][in][0]) + cost(lB, branchOut[s][in][1])
-				if bm < next[ns] {
-					next[ns] = bm
-					prev[t][ns] = uint8(s)
-				}
-			}
-		}
-		metric, next = next, metric
-	}
-	best := 0
-	if !terminated {
-		for s := 1; s < numStates; s++ {
-			if metric[s] < metric[best] {
-				best = s
-			}
-		}
-	}
-	out := make([]uint8, numDataBits)
-	state := best
-	for t := numDataBits - 1; t >= 0; t-- {
-		out[t] = uint8(state & 1)
-		state = int(prev[t][state])
-	}
-	return out, nil
+		return &row
+	})
 }
 
-// DemodulateSoft mirrors Demodulate with the soft-decision DATA path (the
-// SIGNAL field stays hard — it is short, BPSK, and rate-1/2).
-func DemodulateSoft(x []complex128, searchFrom, searchTo int) (*RxResult, error) {
-	ltsStart, err := Sync(x, searchFrom, searchTo)
+// rxFrameSoft is RxFrame with the soft-decision DATA path; the SIGNAL
+// field stays hard. Its result aliases codec scratch like RxFrame's.
+func (c *RxCodec) rxFrameSoft(x dsp.Samples, searchFrom, searchTo int) (*RxResult, error) {
+	data, err := c.header(x, searchFrom, searchTo)
 	if err != nil {
 		return nil, err
 	}
-	if len(x) < ltsStart+2*FFTSize+SymbolLen {
-		return nil, fmt.Errorf("wifi: truncated frame after sync")
-	}
-	h := EstimateChannel(x[ltsStart:ltsStart+FFTSize],
-		x[ltsStart+FFTSize:ltsStart+2*FFTSize])
-
-	sigStart := ltsStart + 2*FFTSize
-	sigPts := DisassembleSymbol(x[sigStart:sigStart+SymbolLen], h, 0)
-	sigBits := Deinterleave(DemapSymbolPoints(sigPts, Rate6), Rate6)
-	sigDec, err := ViterbiDecode(sigBits, Punct1_2, 24, true)
-	if err != nil {
-		return nil, err
-	}
-	rate, length, err := parseSignalField(sigDec)
-	if err != nil {
-		return nil, err
-	}
-
-	nsym := NumDataSymbols(rate, length)
-	dataStart := sigStart + SymbolLen
-	if len(x) < dataStart+nsym*SymbolLen {
-		return nil, fmt.Errorf("wifi: frame truncated (%d of %d data symbols)",
-			(len(x)-dataStart)/SymbolLen, nsym)
-	}
-	llrs := make([]LLR, 0, nsym*rate.CodedBitsPerSymbol())
+	rate := c.res.Rate
+	con := rate.Constellation()
+	nsym, cbps := len(data)/SymbolLen, rate.CodedBitsPerSymbol()
+	c.llrs = grow(c.llrs, nsym*cbps)
+	llrs := c.llrs
 	for s := 0; s < nsym; s++ {
-		start := dataStart + s*SymbolLen
-		pts := DisassembleSymbol(x[start:start+SymbolLen], h, 1+s)
-		llrs = append(llrs, DeinterleaveSoft(DemapSymbolPointsSoft(pts, rate), rate)...)
+		disassembleSymbolInto(c.points[:], &c.freq, data[s*SymbolLen:(s+1)*SymbolLen], &c.h, 1+s)
+		db := c.llrDB[:0]
+		for _, p := range c.points {
+			db = con.DemapSoft(p, db)
+		}
+		deinterleaveInto(llrs[s*cbps:(s+1)*cbps], db, rate)
 	}
 	nbits := nsym * rate.BitsPerSymbol()
-	bits, err := ViterbiDecodeSoft(llrs, rate.Puncture(), nbits, false)
+	seq, err := depunctureInto(c.llrSeq[:0], llrs, rate.Puncture(), nbits, llrErasure)
 	if err != nil {
 		return nil, err
 	}
-	state := RecoverSeed(bits[:7])
-	NewScrambler(state).Process(bits[7:])
-	for i := 0; i < 7; i++ {
-		bits[i] = 0
-	}
-	psduBits := bits[ServiceBits : ServiceBits+8*length]
-	return &RxResult{
-		LTSIndex: ltsStart,
-		Rate:     rate,
-		Length:   length,
-		PSDU:     BitsToBytes(psduBits),
-	}, nil
+	c.llrSeq = seq
+	return c.finish(viterbiDecodeSoft(seq, false)), nil
+}
+
+// DemodulateSoft mirrors Demodulate with the soft-decision DATA path. The
+// returned result is a copy the caller owns.
+func DemodulateSoft(x []complex128, searchFrom, searchTo int) (*RxResult, error) {
+	c := rxPool.Get().(*RxCodec)
+	defer rxPool.Put(c)
+	return detach(c.rxFrameSoft(x, searchFrom, searchTo))
 }

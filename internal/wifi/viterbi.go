@@ -1,7 +1,5 @@
 package wifi
 
-import "sync"
-
 // Bit-packed SWAR Viterbi fast path. The K=7 code has exactly 64 trellis
 // states, so one uint64 per trellis step records every add-compare-select
 // decision, and the 64 path metrics fit as uint8 lanes in eight uint64
@@ -49,8 +47,6 @@ type viterbiScratch struct {
 	// every step's add.
 	observe func(m *[8]uint64)
 }
-
-var viterbiPool = sync.Pool{New: func() any { return new(viterbiScratch) }}
 
 const (
 	lanes   = 0x0101010101010101 // 1 in every byte lane
@@ -212,4 +208,66 @@ func renormalize(m *[8]uint64) {
 	for w := range m {
 		m[w] -= uint64(lo) * lanes
 	}
+}
+
+// trellisDecode is the int32 reference trellis: the add-compare-select
+// recursion with explicit predecessor bookkeeping per step for an
+// unambiguous traceback. row(t) prices step t's four coded output pairs,
+// indexed by branchPair. The trellis starts in state 0; a terminated one
+// ends there too, otherwise the lowest-index best end state wins. Ties keep
+// the earlier-scanned (lower) predecessor.
+func trellisDecode(numDataBits int, terminated bool, row func(t int) *[4]int32) []uint8 {
+	const inf = int32(1) << 30
+	metric := make([]int32, numStates)
+	next := make([]int32, numStates)
+	for s := 1; s < numStates; s++ {
+		metric[s] = inf
+	}
+	prev := make([][numStates]uint8, numDataBits) // predecessor state
+
+	for t := 0; t < numDataBits; t++ {
+		cost := row(t)
+		for s := range next {
+			next[s] = inf
+		}
+		for s := 0; s < numStates; s++ {
+			m := metric[s]
+			if m >= inf {
+				continue
+			}
+			for in := 0; in < 2; in++ {
+				ns := ((s << 1) | in) & (numStates - 1)
+				if bm := m + cost[branchPair[s][in]]; bm < next[ns] {
+					next[ns] = bm
+					prev[t][ns] = uint8(s)
+				}
+			}
+		}
+		metric, next = next, metric
+	}
+
+	best := 0
+	if !terminated {
+		for s := 1; s < numStates; s++ {
+			if metric[s] < metric[best] {
+				best = s
+			}
+		}
+	}
+	out := make([]uint8, numDataBits)
+	state := best
+	for t := numDataBits - 1; t >= 0; t-- {
+		out[t] = uint8(state & 1)
+		state = int(prev[t][state])
+	}
+	return out
+}
+
+// tracebackDecode runs trellisDecode on the erasure-marked hard stream seq
+// with bmLUT rows, out-of-alphabet values clamped to 3. It is the
+// reference the packed decoder is pinned against.
+func tracebackDecode(seq []uint8, numDataBits int, terminated bool) []uint8 {
+	return trellisDecode(numDataBits, terminated, func(t int) *[4]int32 {
+		return &bmLUT[min(seq[2*t], 3)][min(seq[2*t+1], 3)]
+	})
 }

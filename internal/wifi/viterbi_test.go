@@ -23,13 +23,13 @@ func noisySeq(rng *rand.Rand, p Puncture, n int, ber float64, terminated bool) [
 			bits[i] = 0
 		}
 	}
-	coded := ConvEncode(bits, p)
+	coded := convEncodeInto(nil, bits, p)
 	for i := range coded {
 		if rng.Float64() < ber {
 			coded[i] ^= 1
 		}
 	}
-	seq, err := depuncture(coded, p, n)
+	seq, err := depunctureInto(nil, coded, p, n, erasure)
 	if err != nil {
 		panic(err)
 	}
@@ -285,6 +285,19 @@ func FuzzViterbi(f *testing.F) {
 	})
 }
 
+// viterbiDecode depunctures coded and decodes it on the packed decoder,
+// the composition RxFrame runs on a frame's DATA field.
+func viterbiDecode(coded []uint8, p Puncture, numDataBits int, terminated bool) ([]uint8, error) {
+	seq, err := depunctureInto(nil, coded, p, numDataBits, erasure)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint8, numDataBits)
+	var vs viterbiScratch
+	vs.decode(seq, out, terminated)
+	return out, nil
+}
+
 func viterbiBenchInput(b *testing.B) ([]uint8, int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(48))
@@ -293,8 +306,8 @@ func viterbiBenchInput(b *testing.B) ([]uint8, int) {
 	for i := range bits {
 		bits[i] = uint8(rng.Intn(2))
 	}
-	coded := ConvEncode(bits, Punct3_4)
-	seq, err := depuncture(coded, Punct3_4, n)
+	coded := convEncodeInto(nil, bits, Punct3_4)
+	seq, err := depunctureInto(nil, coded, Punct3_4, n, erasure)
 	if err != nil {
 		b.Fatal(err)
 	}

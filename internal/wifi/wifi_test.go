@@ -111,7 +111,7 @@ func TestRecoverSeedContinuesSequence(t *testing.T) {
 
 func TestConvEncodeKnownVector(t *testing.T) {
 	// All-zero input yields all-zero output.
-	out := ConvEncode(make([]uint8, 8), Punct1_2)
+	out := convEncodeInto(nil, make([]uint8, 8), Punct1_2)
 	for _, b := range out {
 		if b != 0 {
 			t.Fatal("zero input produced nonzero coded bit")
@@ -121,7 +121,7 @@ func TestConvEncodeKnownVector(t *testing.T) {
 		t.Fatalf("rate-1/2 coded %d bits from 8", len(out))
 	}
 	// Impulse response: first input 1 gives A=parity(1&133)=1, B=parity(1&171)=1.
-	out = ConvEncode([]uint8{1}, Punct1_2)
+	out = convEncodeInto(nil, []uint8{1}, Punct1_2)
 	if out[0] != 1 || out[1] != 1 {
 		t.Errorf("impulse response start = %v", out)
 	}
@@ -129,13 +129,13 @@ func TestConvEncodeKnownVector(t *testing.T) {
 
 func TestPunctureLengths(t *testing.T) {
 	in := make([]uint8, 12)
-	if n := len(ConvEncode(in, Punct1_2)); n != 24 {
+	if n := len(convEncodeInto(nil, in, Punct1_2)); n != 24 {
 		t.Errorf("1/2: %d", n)
 	}
-	if n := len(ConvEncode(in, Punct2_3)); n != 18 {
+	if n := len(convEncodeInto(nil, in, Punct2_3)); n != 18 {
 		t.Errorf("2/3: %d", n)
 	}
-	if n := len(ConvEncode(in, Punct3_4)); n != 16 {
+	if n := len(convEncodeInto(nil, in, Punct3_4)); n != 16 {
 		t.Errorf("3/4: %d", n)
 	}
 }
@@ -151,8 +151,8 @@ func TestViterbiRoundTripProperty(t *testing.T) {
 		for i := range bits[:nbits-TailBits] {
 			bits[i] = uint8(rng.Intn(2))
 		}
-		coded := ConvEncode(bits, punct)
-		dec, err := ViterbiDecode(coded, punct, nbits, true)
+		coded := convEncodeInto(nil, bits, punct)
+		dec, err := viterbiDecode(coded, punct, nbits, true)
 		if err != nil {
 			return false
 		}
@@ -169,13 +169,13 @@ func TestViterbiCorrectsErrors(t *testing.T) {
 	for i := range bits[:114] {
 		bits[i] = uint8(rng.Intn(2))
 	}
-	coded := ConvEncode(bits, Punct1_2)
+	coded := convEncodeInto(nil, bits, Punct1_2)
 	// Flip 5 well-separated coded bits; the free-distance-10 code at rate
 	// 1/2 corrects isolated errors easily.
 	for _, pos := range []int{3, 50, 99, 150, 200} {
 		coded[pos] ^= 1
 	}
-	dec, err := ViterbiDecode(coded, Punct1_2, 120, true)
+	dec, err := viterbiDecode(coded, Punct1_2, 120, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestViterbiCorrectsErrors(t *testing.T) {
 }
 
 func TestViterbiShortInput(t *testing.T) {
-	if _, err := ViterbiDecode([]uint8{1, 0}, Punct1_2, 24, true); err == nil {
+	if _, err := viterbiDecode([]uint8{1, 0}, Punct1_2, 24, true); err == nil {
 		t.Error("insufficient coded bits accepted")
 	}
 }
@@ -197,9 +197,11 @@ func TestInterleaverRoundTripAllRates(t *testing.T) {
 		for i := range bits {
 			bits[i] = uint8(rng.Intn(2))
 		}
-		orig := append([]uint8(nil), bits...)
-		got := Deinterleave(Interleave(bits, r), r)
-		if !bytes.Equal(got, orig) {
+		il := make([]uint8, len(bits))
+		interleaveInto(il, bits, r)
+		got := make([]uint8, len(bits))
+		deinterleaveInto(got, il, r)
+		if !bytes.Equal(got, bits) {
 			t.Errorf("%v: interleave round-trip failed", r)
 		}
 	}
@@ -380,15 +382,24 @@ func TestPilotPolarityStartsCorrect(t *testing.T) {
 
 func TestSymbolRoundTripFlatChannel(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	h := FlatChannel()
+	var h Channel // ideal unit channel
+	for k := -26; k <= 26; k++ {
+		if k != 0 {
+			h[carrierToBin(k)] = 1
+		}
+	}
+	var freq [FFTSize]complex128
+	pts := make([]complex128, NumDataCarriers)
+	sym := make([]complex128, SymbolLen)
 	for _, r := range AllRates {
 		bits := make([]uint8, r.CodedBitsPerSymbol())
 		for i := range bits {
 			bits[i] = uint8(rng.Intn(2))
 		}
-		pts := MapSymbolBits(bits, r)
-		sym := AssembleSymbol(pts, 3)
-		got := DemapSymbolPoints(DisassembleSymbol(sym, h, 3), r)
+		mapSymbolBitsInto(pts, bits, r)
+		assembleSymbolInto(sym, &freq, pts, 3)
+		disassembleSymbolInto(pts, &freq, sym, &h, 3)
+		got := demapSymbolPointsInto(nil, pts, r)
 		if !bytes.Equal(got, bits) {
 			t.Errorf("%v: OFDM symbol round-trip failed", r)
 		}
@@ -396,18 +407,20 @@ func TestSymbolRoundTripFlatChannel(t *testing.T) {
 }
 
 func TestSignalFieldRoundTrip(t *testing.T) {
+	var bits [24]uint8
 	for _, r := range AllRates {
 		for _, l := range []int{1, 100, 1470, 4095} {
-			rr, ll, err := parseSignalField(signalField(r, l))
+			signalFieldInto(&bits, r, l)
+			rr, ll, err := parseSignalField(bits[:])
 			if err != nil || rr != r || ll != l {
 				t.Errorf("SIGNAL(%v,%d) -> %v,%d,%v", r, l, rr, ll, err)
 			}
 		}
 	}
 	// Corrupt parity.
-	bits := signalField(Rate24, 100)
+	signalFieldInto(&bits, Rate24, 100)
 	bits[0] ^= 1
-	if _, _, err := parseSignalField(bits); err == nil {
+	if _, _, err := parseSignalField(bits[:]); err == nil {
 		t.Error("parity error not detected")
 	}
 }
@@ -421,6 +434,40 @@ func TestModulateValidation(t *testing.T) {
 	}
 	if _, err := Modulate([]byte{1}, TxConfig{Rate: Rate(99)}); err == nil {
 		t.Error("bogus rate accepted")
+	}
+}
+
+// TestTxFrameValidation pins the codec's own checks, which Modulate's
+// callers never reach: a bad rate or PSDU length leaves dst untouched.
+func TestTxFrameValidation(t *testing.T) {
+	var c TxCodec
+	dst := make([]complex128, 3, 8)
+	for _, tc := range []struct {
+		psdu []byte
+		rate Rate
+	}{{[]byte{1}, Rate(99)}, {nil, Rate6}, {make([]byte, MaxPSDU+1), Rate6}} {
+		got, err := c.TxFrame(dst, tc.psdu, TxConfig{Rate: tc.rate})
+		if err == nil || len(got) != 3 {
+			t.Errorf("rate %v, %d bytes: accepted (len %d, err %v)", tc.rate, len(tc.psdu), len(got), err)
+		}
+	}
+}
+
+// TestStrings pins the names of rates, puncturings and constellations,
+// including the fallback for values outside their tables.
+func TestStrings(t *testing.T) {
+	for _, c := range []struct {
+		got, want string
+	}{
+		{Rate54.String(), "54Mbps"}, {Rate(8).String(), "Rate(8)"},
+		{Punct1_2.String(), "1/2"}, {Punct2_3.String(), "2/3"}, {Punct3_4.String(), "3/4"},
+		{Puncture(3).String(), "Puncture(3)"},
+		{BPSK.String(), "BPSK"}, {QPSK.String(), "QPSK"}, {QAM16.String(), "16-QAM"},
+		{QAM64.String(), "64-QAM"}, {Constellation(4).String(), "Constellation(4)"},
+	} {
+		if c.got != c.want {
+			t.Errorf("String() = %q, want %q", c.got, c.want)
+		}
 	}
 }
 
@@ -505,7 +552,9 @@ func TestFCS(t *testing.T) {
 
 func TestBitsBytesRoundTripProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		return bytes.Equal(BitsToBytes(BytesToBits(data)), data)
+		got := make([]byte, len(data))
+		bitsToBytesInto(got, bytesToBitsInto(nil, data))
+		return bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -513,7 +562,7 @@ func TestBitsBytesRoundTripProperty(t *testing.T) {
 }
 
 func TestBitsLSBFirst(t *testing.T) {
-	bits := BytesToBits([]byte{0x01, 0x80})
+	bits := bytesToBitsInto(nil, []byte{0x01, 0x80})
 	if bits[0] != 1 || bits[7] != 0 || bits[8] != 0 || bits[15] != 1 {
 		t.Errorf("bit order wrong: %v", bits)
 	}

@@ -66,7 +66,8 @@ type Personality struct {
 }
 
 // Stats mirrors the core's host-feedback counters (a snapshot of the
-// telemetry counter block).
+// telemetry counter block). Its fields are core.Stats's, in the same order,
+// so one converts to the other.
 type Stats struct {
 	Samples              uint64
 	XCorrDetections      uint64
@@ -223,27 +224,14 @@ func (f *Framework) Process(rx []complex128) ([]complex128, error) {
 
 // Stats returns the host-feedback counters.
 func (f *Framework) Stats() Stats {
-	return statsFrom(f.radio.Core().Stats())
+	return Stats(f.radio.Core().Stats())
 }
 
 // Poll reads the feedback counters the way the GNU Radio host polls the
 // core's "Synchro Flags" — identical to Stats except the poll itself is
 // counted and journaled through the telemetry layer.
 func (f *Framework) Poll() Stats {
-	return statsFrom(f.host.PollFeedback())
-}
-
-func statsFrom(s core.Stats) Stats {
-	return Stats{
-		Samples:              s.Samples,
-		XCorrDetections:      s.XCorrDetections,
-		EnergyHighDetections: s.EnergyHighDetections,
-		EnergyLowDetections:  s.EnergyLowDetections,
-		JamTriggers:          s.JamTriggers,
-		JamSamples:           s.JamSamples,
-		RegWrites:            s.RegWrites,
-		HostPolls:            s.HostPolls,
-	}
+	return Stats(f.host.PollFeedback())
 }
 
 // ResetStats clears the feedback counters.
