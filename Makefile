@@ -6,7 +6,7 @@ GO ?= go
 ## build must not fetch dependencies).
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci build vet test race bench-test bench bench-smoke bench-pairs overhead slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke
+.PHONY: ci build vet test race bench-test bench bench-smoke bench-pairs overhead slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke unlinked
 
 ## ci: the full tier-1 verify path — vet, build, tests, then the race
 ## detector over every package (the register bus, clock and telemetry
@@ -78,6 +78,14 @@ BENCH_WORKLOAD ?= link-reactive
 BENCH_SEED ?= 1
 bench-pairs:
 	bash scripts/benchpairs.sh $(BENCH_PARENT) $(BENCH_PAIRS) $(BENCH_WORKLOAD) $(BENCH_SEED)
+
+## unlinked: list the functions of the root package and internal/ that no
+## binary links (scripts/unlinked.go): every main and bench/ built with
+## inlining off, their text symbols diffed against the declared functions.
+## A report, not a gate: it exits 0 whatever it lists, and each function
+## that stays unlinked carries its reason in the script's allowlist.
+unlinked:
+	$(GO) run scripts/unlinked.go
 
 ## overhead: the telemetry-overhead gate — the block datapath with the
 ## live recorder attached and the fleet plane snapshotting against a bare

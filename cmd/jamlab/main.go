@@ -11,7 +11,9 @@
 //	detect wifi-long <fa/s>       arm xcorr with the 802.11g LTS template
 //	detect wimax <cell> <segment> arm xcorr+energy fusion for 802.16e
 //	detect energy <dB>            arm the energy differentiator alone
-//	personality <wgn|replay|host> <uptime> <delay> <gain>
+//	personality <wgn|replay> <uptime> <delay> <gain>
+//	personality host <uptime> <delay> <gain> <file>
+//	                              jam with a saved 25 MSPS capture (see save)
 //	inject wifi <mbps> <bytes> <count>   modulate+stream 802.11g frames
 //	inject wifib <bytes> <count>         modulate+stream 802.11b DSSS frames
 //	inject wimax <count>                 stream WiMAX downlink frames
@@ -364,7 +366,7 @@ func (c *console) eval(line string) error {
 			return fmt.Errorf("record <file>")
 		}
 		rec, err := capture.NewRecorder(capture.Header{
-			SampleRateHz: 25_000_000,
+			SampleRateHz: txRateHz,
 			CenterFreqHz: 2.484e9,
 		})
 		if err != nil {
@@ -486,11 +488,16 @@ func (c *console) detect(args []string) error {
 	}
 }
 
+// txRateHz is the rate of the core's transmit output, which record captures
+// and the host-stream personality plays back.
+const txRateHz = 25_000_000
+
 func (c *console) personality(args []string) error {
-	if len(args) < 4 {
-		return fmt.Errorf("personality <wgn|replay|host> <uptime> <delay> <gain>")
+	if len(args) < 4 || (args[0] == "host" && len(args) < 5) {
+		return fmt.Errorf("personality <wgn|replay> <uptime> <delay> <gain>, or personality host <uptime> <delay> <gain> <file>")
 	}
 	var w reactivejam.Waveform
+	var stream dsp.Samples // the host-stream buffer, loaded before any register write
 	switch args[0] {
 	case "wgn":
 		w = reactivejam.WGN
@@ -498,6 +505,10 @@ func (c *console) personality(args []string) error {
 		w = reactivejam.Replay
 	case "host":
 		w = reactivejam.HostStream
+		var err error
+		if stream, err = loadHostStream(args[4]); err != nil {
+			return err
+		}
 	default:
 		return fmt.Errorf("unknown waveform %q", args[0])
 	}
@@ -519,8 +530,32 @@ func (c *console) personality(args []string) error {
 	if err != nil {
 		return err
 	}
+	if stream != nil {
+		c.jam.SetHostWaveform(stream)
+	}
 	fmt.Fprintf(c.out, "personality switched in %v of bus time\n", lat)
 	return nil
+}
+
+// loadHostStream reads the capture the host-stream personality transmits:
+// a non-empty recording at the core's 25 MSPS output rate.
+func loadHostStream(path string) (dsp.Samples, error) {
+	file, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer file.Close()
+	h, samples, err := capture.Read(file)
+	if err != nil {
+		return nil, err
+	}
+	if h.SampleRateHz != txRateHz {
+		return nil, fmt.Errorf("%s: capture at %d S/s, the host stream plays at %d", path, h.SampleRateHz, txRateHz)
+	}
+	if len(samples) == 0 {
+		return nil, fmt.Errorf("%s: empty capture", path)
+	}
+	return samples, nil
 }
 
 func (c *console) inject(args []string) error {

@@ -15,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/capture"
+	"repro/internal/dsp"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/fleet"
 )
@@ -71,6 +73,64 @@ func TestEvalRecordSaveReplay(t *testing.T) {
 	run(t, newConsole(&out), "detect energy 10", "replay "+path)
 	if want := "replayed 5360 samples at 25000000 S/s"; !strings.Contains(out.String(), want) {
 		t.Errorf("output %q lacks %q", out.String(), want)
+	}
+}
+
+// The host-stream personality transmits a saved capture: a recording of
+// WGN jamming played back draws a response to every frame.
+func TestEvalHostPersonalityPlaysCapture(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jam.iq")
+	run(t, newConsole(&bytes.Buffer{}), "detect energy 10", "personality wgn 100us 0s 1",
+		"record "+path, "inject wifi 24 100 3", "save")
+	var out bytes.Buffer
+	c := newConsole(&out)
+	run(t, c, "detect energy 10", "personality host 100us 0s 1 "+path, "inject wifi 24 100 3")
+	if !strings.Contains(out.String(), "3 drew a jamming response") {
+		t.Errorf("output %q lacks %q", out.String(), "3 drew a jamming response")
+	}
+	if c.jam.Stats().JamSamples == 0 {
+		t.Error("host-stream personality transmitted no jamming samples")
+	}
+}
+
+// A host-stream personality without a usable capture is rejected before
+// any register is written.
+func TestEvalHostPersonalityRejectsBadCapture(t *testing.T) {
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.iq")
+	run(t, newConsole(&bytes.Buffer{}), "record "+empty, "save")
+	wrongRate := filepath.Join(dir, "20msps.iq")
+	rec, err := capture.NewRecorder(capture.Header{SampleRateHz: 20_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Append(dsp.Samples{0.5, -0.5})
+	file, err := os.Create(wrongRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Finalize(file); err != nil {
+		t.Fatal(err)
+	}
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, cmd := range []string{
+		"personality host 100us 0s 1",
+		"personality host 100us 0s 1 " + filepath.Join(dir, "missing.iq"),
+		"personality host 100us 0s 1 " + empty,
+		"personality host 100us 0s 1 " + wrongRate,
+	} {
+		c := newConsole(&bytes.Buffer{})
+		run(t, c, "personality wgn 100us 0s 1")
+		before := c.jam.Stats().RegWrites
+		if err := c.eval(cmd); err == nil {
+			t.Errorf("%q accepted", cmd)
+		}
+		if after := c.jam.Stats().RegWrites; after != before {
+			t.Errorf("%q: %d register writes before the rejection", cmd, after-before)
+		}
 	}
 }
 

@@ -5,9 +5,10 @@
 // quantization the FPGA sees — with a small self-describing header carrying
 // the sample rate, center frequency, and a capture timestamp.
 //
-// Recordings round-trip through io.Writer/io.Reader, so they work with
-// files, network pipes, or in-memory buffers. jamlab uses them to record a
-// jamming engagement and replay it into a fresh detector.
+// A Recorder writes recordings and Read parses them, through io.Writer and
+// io.Reader, so they work with files, network pipes, or in-memory buffers.
+// jamlab uses them to record a jamming engagement and replay it into a
+// fresh detector or out of the jammer's host-stream waveform.
 package capture
 
 import (
@@ -37,31 +38,6 @@ type Header struct {
 
 // headerSize is the fixed on-stream header length in bytes.
 const headerSize = 4 + 4 + 8 + 8 + 8
-
-// Write serializes a header and the quantized samples.
-func Write(w io.Writer, h Header, samples dsp.Samples) error {
-	if h.SampleRateHz == 0 {
-		return fmt.Errorf("capture: sample rate required")
-	}
-	h.Samples = uint64(len(samples))
-	var hdr [headerSize]byte
-	copy(hdr[0:4], Magic[:])
-	binary.LittleEndian.PutUint32(hdr[4:], h.SampleRateHz)
-	binary.LittleEndian.PutUint64(hdr[8:], math.Float64bits(h.CenterFreqHz))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(h.UnixNanos))
-	binary.LittleEndian.PutUint64(hdr[24:], h.Samples)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	buf := make([]byte, 4*len(samples))
-	for i, s := range samples {
-		q := fixed.Quantize(s)
-		binary.LittleEndian.PutUint16(buf[4*i:], uint16(q.I))
-		binary.LittleEndian.PutUint16(buf[4*i+2:], uint16(q.Q))
-	}
-	_, err := w.Write(buf)
-	return err
-}
 
 // Read parses a recording, returning its header and samples (dequantized
 // to ±1.0 floating point).

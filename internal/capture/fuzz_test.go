@@ -10,7 +10,7 @@ import (
 // recording.
 func FuzzRead(f *testing.F) {
 	var seed bytes.Buffer
-	_ = Write(&seed, Header{SampleRateHz: 25_000_000, CenterFreqHz: 2.484e9},
+	_ = write(&seed, Header{SampleRateHz: 25_000_000, CenterFreqHz: 2.484e9},
 		[]complex128{0.5, -0.25i, 0.1 + 0.1i})
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
@@ -23,7 +23,7 @@ func FuzzRead(f *testing.F) {
 		}
 		// Accepted input must round-trip.
 		var buf bytes.Buffer
-		if err := Write(&buf, h, samples); err != nil {
+		if err := write(&buf, h, samples); err != nil {
 			t.Fatalf("accepted recording failed to re-serialize: %v", err)
 		}
 		h2, s2, err := Read(&buf)

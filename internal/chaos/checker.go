@@ -48,21 +48,6 @@ func (s InvariantStatus) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s.String())
 }
 
-// UnmarshalJSON parses the symbolic name back (report tooling round-trips).
-func (s *InvariantStatus) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return err
-	}
-	for _, v := range []InvariantStatus{Held, Degraded, Broken} {
-		if v.String() == name {
-			*s = v
-			return nil
-		}
-	}
-	return fmt.Errorf("chaos: unknown invariant status %q", name)
-}
-
 // Invariant is one checked property with its verdict.
 type Invariant struct {
 	// Name identifies the property (stable across runs, used in reports).

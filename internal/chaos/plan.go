@@ -88,21 +88,6 @@ func (k FaultKind) MarshalJSON() ([]byte, error) {
 	return json.Marshal(k.String())
 }
 
-// UnmarshalJSON parses the symbolic name back (report tooling round-trips).
-func (k *FaultKind) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return err
-	}
-	for v := FaultKind(0); v < numFaultKinds; v++ {
-		if v.String() == name {
-			*k = v
-			return nil
-		}
-	}
-	return fmt.Errorf("chaos: unknown fault kind %q", name)
-}
-
 // Fault is one ledger entry: what was injected and at which hardware-clock
 // cycle of the primary core. The ledger is the replay witness — two runs of
 // the same plan must produce identical ledgers.

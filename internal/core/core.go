@@ -172,13 +172,6 @@ func (c *Core) SetRecorder(r telemetry.Recorder) {
 	}
 }
 
-// Recorder returns the installed telemetry recorder.
-func (c *Core) Recorder() telemetry.Recorder { return c.rec }
-
-// Counters exposes the telemetry counter block (shared with Stats and the
-// exposition endpoint).
-func (c *Core) Counters() *telemetry.Counters { return c.counters }
-
 // MarkFrameStart journals a frame-start marker at the given hardware clock
 // cycle. Measurement harnesses call it when they know where an injected
 // frame begins, which is what anchors the end-to-end reaction-latency
@@ -223,10 +216,6 @@ func (c *Core) SetFusion(mode FusionMode, events []trigger.Event, window uint64)
 	c.events = append(c.events[:0], events...)
 	return nil
 }
-
-// Antenna returns the antenna-control GPIO lines (bits 16-19 of
-// RegJammerGainAnt).
-func (c *Core) Antenna() uint8 { return c.antenna }
 
 // Stats returns a snapshot of the host-feedback counters.
 func (c *Core) Stats() Stats { return c.counters.Snapshot() }

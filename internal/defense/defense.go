@@ -7,9 +7,9 @@
 //
 //   - jamming detection in the style of Xu et al. [15] ("The feasibility of
 //     launching and detecting jamming attacks in wireless networks"):
-//     consistency checks between delivery ratio, signal strength and
-//     carrier-sense busy time that classify a link as clean, continuously
-//     jammed, or reactively jammed;
+//     a consistency check of a run's delivery ratio, signal strength and
+//     carrier-sense busy time that classifies the link as clean, weak,
+//     continuously jammed, or reactively jammed;
 //   - an iJam-style self-jamming secrecy scheme after Gollakota & Katabi
 //     [5,6]: the transmitter repeats every data symbol and the intended
 //     receiver jams one random copy of each pair with its own radio, so an
@@ -17,22 +17,9 @@
 //     chose, always can.
 package defense
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// Observation is one frame-exchange's worth of link telemetry at a station:
-// whether the MSDU was delivered, the received signal strength margin over
-// the noise floor (dB), and the fraction of the attempt time carrier sense
-// reported busy before transmission.
-type Observation struct {
-	Delivered  bool
-	RSSIdB     float64
-	BusyBefore bool
-}
-
-// Diagnosis is the detector's classification.
+// Diagnosis is DiagnoseAggregates' classification of a link.
 type Diagnosis uint8
 
 // Possible verdicts.
@@ -63,124 +50,33 @@ func (d Diagnosis) String() string {
 	}
 }
 
-// Detector accumulates observations over a sliding window and classifies
-// the link. The thresholds follow the consistency-check structure of Xu et
-// al.: PDR alone cannot distinguish jamming from poor links, but PDR
-// combined with RSSI (and carrier-sense busy time) can.
-type Detector struct {
-	window int
-	obs    []Observation
+// The consistency-check thresholds of Xu et al.: PDR alone cannot tell
+// jamming from a poor link, but PDR combined with RSSI and carrier-sense
+// busy time can.
+const (
+	// pdrBroken is the delivery ratio at or below which the link counts as
+	// broken.
+	pdrBroken = 0.35
+	// rssiGoodDB is the signal margin at or above which the signal is "too
+	// good to be failing".
+	rssiGoodDB = 15
+	// busyBlocked is the busy fraction at or above which the medium counts
+	// as blocked.
+	busyBlocked = 0.8
+)
 
-	// PDRThreshold below which the link counts as broken.
-	PDRThreshold float64
-	// RSSIGoodDB above which the signal is "too good to be failing".
-	RSSIGoodDB float64
-	// BusyThreshold on the busy fraction that indicates a blocked medium.
-	BusyThreshold float64
-}
-
-// NewDetector returns a detector over the given observation window.
-func NewDetector(window int) *Detector {
-	if window < 1 {
-		window = 1
-	}
-	return &Detector{
-		window:        window,
-		PDRThreshold:  0.35,
-		RSSIGoodDB:    15,
-		BusyThreshold: 0.8,
-	}
-}
-
-// Observe appends one observation, discarding those beyond the window.
-func (d *Detector) Observe(o Observation) {
-	d.obs = append(d.obs, o)
-	if len(d.obs) > d.window {
-		d.obs = d.obs[len(d.obs)-d.window:]
-	}
-}
-
-// Count returns the number of buffered observations.
-func (d *Detector) Count() int { return len(d.obs) }
-
-// Stats returns the window's packet delivery ratio, mean RSSI margin, and
-// busy fraction.
-func (d *Detector) Stats() (pdr, meanRSSI, busyFrac float64) {
-	if len(d.obs) == 0 {
-		return 0, 0, 0
-	}
-	var delivered, busy int
-	var rssi float64
-	for _, o := range d.obs {
-		if o.Delivered {
-			delivered++
-		}
-		if o.BusyBefore {
-			busy++
-		}
-		rssi += o.RSSIdB
-	}
-	n := float64(len(d.obs))
-	return float64(delivered) / n, rssi / n, float64(busy) / n
-}
-
-// Verdict classifies the link from the buffered observations.
-func (d *Detector) Verdict() Diagnosis {
-	if len(d.obs) == 0 {
-		return VerdictClean
-	}
-	pdr, rssi, busy := d.Stats()
-	switch {
-	case busy >= d.BusyThreshold && pdr <= d.PDRThreshold:
-		return VerdictContinuousJamming
-	case pdr <= d.PDRThreshold && rssi >= d.RSSIGoodDB:
-		return VerdictReactiveJamming
-	case pdr <= d.PDRThreshold:
-		return VerdictWeakSignal
-	default:
-		return VerdictClean
-	}
-}
-
-// DiagnoseAggregates classifies from run-level aggregates (e.g. an iperf
-// result) instead of per-frame observations.
+// DiagnoseAggregates classifies a link from run-level aggregates (e.g. an
+// iperf result): its packet delivery ratio, mean RSSI margin over the noise
+// floor (dB), and the fraction of attempts carrier sense found busy.
 func DiagnoseAggregates(pdr, meanRSSIdB, busyFrac float64) Diagnosis {
-	d := NewDetector(1)
-	d.Observe(Observation{
-		Delivered:  pdr > d.PDRThreshold,
-		RSSIdB:     meanRSSIdB,
-		BusyBefore: busyFrac >= d.BusyThreshold,
-	})
-	// Reuse the threshold logic directly on the aggregates.
 	switch {
-	case busyFrac >= d.BusyThreshold && pdr <= d.PDRThreshold:
+	case busyFrac >= busyBlocked && pdr <= pdrBroken:
 		return VerdictContinuousJamming
-	case pdr <= d.PDRThreshold && meanRSSIdB >= d.RSSIGoodDB:
+	case pdr <= pdrBroken && meanRSSIdB >= rssiGoodDB:
 		return VerdictReactiveJamming
-	case pdr <= d.PDRThreshold:
+	case pdr <= pdrBroken:
 		return VerdictWeakSignal
 	default:
 		return VerdictClean
 	}
-}
-
-// ExpectedPDRFromRSSI is a crude link model used by the consistency check
-// explanation: above ~15 dB margin an 802.11g link should deliver nearly
-// everything, so observing PDR ≪ this expectation flags interference.
-func ExpectedPDRFromRSSI(rssiDB float64) float64 {
-	switch {
-	case rssiDB >= 15:
-		return 0.99
-	case rssiDB <= 3:
-		return 0.05
-	default:
-		return 0.05 + 0.94*(rssiDB-3)/12
-	}
-}
-
-// Consistent reports whether an observed PDR is plausible for the RSSI
-// (within slack), the core of the Xu et al. check.
-func Consistent(pdr, rssiDB float64) bool {
-	return pdr >= ExpectedPDRFromRSSI(rssiDB)-0.25 ||
-		math.Abs(pdr-ExpectedPDRFromRSSI(rssiDB)) < 0.25
 }

@@ -7,68 +7,6 @@ import (
 	"repro/internal/wifi"
 )
 
-func obsRun(d *Detector, n int, delivered bool, rssi float64, busy bool) {
-	for i := 0; i < n; i++ {
-		d.Observe(Observation{Delivered: delivered, RSSIdB: rssi, BusyBefore: busy})
-	}
-}
-
-func TestVerdictClean(t *testing.T) {
-	d := NewDetector(50)
-	obsRun(d, 50, true, 30, false)
-	if v := d.Verdict(); v != VerdictClean {
-		t.Errorf("verdict %v, want clean", v)
-	}
-}
-
-func TestVerdictWeakSignal(t *testing.T) {
-	d := NewDetector(50)
-	obsRun(d, 50, false, 5, false)
-	if v := d.Verdict(); v != VerdictWeakSignal {
-		t.Errorf("verdict %v, want weak-signal", v)
-	}
-}
-
-func TestVerdictReactiveJamming(t *testing.T) {
-	// Strong signal, idle medium, dead frames: the consistency violation.
-	d := NewDetector(50)
-	obsRun(d, 50, false, 30, false)
-	if v := d.Verdict(); v != VerdictReactiveJamming {
-		t.Errorf("verdict %v, want reactive-jamming", v)
-	}
-}
-
-func TestVerdictContinuousJamming(t *testing.T) {
-	d := NewDetector(50)
-	obsRun(d, 50, false, 30, true)
-	if v := d.Verdict(); v != VerdictContinuousJamming {
-		t.Errorf("verdict %v, want continuous-jamming", v)
-	}
-}
-
-func TestSlidingWindowForgets(t *testing.T) {
-	d := NewDetector(20)
-	obsRun(d, 20, false, 30, false) // jammed era
-	obsRun(d, 20, true, 30, false)  // jammer gone
-	if v := d.Verdict(); v != VerdictClean {
-		t.Errorf("verdict %v after recovery, want clean", v)
-	}
-	if d.Count() != 20 {
-		t.Errorf("window holds %d, want 20", d.Count())
-	}
-}
-
-func TestEmptyDetector(t *testing.T) {
-	d := NewDetector(0) // clamps to 1
-	if d.Verdict() != VerdictClean {
-		t.Error("empty detector should report clean")
-	}
-	pdr, rssi, busy := d.Stats()
-	if pdr != 0 || rssi != 0 || busy != 0 {
-		t.Error("empty stats nonzero")
-	}
-}
-
 func TestDiagnoseAggregates(t *testing.T) {
 	cases := []struct {
 		pdr, rssi, busy float64
@@ -78,26 +16,16 @@ func TestDiagnoseAggregates(t *testing.T) {
 		{0.0, 34, 1.0, VerdictContinuousJamming},
 		{0.0, 34, 0.1, VerdictReactiveJamming},
 		{0.1, 5, 0.0, VerdictWeakSignal},
+		// Threshold edges: each comparison is inclusive.
+		{0.35, 34, 0.8, VerdictContinuousJamming},
+		{0.36, 34, 1, VerdictClean},
+		{0.35, 15, 0.79, VerdictReactiveJamming},
+		{0.35, 14.9, 0, VerdictWeakSignal},
 	}
 	for _, c := range cases {
 		if got := DiagnoseAggregates(c.pdr, c.rssi, c.busy); got != c.want {
 			t.Errorf("Diagnose(%v,%v,%v) = %v, want %v", c.pdr, c.rssi, c.busy, got, c.want)
 		}
-	}
-}
-
-func TestConsistencyModel(t *testing.T) {
-	if !Consistent(1.0, 30) {
-		t.Error("perfect delivery at strong RSSI should be consistent")
-	}
-	if Consistent(0.0, 30) {
-		t.Error("zero delivery at strong RSSI should be inconsistent")
-	}
-	if !Consistent(0.05, 2) {
-		t.Error("bad delivery at weak RSSI is consistent (just a bad link)")
-	}
-	if e := ExpectedPDRFromRSSI(9); e <= 0.05 || e >= 0.99 {
-		t.Errorf("mid-range expectation %v", e)
 	}
 }
 

@@ -48,16 +48,6 @@ func (s Samples) Scale(g float64) Samples {
 	return s
 }
 
-// ScaleToPower rescales the buffer in place so its mean power equals p.
-// A zero-power buffer is left unchanged.
-func (s Samples) ScaleToPower(p float64) Samples {
-	cur := s.Power()
-	if cur <= 0 {
-		return s
-	}
-	return s.Scale(math.Sqrt(p / cur))
-}
-
 // Add accumulates other into s element-wise. The shorter length governs.
 func (s Samples) Add(other Samples) Samples {
 	n := min(len(s), len(other))
@@ -65,17 +55,6 @@ func (s Samples) Add(other Samples) Samples {
 		s[i] += other[i]
 	}
 	return s
-}
-
-// PeakAmplitude returns max |x| over the buffer.
-func (s Samples) PeakAmplitude() float64 {
-	var peak float64
-	for _, x := range s {
-		if a := math.Hypot(real(x), imag(x)); a > peak {
-			peak = a
-		}
-	}
-	return peak
 }
 
 // DB converts a linear power ratio to decibels. DB(0) returns -Inf.
@@ -96,13 +75,6 @@ func AmplitudeFromDB(db float64) float64 {
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool {
 	return n > 0 && n&(n-1) == 0
-}
-
-// FFT computes the in-place radix-2 decimation-in-time FFT of x.
-// len(x) must be a power of two; FFT panics otherwise, since a non-power-of-2
-// transform indicates a programming error in a fixed-size modem pipeline.
-func FFT(x Samples) {
-	fft(x, false)
 }
 
 // IFFT computes the in-place inverse FFT of x, including the 1/N scaling.

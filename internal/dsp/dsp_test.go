@@ -94,18 +94,9 @@ func TestPowerAndScale(t *testing.T) {
 	if p := x.Power(); math.Abs(p-1) > 1e-12 {
 		t.Errorf("Power = %v, want 1", p)
 	}
-	x.ScaleToPower(4)
-	if p := x.Power(); math.Abs(p-4) > 1e-12 {
-		t.Errorf("after ScaleToPower(4), Power = %v", p)
-	}
 	var empty Samples
 	if empty.Power() != 0 {
 		t.Error("empty power should be 0")
-	}
-	zero := make(Samples, 8)
-	zero.ScaleToPower(1) // must not NaN
-	if zero.Power() != 0 {
-		t.Error("zero buffer must stay zero")
 	}
 }
 
@@ -143,12 +134,5 @@ func TestAddAndClone(t *testing.T) {
 	}
 	if b[0] != 1 {
 		t.Error("Clone must not alias")
-	}
-}
-
-func TestPeakAmplitude(t *testing.T) {
-	x := Samples{complex(3, 4), 1}
-	if p := x.PeakAmplitude(); math.Abs(p-5) > 1e-12 {
-		t.Errorf("PeakAmplitude = %v, want 5", p)
 	}
 }

@@ -38,16 +38,3 @@ func LowpassTaps(numTaps int, cutoff float64) []float64 {
 	}
 	return taps
 }
-
-// Hamming returns an n-point Hamming window.
-func Hamming(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(n-1))
-	}
-	return w
-}

@@ -52,24 +52,3 @@ func TestLowpassTapsValidation(t *testing.T) {
 		}()
 	}
 }
-
-func TestWindows(t *testing.T) {
-	for _, n := range []int{1, 2, 16, 17} {
-		h := Hamming(n)
-		if len(h) != n {
-			t.Fatalf("window length wrong for n=%d", n)
-		}
-		for i := range h {
-			if h[i] < 0 || h[i] > 1.0001 {
-				t.Fatalf("window value out of range at n=%d i=%d", n, i)
-			}
-		}
-	}
-	// Symmetry.
-	h := Hamming(32)
-	for i := 0; i < 16; i++ {
-		if math.Abs(h[i]-h[31-i]) > 1e-12 {
-			t.Fatalf("Hamming not symmetric at %d", i)
-		}
-	}
-}

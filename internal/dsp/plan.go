@@ -74,9 +74,6 @@ func twiddleTable(n int, inverse bool) []complex128 {
 	return out
 }
 
-// Size returns the transform length the plan was built for.
-func (p *FFTPlan) Size() int { return p.n }
-
 func (p *FFTPlan) check(x Samples) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("dsp: FFT plan size %d applied to %d samples", p.n, len(x)))

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// FFT computes the in-place radix-2 decimation-in-time FFT of x through the
+// generic kernel: the == reference of FFTPlan.Forward. len(x) must be a
+// power of two; FFT panics otherwise.
+func FFT(x Samples) {
+	fft(x, false)
+}
+
 // TestFFTPlanMatchesGenericFFT pins the planned forward transform bit-exact
 // against the generic dsp.FFT across every power-of-two size the system
 // uses (the WiFi modem's 64 and the WiMAX modem's 1024 included).
@@ -104,8 +111,8 @@ func TestFFTPlanValidation(t *testing.T) {
 	mustPanic("NewFFTPlan(0)", func() { NewFFTPlan(0) })
 	mustPanic("short input", func() { FFT64.Forward(make(Samples, 32)) })
 	mustPanic("long input", func() { FFT64.Inverse(make(Samples, 128)) })
-	if FFT64.Size() != 64 {
-		t.Errorf("FFT64.Size() = %d", FFT64.Size())
+	if FFT64.n != 64 {
+		t.Errorf("FFT64.n = %d", FFT64.n)
 	}
 }
 

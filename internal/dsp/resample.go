@@ -55,9 +55,6 @@ func NewResampler(l, m, tapsPerPhase int) *Resampler {
 		hist: make(Samples, 2*tapsPerPhase)}
 }
 
-// Ratio returns the reduced interpolation and decimation factors.
-func (r *Resampler) Ratio() (l, m int) { return r.l, r.m }
-
 // GroupDelayOutputSamples returns the anti-aliasing filter's group delay in
 // output-rate samples. The lowpass is linear-phase, so its delay is exactly
 // (numTaps-1)/2 positions of the virtual upsampled stream, which advances M

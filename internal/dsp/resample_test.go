@@ -10,9 +10,8 @@ import (
 
 func TestResamplerRatioReduced(t *testing.T) {
 	r := NewResampler(10, 8, 8)
-	l, m := r.Ratio()
-	if l != 5 || m != 4 {
-		t.Errorf("ratio = %d/%d, want 5/4", l, m)
+	if r.l != 5 || r.m != 4 {
+		t.Errorf("ratio = %d/%d, want 5/4", r.l, r.m)
 	}
 }
 

@@ -83,8 +83,8 @@ func checkBits(t *testing.T, highDB, lowDB float64, samples []fixed.IQ, blockLen
 			}
 		}
 	}
-	if blk.Sum() != ref.Sum() {
-		t.Fatalf("blockLen %d: end sum %d != per-sample %d", blockLen, blk.Sum(), ref.Sum())
+	if blk.sum != ref.sum {
+		t.Fatalf("blockLen %d: end sum %d != per-sample %d", blockLen, blk.sum, ref.sum)
 	}
 }
 

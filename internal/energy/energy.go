@@ -232,9 +232,6 @@ func (d *Differentiator) ProcessBits(iPlane, qPlane []int16, high, low []uint64)
 	d.sum, d.wpos, d.spos, d.seen = sum, wpos, spos, seen
 }
 
-// Sum returns the current 32-sample energy sum (for host feedback/debug).
-func (d *Differentiator) Sum() uint64 { return d.sum }
-
 // Resources reports the synthesized utilization of the energy differentiator
 // block (paper Fig. 4 inset).
 func (d *Differentiator) Resources() fpga.Resources {

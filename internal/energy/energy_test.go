@@ -123,8 +123,8 @@ func TestMovingSumMatchesBruteForce(t *testing.T) {
 		for _, e := range hist[start:] {
 			want += e
 		}
-		if d.Sum() != want {
-			t.Fatalf("sample %d: moving sum %d != brute force %d", i, d.Sum(), want)
+		if d.sum != want {
+			t.Fatalf("sample %d: moving sum %d != brute force %d", i, d.sum, want)
 		}
 	}
 }
@@ -177,7 +177,7 @@ func TestResetClearsState(t *testing.T) {
 	}
 	feed(d, 0.9, 300)
 	d.Reset()
-	if d.Sum() != 0 {
+	if d.sum != 0 {
 		t.Error("Reset did not clear sum")
 	}
 	// After reset, the warmup holdoff must apply again: no triggers during

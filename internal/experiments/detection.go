@@ -33,19 +33,6 @@ const (
 	SingleShortPreamble
 )
 
-func (k FrameKind) String() string {
-	switch k {
-	case FullFrame:
-		return "full-frames"
-	case SingleLongPreamble:
-		return "single-long-preamble"
-	case SingleShortPreamble:
-		return "single-short-preamble"
-	default:
-		return fmt.Sprintf("FrameKind(%d)", uint8(k))
-	}
-}
-
 // DetectionConfig describes one detection characterization run.
 type DetectionConfig struct {
 	// Template arms the cross-correlator (nil runs energy-only).

@@ -91,7 +91,7 @@ func TestFleetObsRestoresSink(t *testing.T) {
 	if FleetSink() != prev {
 		t.Fatal("fleet sink not restored")
 	}
-	if prev.Cells() != 0 {
+	if len(prev.Snapshot().Cells) != 0 {
 		t.Fatal("fleetobs leaked cells into the previous sink")
 	}
 }

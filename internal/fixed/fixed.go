@@ -30,15 +30,6 @@ func Quantize(x complex128) IQ {
 	return IQ{I: sat16(real(x) * FullScale), Q: sat16(imag(x) * FullScale)}
 }
 
-// QuantizeBuffer converts a whole floating-point buffer.
-func QuantizeBuffer(x []complex128) []IQ {
-	out := make([]IQ, len(x))
-	for i, v := range x {
-		out[i] = Quantize(v)
-	}
-	return out
-}
-
 // QuantizeFused is the single-sweep block quantizer of the SoA datapath: it
 // converts src into separate I and Q int16 planes and packs the I/Q sign
 // bits 64 per uint64 word (bit k of word w ⟺ sample w·64+k is negative, the
@@ -173,26 +164,6 @@ func NewCoeff3(v int) Coeff3 {
 // generator does.
 func QuantizeCoeff(v float64) Coeff3 {
 	return NewCoeff3(int(math.Round(v * 3)))
-}
-
-// QuantizeCoeffs quantizes a coefficient template. Values are first
-// normalized by the template's peak magnitude so the dynamic range of the
-// preamble is preserved.
-func QuantizeCoeffs(v []float64) []Coeff3 {
-	peak := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > peak {
-			peak = a
-		}
-	}
-	out := make([]Coeff3, len(v))
-	if peak == 0 {
-		return out
-	}
-	for i, x := range v {
-		out[i] = QuantizeCoeff(x / peak)
-	}
-	return out
 }
 
 // Pack packs the coefficient into the 3-bit two's-complement field used on

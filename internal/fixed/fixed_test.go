@@ -95,23 +95,6 @@ func TestQuantizeCoeff(t *testing.T) {
 	}
 }
 
-func TestQuantizeCoeffsNormalizes(t *testing.T) {
-	got := QuantizeCoeffs([]float64{2, -4, 1})
-	want := []Coeff3{2, -3, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("QuantizeCoeffs = %v, want %v", got, want)
-		}
-	}
-	// All-zero template must not divide by zero.
-	zeros := QuantizeCoeffs([]float64{0, 0})
-	for _, v := range zeros {
-		if v != 0 {
-			t.Fatal("zero template must quantize to zeros")
-		}
-	}
-}
-
 func TestCoeff3PackUnpackProperty(t *testing.T) {
 	f := func(v int8) bool {
 		c := NewCoeff3(int(v))
@@ -123,10 +106,11 @@ func TestCoeff3PackUnpackProperty(t *testing.T) {
 }
 
 func TestQuantizeBufferLength(t *testing.T) {
-	in := []complex128{1, -1i, 0.5}
-	out := QuantizeBuffer(in)
-	if len(out) != 3 || out[0].I != 32767 || out[1].Q != -32767 {
-		t.Errorf("QuantizeBuffer = %+v", out)
+	if q := Quantize(1); q.I != 32767 {
+		t.Errorf("Quantize(1) = %+v", q)
+	}
+	if q := Quantize(-1i); q.Q != -32767 {
+		t.Errorf("Quantize(-1i) = %+v", q)
 	}
 }
 

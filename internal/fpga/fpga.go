@@ -43,16 +43,10 @@ type Clock struct {
 // Cycle returns the current hardware clock cycle count.
 func (c *Clock) Cycle() uint64 { return c.cycle.Load() }
 
-// Sample returns the current baseband sample index (cycle / 4).
-func (c *Clock) Sample() uint64 { return c.Cycle() / CyclesPerSample }
-
 // Now returns the elapsed simulated time.
 func (c *Clock) Now() time.Duration {
 	return time.Duration(c.Cycle()) * ClockPeriod
 }
-
-// AdvanceCycles moves the clock forward by n cycles.
-func (c *Clock) AdvanceCycles(n uint64) { c.cycle.Add(n) }
 
 // AdvanceSamples moves the clock forward by n baseband samples.
 func (c *Clock) AdvanceSamples(n uint64) { c.cycle.Add(n * CyclesPerSample) }

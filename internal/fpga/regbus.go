@@ -2,7 +2,6 @@ package fpga
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -138,49 +137,4 @@ func (b *RegisterBus) Intercept(f WriteInterceptor) {
 	b.mu.Lock()
 	b.intercept = f
 	b.mu.Unlock()
-}
-
-// DroppedWrites returns how many writes an interceptor has discarded.
-func (b *RegisterBus) DroppedWrites() uint64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.dropped
-}
-
-// WriteCount returns the total number of register writes performed.
-func (b *RegisterBus) WriteCount() uint64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.writes
-}
-
-// ReadCount returns the total number of register reads performed.
-func (b *RegisterBus) ReadCount() uint64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.reads
-}
-
-// WriteLatency returns the modeled host-to-core latency for n consecutive
-// register writes over the UHD setting bus.
-func WriteLatency(n int) time.Duration {
-	if n < 0 {
-		n = 0
-	}
-	return time.Duration(n) * RegWriteLatency
-}
-
-// UsedRegisters returns the sorted list of register addresses that have been
-// written at least once. The paper's design uses 24 of the 255 registers.
-func (b *RegisterBus) UsedRegisters() []uint8 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var used []uint8
-	for a := 1; a < NumUserRegisters; a++ {
-		if b.written[a] {
-			used = append(used, uint8(a))
-		}
-	}
-	sort.Slice(used, func(i, j int) bool { return used[i] < used[j] })
-	return used
 }

@@ -112,11 +112,6 @@ func (h *Host) ProgramCorrelatorFA(tpl []complex128, faPerSec float64) (time.Dur
 	return total + d, err
 }
 
-// SetCorrelatorThreshold adjusts only the trigger threshold.
-func (h *Host) SetCorrelatorThreshold(t uint32) (time.Duration, error) {
-	return h.write(core.RegXCorrThreshold, t)
-}
-
 // ProgramEnergy configures the energy differentiator. Pass a zero dB value
 // to disable the corresponding direction.
 func (h *Host) ProgramEnergy(highDB, lowDB float64) (time.Duration, error) {
@@ -257,12 +252,6 @@ func WiFiLongTemplateRawRate() []complex128 {
 // repetitions per frame are what keep Fig. 7 detection high.
 func WiFiShortTemplate() []complex128 {
 	return clampTemplate(dsp.Resample(wifi.ShortPreamble(), 5, 4))
-}
-
-// WiFiShortTemplateRawRate is the uncorrected 20 MSPS short-preamble
-// template, for the rate-mismatch ablation.
-func WiFiShortTemplateRawRate() []complex128 {
-	return clampTemplate(wifi.ShortPreamble())
 }
 
 // WiMAXTemplate returns the 64-sample template for a WiMAX downlink

@@ -26,10 +26,10 @@ func TestProgramCorrelatorLatencyAndEffect(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 14 coefficient registers + 1 threshold = 15 writes.
-	if want := fpga.WriteLatency(15); d != want {
+	if want := 15 * fpga.RegWriteLatency; d != want {
 		t.Errorf("latency %v, want %v", d, want)
 	}
-	if c.XCorr().Threshold() == 0 {
+	if v, _ := c.Bus().Read(core.RegXCorrThreshold); v == 0 {
 		t.Error("threshold not programmed")
 	}
 	// The programmed correlator must trigger on its own template.
@@ -67,7 +67,7 @@ func TestProgramEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != fpga.WriteLatency(3) {
+	if d != 3*fpga.RegWriteLatency {
 		t.Errorf("latency %v", d)
 	}
 	v, _ := c.Bus().Read(core.RegEnergyThreshHigh)
@@ -99,7 +99,7 @@ func TestProgramJammerPersonalities(t *testing.T) {
 	}
 	// 4 registers — the personality switch costs ~1.2 µs of bus time, the
 	// "hundreds of ns" per-setting latency of §4.3.
-	if d != fpga.WriteLatency(4) {
+	if d != 4*fpga.RegWriteLatency {
 		t.Errorf("switch latency %v", d)
 	}
 	if got := c.Jammer().UptimeSamples(); got != 2500 {
@@ -117,7 +117,7 @@ func TestProgramJammerPersonalities(t *testing.T) {
 	if got := c.Jammer().UptimeSamples(); got != 1_000_000_000 {
 		t.Errorf("continuous uptime = %d samples", got)
 	}
-	if c.Jammer().Waveform() != jammer.WaveformWGN {
+	if v, _ := c.Bus().Read(core.RegJammerWaveform); jammer.Waveform(v) != jammer.WaveformWGN {
 		t.Error("waveform not programmed")
 	}
 }
@@ -197,12 +197,12 @@ func TestProgramCorrelatorFA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != fpga.WriteLatency(15) {
+	if d != 15*fpga.RegWriteLatency {
 		t.Errorf("latency %v", d)
 	}
 	i, q := xcorr.CoefficientsFromTemplate(tpl)
 	want := xcorr.ThresholdForFARate(i, q, 0.52)
-	if got := c.XCorr().Threshold(); got != want {
+	if got, _ := c.Bus().Read(core.RegXCorrThreshold); got != want {
 		t.Errorf("threshold %d, want %d", got, want)
 	}
 	if _, err := h.ProgramCorrelatorFA(tpl, 0); err == nil {
@@ -210,17 +210,6 @@ func TestProgramCorrelatorFA(t *testing.T) {
 	}
 	if _, err := h.ProgramCorrelatorFA(tpl, -1); err == nil {
 		t.Error("negative FA target accepted")
-	}
-}
-
-func TestSetCorrelatorThreshold(t *testing.T) {
-	c := core.New()
-	h := New(c)
-	if _, err := h.SetCorrelatorThreshold(4242); err != nil {
-		t.Fatal(err)
-	}
-	if c.XCorr().Threshold() != 4242 {
-		t.Error("threshold write did not land")
 	}
 }
 
@@ -246,9 +235,6 @@ func TestProgramEnergyBothDirections(t *testing.T) {
 func TestRawRateTemplates(t *testing.T) {
 	if n := len(WiFiLongTemplateRawRate()); n != xcorr.Length {
 		t.Errorf("raw long template %d samples", n)
-	}
-	if n := len(WiFiShortTemplateRawRate()); n != xcorr.Length {
-		t.Errorf("raw short template %d samples", n)
 	}
 	if n := len(WiFiBTemplate()); n != xcorr.Length {
 		t.Errorf("802.11b template %d samples", n)

@@ -3,6 +3,7 @@ package host
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fpga"
@@ -36,8 +37,8 @@ func feedFrame(c *core.Core, rng *rand.Rand, frame []complex128) uint64 {
 // §4.3 on-the-fly personality switch. It pins down three contracts:
 //
 //   - bus-latency accounting: the full template swap costs exactly
-//     fpga.WriteLatency(15) (14 coefficient registers + threshold) and the
-//     jammer personality swap exactly fpga.WriteLatency(4);
+//     15 register writes (14 coefficient registers + threshold) and the
+//     jammer personality swap exactly 4;
 //   - selectivity on both sides of the swap: WiFi detects only before,
 //     WiMAX only after;
 //   - no stale-coefficient triggers: while the banks are half WiFi, half
@@ -56,8 +57,8 @@ func TestMidStreamTemplateSwap(t *testing.T) {
 
 	if d, err := h.ProgramCorrelator(wifiTpl, 0.5); err != nil {
 		t.Fatal(err)
-	} else if d != fpga.WriteLatency(15) {
-		t.Errorf("WiFi programming latency %v, want %v", d, fpga.WriteLatency(15))
+	} else if d != 15*fpga.RegWriteLatency {
+		t.Errorf("WiFi programming latency %v, want %v", d, 15*fpga.RegWriteLatency)
 	}
 	if _, err := h.ProgramTrigger(core.FusionSequence,
 		[]trigger.Event{trigger.EventXCorr}, 0); err != nil {
@@ -65,8 +66,8 @@ func TestMidStreamTemplateSwap(t *testing.T) {
 	}
 	if d, err := h.ProgramJammer(ReactiveShort); err != nil {
 		t.Fatal(err)
-	} else if d != fpga.WriteLatency(4) {
-		t.Errorf("personality latency %v, want %v", d, fpga.WriteLatency(4))
+	} else if d != 4*fpga.RegWriteLatency {
+		t.Errorf("personality latency %v, want %v", d, 4*fpga.RegWriteLatency)
 	}
 
 	// Before the swap: the WiFi personality detects WiFi and rejects WiMAX.
@@ -109,7 +110,7 @@ func TestMidStreamTemplateSwap(t *testing.T) {
 	}{core.RegXCorrThreshold, thresh})
 
 	detBefore := c.Stats().XCorrDetections
-	var swapLatency = fpga.WriteLatency(0)
+	var swapLatency time.Duration
 	for _, w := range swapWrites {
 		d, err := h.write(w.addr, w.v)
 		if err != nil {
@@ -118,8 +119,8 @@ func TestMidStreamTemplateSwap(t *testing.T) {
 		swapLatency += d
 		feedNoise(c, rng, samplesPerWrite)
 	}
-	if swapLatency != fpga.WriteLatency(len(swapWrites)) {
-		t.Errorf("swap latency %v, want %v", swapLatency, fpga.WriteLatency(len(swapWrites)))
+	if swapLatency != time.Duration(len(swapWrites))*fpga.RegWriteLatency {
+		t.Errorf("swap latency %v, want %v", swapLatency, time.Duration(len(swapWrites))*fpga.RegWriteLatency)
 	}
 	if det := c.Stats().XCorrDetections - detBefore; det != 0 {
 		t.Fatalf("stale-coefficient window produced %d detections", det)
@@ -128,8 +129,8 @@ func TestMidStreamTemplateSwap(t *testing.T) {
 	// Jammer personality rides along with the template swap.
 	if d, err := h.ProgramJammer(ReactiveLong); err != nil {
 		t.Fatal(err)
-	} else if d != fpga.WriteLatency(4) {
-		t.Errorf("personality latency %v, want %v", d, fpga.WriteLatency(4))
+	} else if d != 4*fpga.RegWriteLatency {
+		t.Errorf("personality latency %v, want %v", d, 4*fpga.RegWriteLatency)
 	}
 
 	// After the swap the selectivity inverts: WiMAX detects, WiFi rejects.
@@ -139,7 +140,7 @@ func TestMidStreamTemplateSwap(t *testing.T) {
 	if n := feedFrame(c, rng, wifiTpl); n != 0 {
 		t.Fatalf("WiMAX personality detected WiFi preamble %d times", n)
 	}
-	if got := c.XCorr().Threshold(); got != thresh {
+	if got, _ := c.Bus().Read(core.RegXCorrThreshold); got != thresh {
 		t.Errorf("threshold %d after swap, want %d", got, thresh)
 	}
 }

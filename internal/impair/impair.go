@@ -67,13 +67,6 @@ func New(cfg Config) *Chain {
 	return c
 }
 
-// Reset clears the chain's running state.
-func (c *Chain) Reset() {
-	c.phase, c.pn, c.frac = 0, 0, 0
-	c.prev, c.has = 0, false
-	c.rng = rand.New(rand.NewSource(c.cfg.Seed))
-}
-
 // ProcessSample applies the impairments to one sample.
 func (c *Chain) ProcessSample(x complex128) complex128 {
 	// Sample clock offset: linear interpolation between consecutive

@@ -56,7 +56,7 @@ func burstSpan(tb testing.TB, n int) (c *Controller, iPlane, qPlane []int16, tx 
 		tb.Fatal(err)
 	}
 	c.Process(fixed.IQ{}, true)
-	for !c.Active() {
+	for c.st != PhaseJamming {
 		c.Process(fixed.IQ{}, false)
 	}
 	return c, make([]int16, n), make([]int16, n), make([]complex128, n)
@@ -84,7 +84,7 @@ func TestProcessQuietSpanJammingZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("ProcessQuietSpan (WGN burst): %.1f allocs per 1024 samples, want 0", allocs)
 	}
-	if !c.Active() {
+	if c.st != PhaseJamming {
 		t.Fatal("burst ended; the span did not stay on the burst path")
 	}
 }

@@ -151,9 +151,6 @@ func (c *Controller) SetWaveform(w Waveform) error {
 	return nil
 }
 
-// Waveform returns the selected preset.
-func (c *Controller) Waveform() Waveform { return c.waveform }
-
 // SetUptimeSamples sets the jamming burst length in baseband samples.
 // The hardware register is 32 bits wide.
 func (c *Controller) SetUptimeSamples(n uint64) error {
@@ -170,14 +167,8 @@ func (c *Controller) UptimeSamples() uint64 { return c.uptime }
 // SetDelaySamples sets the trigger-to-jam delay for surgical jamming.
 func (c *Controller) SetDelaySamples(n uint64) { c.delay = n }
 
-// DelaySamples returns the configured delay.
-func (c *Controller) DelaySamples() uint64 { return c.delay }
-
 // SetGain sets the TX amplitude scale applied to the waveform.
 func (c *Controller) SetGain(g float64) { c.gain = g }
-
-// Gain returns the TX amplitude scale.
-func (c *Controller) Gain() float64 { return c.gain }
 
 // SetHostStream provides the buffer replayed by WaveformHostStream. The
 // buffer is cycled continuously while jamming.
@@ -185,15 +176,6 @@ func (c *Controller) SetHostStream(buf []complex128) {
 	c.hostBuf = append(c.hostBuf[:0], buf...)
 	c.hostPos = 0
 }
-
-// Triggers returns how many jamming events have been serviced.
-func (c *Controller) Triggers() uint64 { return c.triggers }
-
-// TXSamples returns how many active jamming samples have been emitted.
-func (c *Controller) TXSamples() uint64 { return c.txCount }
-
-// Active reports whether the controller is currently emitting RF.
-func (c *Controller) Active() bool { return c.st == PhaseJamming }
 
 // Phase returns the controller's current lifecycle phase.
 func (c *Controller) Phase() Phase { return c.st }

@@ -49,8 +49,8 @@ func TestUptimeExact(t *testing.T) {
 	if active != 5 {
 		t.Errorf("jammed for %d samples, want 5", active)
 	}
-	if c.TXSamples() != 5 || c.Triggers() != 1 {
-		t.Errorf("counters: tx=%d trig=%d", c.TXSamples(), c.Triggers())
+	if c.txCount != 5 || c.triggers != 1 {
+		t.Errorf("counters: tx=%d trig=%d", c.txCount, c.triggers)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestRetriggerIgnoredWhileBusy(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		c.Process(fixed.IQ{}, true) // continuous triggering
 	}
-	if c.Triggers() != 2 { // one at start, one after the 20-sample burst ends
-		t.Errorf("Triggers = %d, want 2", c.Triggers())
+	if c.triggers != 2 { // one at start, one after the 20-sample burst ends
+		t.Errorf("Triggers = %d, want 2", c.triggers)
 	}
 }
 
@@ -207,7 +207,7 @@ func TestSetWaveformValidation(t *testing.T) {
 	if err := c.SetWaveform(Waveform(9)); err == nil {
 		t.Error("bogus waveform accepted")
 	}
-	if c.Waveform() != WaveformWGN {
+	if c.waveform != WaveformWGN {
 		t.Error("failed SetWaveform changed state")
 	}
 }
@@ -218,11 +218,11 @@ func TestResetAbortsJamming(t *testing.T) {
 		t.Fatal(err)
 	}
 	run(c, 10, true)
-	if !c.Active() {
+	if c.st != PhaseJamming {
 		t.Fatal("should be jamming")
 	}
 	c.Reset()
-	if c.Active() || c.Triggers() != 0 || c.TXSamples() != 0 {
+	if c.st == PhaseJamming || c.triggers != 0 || c.txCount != 0 {
 		t.Error("Reset incomplete")
 	}
 	out := run(c, 10, false)

@@ -85,9 +85,9 @@ func runDifferential(t *testing.T, configure func(*Controller), samples []fixed.
 	if bulkJam != scalarJam {
 		t.Fatalf("%s: jam samples %d != %d", label, bulkJam, scalarJam)
 	}
-	if bulk.Triggers() != scalar.Triggers() || bulk.TXSamples() != scalar.TXSamples() {
+	if bulk.triggers != scalar.triggers || bulk.txCount != scalar.txCount {
 		t.Fatalf("%s: counters (%d,%d) != (%d,%d)", label,
-			bulk.Triggers(), bulk.TXSamples(), scalar.Triggers(), scalar.TXSamples())
+			bulk.triggers, bulk.txCount, scalar.triggers, scalar.txCount)
 	}
 	if fmt.Sprint(bulkPhases) != fmt.Sprint(scalarPhases) {
 		t.Fatalf("%s: phase transitions %v != %v", label, bulkPhases, scalarPhases)

@@ -82,9 +82,6 @@ func (b *Backoff) OnFailure() {
 // OnSuccess resets the window to CWMin.
 func (b *Backoff) OnSuccess() { b.cw = CWMin }
 
-// CW returns the current contention window for inspection.
-func (b *Backoff) CW() int { return b.cw }
-
 // ARF is automatic-rate-fallback state: consecutive failures step the rate
 // down, a run of successes steps it back up.
 type ARF struct {
@@ -164,13 +161,6 @@ func NewSequencer(start wifi.Rate, seed int64) *Sequencer {
 
 // Elapsed returns the accumulated simulated air/idle time.
 func (s *Sequencer) Elapsed() time.Duration { return s.elapsed }
-
-// AdvanceIdle adds idle (deferred) time, e.g. while CCA reports busy.
-func (s *Sequencer) AdvanceIdle(d time.Duration) {
-	if d > 0 {
-		s.elapsed += d
-	}
-}
 
 // Rate returns the current adapted rate.
 func (s *Sequencer) Rate() wifi.Rate { return s.arf.Rate() }

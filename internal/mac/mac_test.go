@@ -38,21 +38,21 @@ func TestAckAirtime(t *testing.T) {
 
 func TestBackoffDoublesAndResets(t *testing.T) {
 	b := NewBackoff(1)
-	if b.CW() != CWMin {
-		t.Fatalf("initial CW %d", b.CW())
+	if b.cw != CWMin {
+		t.Fatalf("initial CW %d", b.cw)
 	}
 	b.OnFailure()
-	if b.CW() != 2*CWMin+1 {
-		t.Errorf("CW after failure %d, want %d", b.CW(), 2*CWMin+1)
+	if b.cw != 2*CWMin+1 {
+		t.Errorf("CW after failure %d, want %d", b.cw, 2*CWMin+1)
 	}
 	for i := 0; i < 10; i++ {
 		b.OnFailure()
 	}
-	if b.CW() != CWMax {
-		t.Errorf("CW must saturate at %d, got %d", CWMax, b.CW())
+	if b.cw != CWMax {
+		t.Errorf("CW must saturate at %d, got %d", CWMax, b.cw)
 	}
 	b.OnSuccess()
-	if b.CW() != CWMin {
+	if b.cw != CWMin {
 		t.Error("CW must reset on success")
 	}
 }
@@ -180,15 +180,6 @@ func TestSequencerNilCallback(t *testing.T) {
 	s := NewSequencer(wifi.Rate6, 4)
 	if _, err := s.SendMSDU(10, nil); err == nil {
 		t.Error("nil callback accepted")
-	}
-}
-
-func TestAdvanceIdle(t *testing.T) {
-	s := NewSequencer(wifi.Rate6, 5)
-	s.AdvanceIdle(time.Millisecond)
-	s.AdvanceIdle(-time.Second) // ignored
-	if s.Elapsed() != time.Millisecond {
-		t.Errorf("elapsed %v", s.Elapsed())
 	}
 }
 

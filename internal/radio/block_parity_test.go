@@ -79,9 +79,7 @@ func TestRadioBlockModeJournalParity(t *testing.T) {
 	for _, blocks := range [][]int{{4000}, {64}, {1, 3, 127, 64, 300}, {7}} {
 		r := New()
 		live := programBench(t, r.Core())
-		if err := r.SetRXGain(rxGainDB); err != nil {
-			t.Fatal(err)
-		}
+		r.rxGainDB = rxGainDB
 		r.Start()
 
 		gotTx := make([]complex128, 0, len(input))

@@ -25,8 +25,6 @@ const (
 	MaxFreqHz = 4.4e9
 	// MaxBandwidthHz is the SBX instantaneous bandwidth.
 	MaxBandwidthHz = 40e6
-	// MaxGainDB is the SBX receive/transmit gain range.
-	MaxGainDB = 31.5
 )
 
 // N210 is the radio: front-end state plus the custom DSP core nested in its
@@ -64,42 +62,12 @@ func (r *N210) Tune(hz float64) error {
 	return nil
 }
 
-// CenterFreq returns the tuned center frequency in Hz.
-func (r *N210) CenterFreq() float64 { return r.centerHz }
-
-// SetRXGain and SetTXGain set the front-end gains in dB.
-func (r *N210) SetRXGain(db float64) error {
-	if db < 0 || db > MaxGainDB {
-		return fmt.Errorf("radio: RX gain %v dB outside [0, %v]", db, MaxGainDB)
-	}
-	r.rxGainDB = db
-	return nil
-}
-
-// SetTXGain sets the transmit gain in dB.
-func (r *N210) SetTXGain(db float64) error {
-	if db < 0 || db > MaxGainDB {
-		return fmt.Errorf("radio: TX gain %v dB outside [0, %v]", db, MaxGainDB)
-	}
-	r.txGainDB = db
-	return nil
-}
-
-// RXGain returns the receive gain in dB.
-func (r *N210) RXGain() float64 { return r.rxGainDB }
-
-// TXGain returns the transmit gain in dB.
-func (r *N210) TXGain() float64 { return r.txGainDB }
-
 // Start initializes both chains simultaneously (§2.1: "we initialize both
 // TX and RX chains simultaneously in the host application at start-up").
 func (r *N210) Start() {
 	r.started = true
 	r.core.ResetDatapath()
 }
-
-// Started reports whether the chains are streaming.
-func (r *N210) Started() bool { return r.started }
 
 // SetSourceRate installs a DDC resampler for input delivered at a rate
 // other than 25 MSPS; the rational ratio 25 MSPS / sourceHz is reduced
@@ -117,9 +85,6 @@ func (r *N210) SetSourceRate(sourceHz int) error {
 	r.ddc = dsp.NewResampler(fpga.SampleRateHz/g, sourceHz/g, 8)
 	return nil
 }
-
-// SourceRate returns the declared input sample rate in Hz.
-func (r *N210) SourceRate() int { return r.sourceHz }
 
 // GroupDelayCycles returns the receive front end's group delay in hardware
 // clock cycles, rounded up: the DDC resampler's anti-aliasing filter delays

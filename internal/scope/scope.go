@@ -1,77 +1,14 @@
 // Package scope models the oscilloscope connected to port 3 of the 5-port
 // network (§4.1), used in the WiMAX experiment of §5 to observe base-station
-// frames and jamming bursts in the time domain (Fig. 12).
+// frames and jamming bursts in the time domain (Fig. 12): the display's
+// magnitude envelope and the burst intervals read off it.
 package scope
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/dsp"
 )
-
-// Trace is one captured time-domain record.
-type Trace struct {
-	// Start is the sample index of the trigger position in the source.
-	Start int
-	// Samples is the captured record.
-	Samples dsp.Samples
-}
-
-// Scope captures fixed-length records when the input envelope crosses a
-// trigger level, with a holdoff to avoid re-triggering inside one record.
-type Scope struct {
-	level   float64
-	depth   int
-	holdoff int
-}
-
-// New returns a scope with the given trigger level (envelope amplitude) and
-// record depth in samples.
-func New(level float64, depth int) (*Scope, error) {
-	if level <= 0 {
-		return nil, fmt.Errorf("scope: trigger level must be positive")
-	}
-	if depth <= 0 {
-		return nil, fmt.Errorf("scope: record depth must be positive")
-	}
-	return &Scope{level: level, depth: depth, holdoff: depth}, nil
-}
-
-// SetHoldoff overrides the re-trigger holdoff (default: one record depth).
-func (s *Scope) SetHoldoff(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.holdoff = n
-}
-
-// Capture scans the waveform and returns every triggered record. The
-// trigger is a rising edge of the envelope through the level, with the
-// holdoff applied after each record starts.
-func (s *Scope) Capture(x dsp.Samples) []Trace {
-	var traces []Trace
-	quiet := 0
-	prevAbove := false
-	for i, v := range x {
-		above := math.Hypot(real(v), imag(v)) >= s.level
-		if quiet > 0 {
-			quiet--
-			prevAbove = above
-			continue
-		}
-		if above && !prevAbove {
-			end := i + s.depth
-			if end > len(x) {
-				end = len(x)
-			}
-			traces = append(traces, Trace{Start: i, Samples: x[i:end].Clone()})
-			quiet = s.holdoff
-		}
-		prevAbove = above
-	}
-	return traces
-}
 
 // Envelope returns the magnitude envelope of a waveform, decimated by step,
 // the way the scope display renders it.

@@ -16,119 +16,6 @@ func burstWave(bursts [][2]int, length int, amp float64) dsp.Samples {
 	return x
 }
 
-func TestScopeValidation(t *testing.T) {
-	if _, err := New(0, 100); err == nil {
-		t.Error("zero level accepted")
-	}
-	if _, err := New(0.5, 0); err == nil {
-		t.Error("zero depth accepted")
-	}
-}
-
-func TestCaptureTriggersOnBursts(t *testing.T) {
-	s, err := New(0.5, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := burstWave([][2]int{{100, 120}, {400, 430}}, 600, 1.0)
-	traces := s.Capture(x)
-	if len(traces) != 2 {
-		t.Fatalf("%d traces, want 2", len(traces))
-	}
-	if traces[0].Start != 100 || traces[1].Start != 400 {
-		t.Errorf("trigger positions %d, %d", traces[0].Start, traces[1].Start)
-	}
-	if len(traces[0].Samples) != 50 {
-		t.Errorf("record depth %d", len(traces[0].Samples))
-	}
-}
-
-func TestCaptureHoldoffSuppressesRetrigger(t *testing.T) {
-	s, err := New(0.5, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two bursts inside one record depth: only one trace.
-	x := burstWave([][2]int{{100, 120}, {150, 170}}, 600, 1.0)
-	if n := len(s.Capture(x)); n != 1 {
-		t.Errorf("%d traces, want 1 (holdoff)", n)
-	}
-	s.SetHoldoff(10)
-	if n := len(s.Capture(x)); n != 2 {
-		t.Errorf("%d traces with short holdoff, want 2", n)
-	}
-}
-
-func TestCaptureTriggerAtSampleZero(t *testing.T) {
-	s, err := New(0.5, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A record already above level at sample 0 counts as a rising edge:
-	// there is no earlier sample, so the scope must not miss a burst that
-	// started before the capture window.
-	x := burstWave([][2]int{{0, 30}}, 200, 1.0)
-	traces := s.Capture(x)
-	if len(traces) != 1 || traces[0].Start != 0 {
-		t.Fatalf("burst at sample 0: %+v", traces)
-	}
-}
-
-func TestCaptureBackToBackAtHoldoffBoundary(t *testing.T) {
-	s, err := New(0.5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetHoldoff(50)
-	// First trigger at 100 starts the holdoff, which consumes samples
-	// 101..150. A second rising edge landing exactly at 100+holdoff is
-	// still inside the quiet countdown and is swallowed; the envelope is
-	// back below level by the time re-triggering is possible, so no second
-	// trace. This is the documented boundary: the first re-triggerable
-	// edge is holdoff+1 samples after the previous trigger.
-	x := burstWave([][2]int{{100, 110}, {150, 160}}, 400, 1.0)
-	if n := len(s.Capture(x)); n != 1 {
-		t.Errorf("edge exactly at holdoff: %d traces, want 1", n)
-	}
-	// One sample later the edge falls past the countdown and re-triggers.
-	x = burstWave([][2]int{{100, 110}, {151, 161}}, 400, 1.0)
-	traces := s.Capture(x)
-	if len(traces) != 2 || traces[1].Start != 151 {
-		t.Errorf("edge at holdoff+1: %+v", traces)
-	}
-}
-
-func TestSetHoldoffClampsToOne(t *testing.T) {
-	s, err := New(0.5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetHoldoff(0)
-	// With the minimum holdoff of 1, two edges separated by a single
-	// below-level sample both capture; a zero holdoff would have been a
-	// no-op countdown but must not be accepted (quiet=0 means "armed").
-	x := burstWave([][2]int{{10, 12}, {14, 16}}, 40, 1.0)
-	traces := s.Capture(x)
-	if len(traces) != 2 {
-		t.Fatalf("holdoff clamp: %d traces, want 2", len(traces))
-	}
-	if traces[0].Start != 10 || traces[1].Start != 14 {
-		t.Errorf("trigger positions %d, %d", traces[0].Start, traces[1].Start)
-	}
-}
-
-func TestCaptureTruncatesAtEnd(t *testing.T) {
-	s, err := New(0.5, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := burstWave([][2]int{{580, 600}}, 600, 1.0)
-	traces := s.Capture(x)
-	if len(traces) != 1 || len(traces[0].Samples) != 20 {
-		t.Errorf("end truncation: %+v", traces)
-	}
-}
-
 func TestEnvelope(t *testing.T) {
 	x := burstWave([][2]int{{10, 20}}, 40, 2.0)
 	env := Envelope(x, 10)

@@ -220,9 +220,6 @@ func (d *Detector) FeedSnapshot(cycle uint64, s telemetry.Snapshot) []Alert {
 	return d.alerts[before:]
 }
 
-// Alerts returns every alert raised so far, in order.
-func (d *Detector) Alerts() []Alert { return d.alerts }
-
 // EncodeArg packs a metric and score into an EvAnomalyAlert journal Arg:
 // metric index in the high word, the score in milli-sigma (saturated) in
 // the low word.
@@ -232,9 +229,4 @@ func EncodeArg(m Metric, score float64) uint64 {
 		mz = math.MaxUint32
 	}
 	return uint64(m)<<32 | uint64(mz)
-}
-
-// DecodeArg unpacks an EvAnomalyAlert journal Arg.
-func DecodeArg(arg uint64) (m Metric, milliZ uint32) {
-	return Metric(arg >> 32), uint32(arg & 0xFFFFFFFF)
 }

@@ -20,8 +20,8 @@ func feedStable(d *Detector, m Metric, n int, level float64) {
 func TestStableStreamNeverAlerts(t *testing.T) {
 	d := New(nil, Config{})
 	feedStable(d, MetricReactionP99, 500, 140)
-	if len(d.Alerts()) != 0 {
-		t.Fatalf("stable stream raised %d alerts", len(d.Alerts()))
+	if len(d.alerts) != 0 {
+		t.Fatalf("stable stream raised %d alerts", len(d.alerts))
 	}
 }
 
@@ -43,7 +43,7 @@ func TestLevelShiftAlertsOnce(t *testing.T) {
 	if _, fired := d.Observe(MetricReactionP99, 10000, 1400); fired {
 		t.Error("alert re-fired inside cooldown")
 	}
-	if got := len(d.Alerts()); got != 1 {
+	if got := len(d.alerts); got != 1 {
 		t.Errorf("alerts = %d, want 1", got)
 	}
 }
@@ -73,7 +73,7 @@ func TestAlertJournaledAsFirstClassEvent(t *testing.T) {
 	if ev.Kind != telemetry.EvAnomalyAlert || ev.Cycle != 777 {
 		t.Fatalf("journaled event = %+v", ev)
 	}
-	m, mz := DecodeArg(ev.Arg)
+	m, mz := Metric(ev.Arg>>32), uint32(ev.Arg)
 	if m != MetricFalseAlarmRate {
 		t.Errorf("decoded metric = %v", m)
 	}

@@ -201,9 +201,6 @@ func New(opts Options) *Aggregator {
 	return a
 }
 
-// Budgets returns the per-cell SLO budget set the aggregator evaluates.
-func (a *Aggregator) Budgets() []slo.Budget { return a.opts.Budgets }
-
 // LabelBudget returns the configured cell-label cardinality budget.
 func (a *Aggregator) LabelBudget() int { return a.opts.LabelBudget }
 
@@ -229,17 +226,6 @@ func (a *Aggregator) Cell(name string) *CellRecorder {
 		sh.cells[name] = c
 	}
 	return c
-}
-
-// Cells returns the number of registered cells.
-func (a *Aggregator) Cells() int {
-	n := 0
-	for i := range a.shards {
-		a.shards[i].mu.RLock()
-		n += len(a.shards[i].cells)
-		a.shards[i].mu.RUnlock()
-	}
-	return n
 }
 
 // Snapshot captures every cell, evaluates the SLO budgets per cell, merges

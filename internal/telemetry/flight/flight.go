@@ -63,22 +63,6 @@ func (t Trigger) MarshalJSON() ([]byte, error) {
 	return json.Marshal(t.String())
 }
 
-// UnmarshalJSON parses the symbolic name back (incident tooling
-// round-trips).
-func (t *Trigger) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return err
-	}
-	for v := Trigger(0); v < numTriggers; v++ {
-		if v.String() == name {
-			*t = v
-			return nil
-		}
-	}
-	return fmt.Errorf("flight: unknown trigger %q", name)
-}
-
 // Options tunes the recorder.
 type Options struct {
 	// EventTail bounds how many journal events (newest last) a dump
@@ -114,8 +98,6 @@ type Recorder struct {
 	iq     []complex128 // ring storage
 	iqNext int
 	iqFull bool
-
-	dumps []*Dump
 }
 
 // New returns a flight recorder riding the given live telemetry recorder.
@@ -237,7 +219,7 @@ const DumpVersion = 1
 
 // Trigger captures an incident dump and journals an EvFlightDump marker
 // (stamped after capture, so the dump itself never contains its own
-// marker). The dump is also retained on the recorder (Dumps, LastDump).
+// marker). The caller owns the returned dump; the recorder keeps no copy.
 func (r *Recorder) Trigger(tr Trigger, cycle uint64, detail string) *Dump {
 	snap := r.live.Snapshot()
 	d := &Dump{
@@ -286,20 +268,8 @@ func (r *Recorder) Trigger(tr Trigger, cycle uint64, detail string) *Dump {
 			})
 		}
 	}
-	r.dumps = append(r.dumps, d)
 	r.live.Event(telemetry.EvFlightDump, cycle, uint64(tr), 0)
 	return d
-}
-
-// Dumps returns every dump captured so far, in order.
-func (r *Recorder) Dumps() []*Dump { return r.dumps }
-
-// LastDump returns the most recent dump, or nil.
-func (r *Recorder) LastDump() *Dump {
-	if len(r.dumps) == 0 {
-		return nil
-	}
-	return r.dumps[len(r.dumps)-1]
 }
 
 // Marshal serializes the dump as deterministic JSON with a trailing

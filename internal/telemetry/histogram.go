@@ -75,14 +75,6 @@ func (h *Histogram) Min() uint64 { return h.min }
 // Max returns the largest observed value.
 func (h *Histogram) Max() uint64 { return h.max }
 
-// Mean returns the average observed value (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1): the
 // upper edge of the bucket in which that rank falls, clamped to the
 // observed maximum. Returns 0 on an empty histogram.

@@ -86,33 +86,6 @@ func (e *Engagement) End() uint64 {
 	return e.last()
 }
 
-// ReactionCycles returns first-edge → RF-on: the datapath's reaction to the
-// packet as observed from its own detector (excludes front-end group delay
-// and any pre-edge detection latency).
-func (e *Engagement) ReactionCycles() (uint64, bool) {
-	if !e.HasRF {
-		return 0, false
-	}
-	return e.RFOn - e.FirstEdge, true
-}
-
-// TurnaroundCycles returns trigger-fire → RF-on (the paper's Tinit plus any
-// configured surgical delay).
-func (e *Engagement) TurnaroundCycles() (uint64, bool) {
-	if !e.HasFire || !e.HasRF {
-		return 0, false
-	}
-	return e.RFOn - e.Fire, true
-}
-
-// BurstCycles returns the jamming burst duration at RF.
-func (e *Engagement) BurstCycles() (uint64, bool) {
-	if !e.HasRF || e.RFOff < e.RFOn {
-		return 0, false
-	}
-	return e.RFOff - e.RFOn, true
-}
-
 // Tree builds the engagement's causal span tree. Phases that did not occur
 // (no trigger, no burst) are simply absent, so a noise engagement renders as
 // a bare root with a holdoff child.

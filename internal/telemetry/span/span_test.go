@@ -46,15 +46,6 @@ func TestBuildFullEngagement(t *testing.T) {
 	if !e.Complete || e.Release != 10232 {
 		t.Errorf("release = %d complete=%v", e.Release, e.Complete)
 	}
-	if r, ok := e.ReactionCycles(); !ok || r != 68 {
-		t.Errorf("reaction = %d (%v), want 68", r, ok)
-	}
-	if tu, ok := e.TurnaroundCycles(); !ok || tu != 40 {
-		t.Errorf("turnaround = %d (%v), want 40 (32 delay + 8 init)", tu, ok)
-	}
-	if b, ok := e.BurstCycles(); !ok || b != 10000 {
-		t.Errorf("burst = %d (%v), want 10000", b, ok)
-	}
 	if len(e.Events) != 9 {
 		t.Errorf("eng1 carries %d events, want 9", len(e.Events))
 	}
@@ -122,8 +113,10 @@ func TestIncompleteEngagement(t *testing.T) {
 	if e.End() != 168 {
 		t.Errorf("End() = %d, want last event 168", e.End())
 	}
-	if _, ok := e.BurstCycles(); ok {
-		t.Error("burst reported for engagement with no RF-off")
+	for _, c := range e.Tree().Children {
+		if c.Name == "burst" {
+			t.Error("burst reported for engagement with no RF-off")
+		}
 	}
 }
 
@@ -210,12 +203,6 @@ func TestBuildAfterRingWrapMidEngagement(t *testing.T) {
 	if e1.HasFire || e1.HasRF {
 		t.Errorf("truncated engagement claims fire/rf: %+v", e1)
 	}
-	if _, ok := e1.BurstCycles(); ok {
-		t.Error("burst derived from an orphaned RF-off")
-	}
-	if _, ok := e1.ReactionCycles(); ok {
-		t.Error("reaction derived without an RF-on")
-	}
 	// The surviving close edge still closes it, anchored at the first
 	// surviving event rather than the lost opening edge.
 	if !e1.Complete || e1.Release != 10232 {
@@ -235,9 +222,6 @@ func TestBuildAfterRingWrapMidEngagement(t *testing.T) {
 	e2 := engs[1]
 	if !e2.HasRF || e2.RFOn != 20068 || e2.RFOff != 30068 {
 		t.Errorf("eng2 rf = %d/%d", e2.RFOn, e2.RFOff)
-	}
-	if b, ok := e2.BurstCycles(); !ok || b != 10000 {
-		t.Errorf("eng2 burst = %d (%v), want 10000", b, ok)
 	}
 	if !e2.Complete || e2.Release != 30132 {
 		t.Errorf("eng2 release = %d complete=%v", e2.Release, e2.Complete)

@@ -81,9 +81,6 @@ func (n *Network) SetVariableAttenuator(db float64) error {
 	return nil
 }
 
-// VariableAttenuator returns the current port-4 pad value in dB.
-func (n *Network) VariableAttenuator() float64 { return n.variableAtt }
-
 // PathGain returns the amplitude gain from one port to another, including
 // the variable attenuator when the path involves port 4. Isolated or
 // invalid pairs have zero gain.
@@ -96,12 +93,6 @@ func (n *Network) PathGain(from, to int) float64 {
 		l -= n.variableAtt
 	}
 	return dsp.AmplitudeFromDB(l)
-}
-
-// PathPowerGain returns the power gain (linear) for a port pair.
-func (n *Network) PathPowerGain(from, to int) float64 {
-	g := n.PathGain(from, to)
-	return g * g
 }
 
 // MeasureTable performs the VNA-style characterization of §4.1: it returns

@@ -79,10 +79,6 @@ func TestPathGainMatchesLoss(t *testing.T) {
 	if math.Abs(g-want) > 1e-12 {
 		t.Errorf("PathGain = %v, want %v", g, want)
 	}
-	pg := n.PathPowerGain(PortAP, PortClient)
-	if math.Abs(dsp.DB(pg)-(-51)) > 1e-9 {
-		t.Errorf("power gain = %v dB, want -51", dsp.DB(pg))
-	}
 }
 
 func TestVariableAttenuatorOnPort4(t *testing.T) {
@@ -91,8 +87,8 @@ func TestVariableAttenuatorOnPort4(t *testing.T) {
 	if err := n.SetVariableAttenuator(20); err != nil {
 		t.Fatal(err)
 	}
-	if n.VariableAttenuator() != 20 {
-		t.Error("accessor")
+	if n.variableAtt != 20 {
+		t.Error("variableAtt")
 	}
 	got := n.PathGain(PortJammerTX, PortAP)
 	if math.Abs(got-base/10) > 1e-12 {

@@ -124,14 +124,6 @@ func (sm *StateMachine) ResetState() {
 	sm.armed = false
 }
 
-// Stages returns a copy of the configured event sequence.
-func (sm *StateMachine) Stages() []Event {
-	return append([]Event(nil), sm.stages...)
-}
-
-// Window returns the configured completion window in samples.
-func (sm *StateMachine) Window() uint64 { return sm.window }
-
 // Process advances the state machine by one baseband sample and reports
 // whether the trigger fired on this sample. Multiple stages may be consumed
 // by a single sample if their events coincide.

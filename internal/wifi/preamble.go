@@ -130,17 +130,6 @@ func LongTrainingSymbol() dsp.Samples {
 	return ltsCached.Clone()
 }
 
-// LongPreamble returns the full 160-sample long training sequence: a
-// 32-sample double guard interval followed by two long training symbols.
-func LongPreamble() dsp.Samples {
-	return preambleCached[ShortPreambleLen:].Clone()
-}
-
-// Preamble returns the complete 320-sample (16 µs) PLCP preamble.
-func Preamble() dsp.Samples {
-	return preambleCached.Clone()
-}
-
 // LongFreqSequence exposes the frequency-domain long training values for
 // channel estimation; index by subcarrier k via carrierToBin.
 func longFreqAt(k int) float64 {

@@ -10,6 +10,15 @@ import (
 // is pinned against the retained tracebackDecode reference with exact (==)
 // comparison of the decoded bits.
 
+// tracebackDecode runs trellisDecode on the erasure-marked hard stream seq
+// with bmLUT rows, out-of-alphabet values clamped to 3. It is the
+// reference the packed decoder is pinned against.
+func tracebackDecode(seq []uint8, numDataBits int, terminated bool) []uint8 {
+	return trellisDecode(numDataBits, terminated, func(t int) *[4]int32 {
+		return &bmLUT[min(seq[2*t], 3)][min(seq[2*t+1], 3)]
+	})
+}
+
 // noisySeq encodes n random data bits at puncture p, flips each kept coded
 // bit with probability ber and returns the depunctured, erasure-marked
 // stream the decoders consume. A terminated frame ends in six zero bits.

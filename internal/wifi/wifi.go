@@ -96,9 +96,6 @@ func (r Rate) BitsPerSymbol() int { return rateTable[r].dbps }
 // CodedBitsPerSymbol returns N_CBPS.
 func (r Rate) CodedBitsPerSymbol() int { return rateTable[r].cbps }
 
-// BitsPerSubcarrier returns N_BPSC.
-func (r Rate) BitsPerSubcarrier() int { return rateTable[r].bpsc }
-
 // Puncture returns the code puncturing pattern of the rate.
 func (r Rate) Puncture() Puncture { return rateTable[r].punct }
 

@@ -28,7 +28,7 @@ func TestRateTable(t *testing.T) {
 		if c.r.Mbps() != c.mbps || c.r.BitsPerSymbol() != c.dbps || c.r.Constellation() != c.c {
 			t.Errorf("%v: mbps=%d dbps=%d const=%v", c.r, c.r.Mbps(), c.r.BitsPerSymbol(), c.r.Constellation())
 		}
-		if c.r.CodedBitsPerSymbol() != c.r.BitsPerSubcarrier()*NumDataCarriers {
+		if c.r.CodedBitsPerSymbol() != rateTable[c.r].bpsc*NumDataCarriers {
 			t.Errorf("%v: CBPS inconsistent", c.r)
 		}
 	}
@@ -210,7 +210,7 @@ func TestInterleaverRoundTripAllRates(t *testing.T) {
 func TestInterleaverIsPermutation(t *testing.T) {
 	for _, r := range AllRates {
 		cbps := r.CodedBitsPerSymbol()
-		bpsc := r.BitsPerSubcarrier()
+		bpsc := rateTable[r].bpsc
 		seen := make([]bool, cbps)
 		for k := 0; k < cbps; k++ {
 			j := interleaveIndex(k, cbps, bpsc)
@@ -226,7 +226,7 @@ func TestInterleaverSpreadsAdjacentBits(t *testing.T) {
 	// Adjacent coded bits must land on different subcarriers (the point of
 	// the first permutation).
 	r := Rate54
-	cbps, bpsc := r.CodedBitsPerSymbol(), r.BitsPerSubcarrier()
+	cbps, bpsc := r.CodedBitsPerSymbol(), rateTable[r].bpsc
 	for k := 0; k+1 < cbps; k++ {
 		c1 := interleaveIndex(k, cbps, bpsc) / bpsc
 		c2 := interleaveIndex(k+1, cbps, bpsc) / bpsc
@@ -334,7 +334,7 @@ func TestPreambleStructure(t *testing.T) {
 			t.Fatalf("short preamble not 16-periodic at %d", i)
 		}
 	}
-	lp := LongPreamble()
+	lp := preambleCached[ShortPreambleLen:]
 	if len(lp) != LongPreambleLen {
 		t.Fatalf("long preamble %d samples", len(lp))
 	}
@@ -350,9 +350,8 @@ func TestPreambleStructure(t *testing.T) {
 			t.Fatalf("LTS repetitions differ at %d", i)
 		}
 	}
-	full := Preamble()
-	if len(full) != 320 {
-		t.Fatalf("full preamble %d samples, want 320 (16us)", len(full))
+	if len(preambleCached) != 320 {
+		t.Fatalf("full preamble %d samples, want 320 (16us)", len(preambleCached))
 	}
 }
 

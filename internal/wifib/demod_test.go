@@ -8,8 +8,10 @@ import (
 	"repro/internal/dsp"
 )
 
-// Receive path: Barker-correlation symbol sync, differential demodulation
-// of the scrambled SYNC/SFD/header, CRC check, and payload recovery at the
+// The receive path is the test oracle of the modulator: no binary receives
+// 802.11b, so the loopback tests demodulate Modulate's waveforms with it.
+// Barker-correlation symbol sync, differential demodulation of the
+// scrambled SYNC/SFD/header, CRC check, and payload recovery at the
 // header-indicated rate (Barker DBPSK/DQPSK or CCK code-bank correlation).
 
 // RxResult reports one demodulated 802.11b PPDU.
@@ -304,7 +306,7 @@ func Demodulate(x dsp.Samples, searchFrom, searchTo int) (*RxResult, error) {
 	// first PSDU symbol is always TX symbol 192 (144 preamble + 48 header
 	// at 1 Mbps). Re-anchoring here makes the parity immune to the sync
 	// landing a few whole symbols into the SYNC field.
-	d.symIdx = PreambleDuration()
+	d.symIdx = SyncBits + 16 + HeaderBits
 
 	// PSDU.
 	var bits []uint8
@@ -353,4 +355,28 @@ func psduBytesFromLength(rate Rate, us int, lengthExt bool) int {
 		}
 		return n
 	}
+}
+
+// rateFromSignal inverts Rate.signalByte.
+func rateFromSignal(b uint8) (Rate, error) {
+	switch b {
+	case 0x0A:
+		return Rate1, nil
+	case 0x14:
+		return Rate2, nil
+	case 0x37:
+		return Rate5_5, nil
+	case 0x6E:
+		return Rate11, nil
+	default:
+		return 0, fmt.Errorf("wifib: invalid SIGNAL byte %#x", b)
+	}
+}
+
+// Descramble processes one received bit.
+func (s *Scrambler) Descramble(b uint8) uint8 {
+	b &= 1
+	out := (b ^ (s.state >> 3) ^ (s.state >> 6)) & 1
+	s.state = ((s.state << 1) | b) & 0x7F
+	return out
 }

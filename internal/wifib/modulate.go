@@ -231,10 +231,6 @@ func Modulate(psdu []byte, rate Rate, scramblerSeed uint8) (dsp.Samples, error) 
 	return m.out, nil
 }
 
-// PreambleDuration returns the long preamble + header duration: 144 bits
-// of SYNC/SFD plus 48 header bits at 1 Mbps = 192 µs.
-func PreambleDuration() int { return (SyncBits + 16 + HeaderBits) }
-
 // SyncWaveform returns the leading portion of the scrambled SYNC field as
 // a correlation template source (the first n symbols at 22 MSPS). The
 // scrambled-ones sequence is deterministic for a given seed, which is what

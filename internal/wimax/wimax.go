@@ -37,7 +37,11 @@ const (
 	// PreambleCarrierSpacing: every 3rd subcarrier carries a pilot tone.
 	PreambleCarrierSpacing = 3
 	// PNLength is the number of PN values modulating each preamble carrier
-	// set (paper §5: a 284-value sequence).
+	// set (paper §5: a 284-value sequence). It is also the period of the
+	// preamble's internal orthogonal code: with every 3rd carrier of the
+	// 852-carrier usable band occupied, the useful symbol approximately
+	// repeats three times every 284 samples, "25 µs" at 11.4 MSPS. The
+	// jammer's 64-sample window sees only the first 2.56 µs of it (§5).
 	PNLength = 284
 	// NumSegments is the number of preamble carrier sets (segments 0-2).
 	NumSegments = 3
@@ -141,12 +145,6 @@ func fillPreambleSymbol(dst, freq dsp.Samples, cfg Config) {
 	copy(dst[CPLen:SymbolLen], freq)
 }
 
-// PreambleDuration is the preamble symbol duration in seconds at the
-// hardware rate (paper: "lasting for 100.8 µs" including guard).
-func PreambleDuration() float64 {
-	return float64(SymbolLen) / SampleRate
-}
-
 // DownlinkFrame assembles one TDD downlink subframe: the preamble symbol
 // followed by nDataSymbols of OFDMA payload (pseudorandom QPSK across the
 // usable band) and silence covering the rest of the 5 ms frame (uplink
@@ -224,14 +222,6 @@ func (p *pcg) next() uint64 {
 	x ^= x >> 33
 	return x
 }
-
-// CodePeriodSamples returns the length of the preamble's internal
-// orthogonal code: with every 3rd subcarrier of the 852-carrier usable band
-// occupied, the useful symbol approximately repeats three times with a
-// 284-sample period (852/3; the paper quotes "an orthogonal code of 284
-// samples ... total duration of this code is 25 µs" at 11.4 MSPS). The
-// jammer's 64-sample window sees only the first 2.56 µs of it (§5).
-func CodePeriodSamples() int { return PNLength }
 
 // ActualSampleRate is the true 802.16e sampling rate for a 10 MHz channel:
 // the standard's 28/25 sampling factor gives 11.2 MSPS. The paper quotes

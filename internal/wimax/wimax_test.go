@@ -30,7 +30,7 @@ func TestPreambleSymbolLength(t *testing.T) {
 		t.Fatalf("preamble %d samples, want %d", len(p), SymbolLen)
 	}
 	// ~101 µs at 11.4 MSPS, the paper quotes 100.8 µs.
-	us := PreambleDuration() * 1e6
+	us := float64(SymbolLen) / SampleRate * 1e6
 	if us < 95 || us > 106 {
 		t.Errorf("preamble duration %.1f µs, want ~101", us)
 	}
@@ -42,7 +42,7 @@ func TestPreambleSpectrum(t *testing.T) {
 		t.Fatal(err)
 	}
 	freq := p[CPLen:].Clone()
-	dsp.FFT(freq)
+	dsp.NewFFTPlan(FFTSize).Forward(freq)
 	// Guard bands must be empty; occupied carriers every 3rd in the usable
 	// band starting at the segment offset.
 	occupied := 0
@@ -78,7 +78,7 @@ func TestPreambleSpectrum(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := p[CPLen:].Clone()
-		dsp.FFT(f)
+		dsp.NewFFTPlan(FFTSize).Forward(f)
 		n := 0
 		for _, v := range f {
 			if cmplx.Abs(v) > 1e-6 {
@@ -209,11 +209,11 @@ func TestPreamblePowerNormalized(t *testing.T) {
 }
 
 func TestCodePeriod(t *testing.T) {
-	if CodePeriodSamples() != 284 {
-		t.Errorf("code period %d, want 284 (paper §5)", CodePeriodSamples())
+	if PNLength != 284 {
+		t.Errorf("code period %d, want 284 (paper §5)", PNLength)
 	}
 	// 284 samples at 11.4 MSPS ≈ 25 µs, as the paper states.
-	us := float64(CodePeriodSamples()) / SampleRate * 1e6
+	us := float64(PNLength) / SampleRate * 1e6
 	if us < 24 || us > 26 {
 		t.Errorf("code duration %.1f µs, want ~25", us)
 	}

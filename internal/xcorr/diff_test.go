@@ -141,7 +141,7 @@ func TestPackedMatchesReferenceResetAndSwap(t *testing.T) {
 	// Reset both: the warm-up holdoff must restart identically.
 	p.Reset()
 	r.Reset()
-	if p.Metric() != 0 || r.Metric() != 0 {
+	if p.metric != 0 || r.metric != 0 {
 		t.Fatal("Reset did not clear metrics")
 	}
 	checkStream(t, p, r, stream(2*Length), "post-reset")

@@ -69,8 +69,8 @@ func checkPackedBlocks(t *testing.T, i, q []fixed.Coeff3, threshold uint32, samp
 			}
 		}
 	}
-	if blk.Metric() != ref.Metric() {
-		t.Fatalf("blockLen %d: end metric %d != per-sample %d", blockLen, blk.Metric(), ref.Metric())
+	if blk.metric != ref.metric {
+		t.Fatalf("blockLen %d: end metric %d != per-sample %d", blockLen, blk.metric, ref.metric)
 	}
 	if blk.signI != ref.signI || blk.signQ != ref.signQ {
 		t.Fatalf("blockLen %d: carried sign history diverges: (%x,%x) vs (%x,%x)",

@@ -50,9 +50,6 @@ func (c *Reference) SetCoefficients(i, q []fixed.Coeff3) error {
 // SetThreshold sets the trigger comparison threshold on the squared metric.
 func (c *Reference) SetThreshold(t uint32) { c.threshold = t }
 
-// Threshold returns the current trigger threshold.
-func (c *Reference) Threshold() uint32 { return c.threshold }
-
 // Reset clears the sample history (but keeps coefficients and threshold).
 func (c *Reference) Reset() {
 	c.signI = [Length]int8{}
@@ -61,9 +58,6 @@ func (c *Reference) Reset() {
 	c.warm = 0
 	c.metric = 0
 }
-
-// Metric returns the most recent correlation metric.
-func (c *Reference) Metric() uint32 { return c.metric }
 
 // Process consumes one baseband sample and returns the correlation metric
 // and whether the trigger comparator fired on this sample.

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/cmplx"
 
 	"repro/internal/fixed"
 	"repro/internal/fpga"
@@ -145,9 +144,6 @@ func (c *Correlator) SetCoefficients(i, q []fixed.Coeff3) error {
 
 // SetThreshold sets the trigger comparison threshold on the squared metric.
 func (c *Correlator) SetThreshold(t uint32) { c.threshold = t }
-
-// Threshold returns the current trigger threshold.
-func (c *Correlator) Threshold() uint32 { return c.threshold }
 
 // Reset clears the sample history (but keeps coefficients and threshold).
 func (c *Correlator) Reset() {
@@ -319,9 +315,6 @@ func (c *Correlator) ProcessPacked(signI, signQ []uint64, n int, level []uint64)
 	c.metric = m
 }
 
-// Metric returns the most recent correlation metric.
-func (c *Correlator) Metric() uint32 { return c.metric }
-
 // Resources reports the synthesized utilization of the cross-correlator
 // block on the N210's Spartan-3A DSP (paper Fig. 3 inset).
 func (c *Correlator) Resources() fpga.Resources {
@@ -384,19 +377,6 @@ func IdealPeakMetric(tpl []complex128) uint32 {
 		}
 	}
 	return peak
-}
-
-// ReferenceMetric computes the same confidence-weighted metric in floating
-// point without sign-bit slicing or coefficient quantization. It is not part
-// of the hardware; the ablation benches use it to quantify the quantization
-// loss of the 1-bit design.
-func ReferenceMetric(window, tpl []complex128) float64 {
-	n := min(min(len(window), len(tpl)), Length)
-	var acc complex128
-	for k := 0; k < n; k++ {
-		acc += window[k] * cmplx.Conj(tpl[k])
-	}
-	return real(acc)*real(acc) + imag(acc)*imag(acc)
 }
 
 // NoiseMetricVariance returns the per-rail variance V of the correlator

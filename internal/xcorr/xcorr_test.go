@@ -132,17 +132,17 @@ func TestResetClearsHistory(t *testing.T) {
 	for _, s := range tpl {
 		c.Process(fixed.Quantize(s))
 	}
-	before := c.Metric()
+	before := c.metric
 	c.Reset()
-	if c.Metric() != 0 {
+	if c.metric != 0 {
 		t.Error("Reset did not clear metric")
 	}
 	// After reset the same template must reproduce the same metric.
 	for _, s := range tpl {
 		c.Process(fixed.Quantize(s))
 	}
-	if c.Metric() != before {
-		t.Errorf("metric after reset %d != %d", c.Metric(), before)
+	if c.metric != before {
+		t.Errorf("metric after reset %d != %d", c.metric, before)
 	}
 }
 
@@ -220,20 +220,6 @@ func TestResourcesMatchPaper(t *testing.T) {
 	r := New().Resources()
 	if r.Slices != 2613 || r.FFs != 2647 || r.BRAMs != 12 || r.LUTs != 2818 || r.DSP48s != 2 {
 		t.Errorf("Resources = %+v, want paper Fig. 3 inset", r)
-	}
-}
-
-func TestReferenceMetricPeak(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tpl := randTemplate(rng, Length)
-	m := ReferenceMetric(tpl, tpl)
-	if m <= 0 {
-		t.Error("self-correlation must be positive")
-	}
-	// Mismatched random window correlates much lower on average.
-	other := randTemplate(rng, Length)
-	if ReferenceMetric(other, tpl) >= m {
-		t.Error("random window out-correlated the matched template")
 	}
 }
 

@@ -169,18 +169,6 @@ func (f *Framework) DetectWiMAX(cellID, segment int) error {
 	return err
 }
 
-// UseTemplate arms the cross-correlator with a custom 64-sample complex
-// baseband template (at 25 MSPS) and a threshold set as a fraction of the
-// template's matched peak.
-func (f *Framework) UseTemplate(tpl []complex128, thresholdFrac float64) error {
-	if _, err := f.host.ProgramCorrelator(tpl, thresholdFrac); err != nil {
-		return err
-	}
-	_, err := f.host.ProgramTrigger(core.FusionSequence,
-		[]trigger.Event{trigger.EventXCorr}, 0)
-	return err
-}
-
 func (f *Framework) useTemplateFA(tpl []complex128, faPerSec float64) error {
 	if _, err := f.host.ProgramCorrelatorFA(tpl, faPerSec); err != nil {
 		return err
@@ -321,12 +309,4 @@ func (f *Framework) Summary() TelemetrySummary {
 		sum.ReactionP99 = h.P99Duration()
 	}
 	return sum
-}
-
-// DetectWiFiBPreamble arms the cross-correlator with the 802.11b DSSS long
-// preamble's scrambled SYNC template. The DSSS SYNC is purely real (BPSK),
-// so the threshold sits at 0.72 of the matched peak to reject unrelated
-// wideband signals.
-func (f *Framework) DetectWiFiBPreamble() error {
-	return f.UseTemplate(host.WiFiBTemplate(), 0.72)
 }
