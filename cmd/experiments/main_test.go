@@ -40,24 +40,31 @@ func TestFleetFrames(t *testing.T) {
 	}
 }
 
-// The deterministic printers reproduce the paper's numbers exactly.
+// runCLI runs the command line args and returns what it printed.
+func runCLI(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := captureStdout(t, func() error { return run(args) })
+	if err != nil {
+		t.Fatalf("%v: %v\n%s", args, err, out)
+	}
+	return out
+}
+
+// The deterministic experiments reproduce the paper's numbers exactly.
 func TestPrintersShowPaperNumbers(t *testing.T) {
 	for _, c := range []struct {
-		name  string
-		print func() error
-		want  []string
+		name string
+		want []string
 	}{
 		// Fig. 5: Ten_det 1.28 µs + Tinit 80 ns = Tresp 1.36 µs.
-		{"fig5", fig5, []string{"Ten_det       1.28µs", "Tinit           80ns", "Tresp (en)    1.36µs", "Tresp (xc)    2.64µs"}},
-		{"table1", table1, []string{"-51.0", "-25.2", "-19.1"}},
-		{"resources", resources, []string{"cross-correlator  Slices:2613", "total             Slices:4735"}},
-		{"reconfig", reconfig, []string{"(4 register writes)", "(18 register writes)"}},
+		{"fig5", []string{"(paper §3.1, Fig. 5", "fig5_ten_det=1.28µs\n", "fig5_tinit=80ns\n",
+			"fig5_tresp_energy=1.36µs\n", "fig5_tresp_xcorr=2.64µs\n"}},
+		{"table1", []string{"(paper Table 1", "table1_in1_out2=-51\n", "=-25.2\n", "=-19.1\n"}},
+		{"resources", []string{"cross-correlator  Slices:2613", "total             Slices:4735"}},
+		{"reconfig", []string{"(4 register writes)", "(18 register writes)"}},
 	} {
-		out, err := captureStdout(t, c.print)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		for _, w := range c.want {
+		out := runCLI(t, "-run", c.name)
+		for _, w := range append(c.want, "==== "+c.name+" ====\n", "("+c.name+" in ") {
 			if !strings.Contains(out, w) {
 				t.Errorf("%s output lacks %q:\n%s", c.name, w, out)
 			}
@@ -65,12 +72,98 @@ func TestPrintersShowPaperNumbers(t *testing.T) {
 	}
 }
 
-func TestRunIncidentWritesDump(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "incident_dump.json")
-	out, err := captureStdout(t, func() error { return runIncident(path) })
+// records returns the name=value lines of the command's output, the lines
+// the figure golden pins.
+func records(out string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if name, _, ok := strings.Cut(line, "="); ok && name != "" && !strings.Contains(name, " ") {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
+}
+
+// The records a figure prints are the golden's lines for it, verbatim and
+// in order.
+func TestFigureRecordsAreGoldenLines(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", "figures.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, name := range []string{"fig5", "table1"} {
+		rec := records(runCLI(t, "-run", name))
+		if rec == "" {
+			t.Fatalf("%s printed no records", name)
+		}
+		if !strings.HasPrefix(rec, name+"_") || !strings.Contains("\n"+string(golden), "\n"+rec) {
+			t.Errorf("%s records are not a run of golden lines:\n%s", name, rec)
+		}
+	}
+}
+
+// The reports of the other experiments, each under its header.
+func TestRunCommands(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-run", "reaction"}, "reaction p50"},
+		{[]string{"-run", "verdict", "-ledger", filepath.Join(dir, "ledger.jsonl")}, "wrote"},
+		{[]string{"-run", "slo"}, "all budgets met"},
+		{[]string{"-run", "chaos", "-chaos-out", filepath.Join(dir, "chaos.jsonl")}, "report: "},
+		{[]string{"-run", "fleetobs", "-fleet-cells", "8", "-fleet-out", ""}, "reconciled"},
+	} {
+		out := runCLI(t, c.args...)
+		name := c.args[1]
+		for _, w := range []string{"==== " + name + " ====\n", c.want, "(" + name + " in "} {
+			if !strings.Contains(out, w) {
+				t.Errorf("%v output lacks %q:\n%s", c.args, w, out)
+			}
+		}
+	}
+	for _, f := range []string{"ledger.jsonl", "chaos.jsonl"} {
+		if fi, err := os.Stat(filepath.Join(dir, f)); err != nil || fi.Size() == 0 {
+			t.Errorf("%s not written: %v", f, err)
+		}
+	}
+}
+
+func TestRunRejectsUnknownExperiment(t *testing.T) {
+	for _, args := range [][]string{{"-run", "fig99"}, {"-no-such-flag"}} {
+		if _, err := captureStdout(t, func() error { return run(args) }); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
+// Every name -run lists selects exactly its own figure or command, and all
+// selects every one of them.
+func TestEveryRunNameDispatches(t *testing.T) {
+	names := runNames()
+	for _, name := range names {
+		figs, cmds := selectRun(name)
+		var got []string
+		for _, f := range figs {
+			got = append(got, f.Name)
+		}
+		for _, c := range cmds {
+			got = append(got, c.name)
+		}
+		if len(got) != 1 || got[0] != name {
+			t.Errorf("-run %s selects %v", name, got)
+		}
+	}
+	figs, cmds := selectRun("all")
+	if len(figs)+len(cmds) != len(names) {
+		t.Errorf("-run all selects %d experiments, want %d", len(figs)+len(cmds), len(names))
+	}
+}
+
+func TestRunIncidentWritesDump(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "incident_dump.json")
+	out := runCLI(t, "-run", "incident", "-flight-out", path)
 	if !strings.Contains(out, "byte-identical") {
 		t.Errorf("output lacks the replay check:\n%s", out)
 	}

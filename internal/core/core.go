@@ -390,14 +390,6 @@ func (s *blockScratch) grow(n int) {
 // cycle stamp the per-sample path would give it; while an engagement is
 // open the whole path stays scalar so holdoff-release timing is preserved.
 func (c *Core) ProcessBlock(rx []complex128, tx []complex128) {
-	c.ProcessBlockScaled(rx, tx, 1)
-}
-
-// ProcessBlockScaled is ProcessBlock with an RX amplitude gain folded into
-// the quantization sweep, bit-identical to scaling every input sample by
-// complex(scale, 0) first. The radio front end uses it to apply its RX gain
-// without an extra pass over the data.
-func (c *Core) ProcessBlockScaled(rx []complex128, tx []complex128, scale float64) {
 	n := len(rx)
 	if n == 0 {
 		return
@@ -411,7 +403,7 @@ func (c *Core) ProcessBlockScaled(rx []complex128, tx []complex128, scale float6
 
 	c.scratch.grow(n)
 	sc := &c.scratch
-	fixed.QuantizeFused(rx, scale, sc.iPlane, sc.qPlane, sc.signI, sc.signQ)
+	fixed.QuantizeFused(rx, sc.iPlane, sc.qPlane, sc.signI, sc.signQ)
 	c.en.ProcessBits(sc.iPlane, sc.qPlane, sc.lvlH, sc.lvlL)
 	c.xc.ProcessPacked(sc.signI, sc.signQ, n, sc.lvlX)
 	for w, x := range sc.lvlX {

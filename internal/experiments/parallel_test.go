@@ -3,10 +3,12 @@ package experiments
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withParallelism runs f with the pool fixed at width n, restoring the
@@ -164,6 +166,52 @@ func TestSelectivityDeterministicAcrossWidths(t *testing.T) {
 			}
 			if string(buf) != string(ref) {
 				t.Fatalf("width %d selectivity differs:\n%s\nvs\n%s", w, buf, ref)
+			}
+		})
+	}
+}
+
+// RunFigures emits the figures in list order whatever order they finish in,
+// sequentially or concurrently, and stops at the first failing one.
+func TestRunFiguresOrderAndError(t *testing.T) {
+	boom := errors.New("boom")
+	figs := []Figure{
+		{Name: "slow", Run: func(r *Records, _ Budget) error {
+			time.Sleep(20 * time.Millisecond)
+			r.put("slow", 1)
+			return nil
+		}},
+		{Name: "fast", Run: func(r *Records, b Budget) error {
+			r.put("fast_frames", b.Frames)
+			return nil
+		}},
+		{Name: "bad", Run: func(*Records, Budget) error { return boom }},
+		{Name: "after", Run: func(r *Records, _ Budget) error {
+			r.put("after", 2)
+			return nil
+		}},
+	}
+	for _, w := range []int{1, 4} {
+		withParallelism(t, w, func() {
+			var got []string
+			err := RunFigures(figs, Budget{Frames: 7}, func(f Figure, rec string, _ time.Duration) error {
+				got = append(got, f.Name+":"+rec)
+				return nil
+			})
+			if !errors.Is(err, boom) {
+				t.Errorf("width %d: error %v, want %v", w, err, boom)
+			}
+			if want := []string{"slow:slow=1\n", "fast:fast_frames=7\n"}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("width %d: emitted %q, want %q", w, got, want)
+			}
+			stop := errors.New("stop")
+			n := 0
+			err = RunFigures(figs, Budget{}, func(Figure, string, time.Duration) error {
+				n++
+				return stop
+			})
+			if err != stop || n != 1 {
+				t.Errorf("width %d: emit error %v after %d emits, want %v after 1", w, err, n, stop)
 			}
 		})
 	}

@@ -33,16 +33,14 @@ func Quantize(x complex128) IQ {
 // QuantizeFused is the single-sweep block quantizer of the SoA datapath: it
 // converts src into separate I and Q int16 planes and packs the I/Q sign
 // bits 64 per uint64 word (bit k of word w ⟺ sample w·64+k is negative, the
-// 1-bit MSB slice of the cross-correlator). scale is an RX amplitude gain
-// applied before quantization, bit-identical to multiplying each sample by
-// complex(scale, 0) first; pass 1 for none.
+// 1-bit MSB slice of the cross-correlator).
 //
 // iPlane and qPlane must be at least len(src) long; signI and signQ must
 // hold at least ⌈len(src)/64⌉ words. Unused bits of the last sign word are
 // left zero. The fusion exists so the block datapath touches the input
 // exactly once: every downstream kernel (energy differentiator, packed
 // correlator, replay capture) reads the planes this sweep produces.
-func QuantizeFused(src []complex128, scale float64, iPlane, qPlane []int16, signI, signQ []uint64) {
+func QuantizeFused(src []complex128, iPlane, qPlane []int16, signI, signQ []uint64) {
 	n := len(src)
 	if n == 0 {
 		return
@@ -52,8 +50,6 @@ func QuantizeFused(src []complex128, scale float64, iPlane, qPlane []int16, sign
 	words := (n + 63) / 64
 	_ = signI[:words]
 	_ = signQ[:words]
-	g := complex(scale, 0)
-	scaled := scale != 1
 	for base, w := 0, 0; base < n; base, w = base+64, w+1 {
 		count := n - base
 		if count > 64 {
@@ -62,9 +58,6 @@ func QuantizeFused(src []complex128, scale float64, iPlane, qPlane []int16, sign
 		var sI, sQ uint64
 		for k := 0; k < count; k++ {
 			v := src[base+k]
-			if scaled {
-				v *= g
-			}
 			// Round-half-away-from-zero spelled out without math.Round: for
 			// 0.5 ≤ |r| < 32767.5 the truncation of r ± 0.5 is exact (the
 			// addition cannot round across an integer boundary there), for

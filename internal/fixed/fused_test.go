@@ -9,10 +9,10 @@ import (
 // Differential tests for the fused block quantizer: QuantizeFused must
 // produce I/Q planes and packed sign words bit-identical to Quantize +
 // SignBit per sample, for every input the scalar path accepts — including
-// the rounding boundaries its branch-reduced round is built around, scale
-// folding, and non-finite values.
+// the rounding boundaries its branch-reduced round is built around and
+// non-finite values.
 
-func checkFused(t *testing.T, src []complex128, scale float64) {
+func checkFused(t *testing.T, src []complex128) {
 	t.Helper()
 	n := len(src)
 	iPlane := make([]int16, n)
@@ -20,26 +20,21 @@ func checkFused(t *testing.T, src []complex128, scale float64) {
 	words := (n + 63) / 64
 	signI := make([]uint64, words)
 	signQ := make([]uint64, words)
-	QuantizeFused(src, scale, iPlane, qPlane, signI, signQ)
+	QuantizeFused(src, iPlane, qPlane, signI, signQ)
 
 	for k, v := range src {
-		// scale 1 must skip the multiply entirely, like the per-sample path
-		// (a complex multiply by 1+0i is not a no-op for NaN rails).
 		want := Quantize(v)
-		if scale != 1 {
-			want = Quantize(v * complex(scale, 0))
-		}
 		if iPlane[k] != want.I || qPlane[k] != want.Q {
-			t.Fatalf("scale %v: sample %d (%v): fused (%d,%d) != Quantize (%d,%d)",
-				scale, k, v, iPlane[k], qPlane[k], want.I, want.Q)
+			t.Fatalf("sample %d (%v): fused (%d,%d) != Quantize (%d,%d)",
+				k, v, iPlane[k], qPlane[k], want.I, want.Q)
 		}
 		wantSI := want.I < 0
 		wantSQ := want.Q < 0
 		if gotSI := signI[k/64]>>(k%64)&1 != 0; gotSI != wantSI {
-			t.Fatalf("scale %v: sample %d: sign-I bit %v != %v", scale, k, gotSI, wantSI)
+			t.Fatalf("sample %d: sign-I bit %v != %v", k, gotSI, wantSI)
 		}
 		if gotSQ := signQ[k/64]>>(k%64)&1 != 0; gotSQ != wantSQ {
-			t.Fatalf("scale %v: sample %d: sign-Q bit %v != %v", scale, k, gotSQ, wantSQ)
+			t.Fatalf("sample %d: sign-Q bit %v != %v", k, gotSQ, wantSQ)
 		}
 	}
 	// Bits beyond n-1 in the last words must be zero (the block datapath's
@@ -89,18 +84,7 @@ func TestQuantizeFusedRoundingEdges(t *testing.T) {
 	for _, e := range edges {
 		src = append(src, complex(e, -e))
 	}
-	checkFused(t, src, 1)
-}
-
-func TestQuantizeFusedScaleFolding(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xF05E))
-	src := make([]complex128, 333)
-	for k := range src {
-		src[k] = complex(rng.NormFloat64()*0.4, rng.NormFloat64()*0.4)
-	}
-	for _, scale := range []float64{1, 0.5, 2.0, 0.001, 31.62277, 1e-300} {
-		checkFused(t, src, scale)
-	}
+	checkFused(t, src)
 }
 
 func TestQuantizeFusedRandomFullRange(t *testing.T) {
@@ -122,7 +106,7 @@ func TestQuantizeFusedRandomFullRange(t *testing.T) {
 			src[k] = complex(rng.NormFloat64()*40000, rng.NormFloat64()*40000)
 		}
 	}
-	checkFused(t, src, 1)
+	checkFused(t, src)
 }
 
 func TestQuantizeFusedNaN(t *testing.T) {
@@ -131,7 +115,7 @@ func TestQuantizeFusedNaN(t *testing.T) {
 		complex(nan, 0), complex(0, nan), complex(nan, nan),
 		complex(nan, 1), complex(-1, nan),
 	}
-	checkFused(t, src, 1)
+	checkFused(t, src)
 }
 
 func TestQuantizeFusedBlockLengths(t *testing.T) {
@@ -141,6 +125,6 @@ func TestQuantizeFusedBlockLengths(t *testing.T) {
 		for k := range src {
 			src[k] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		checkFused(t, src, 1)
+		checkFused(t, src)
 	}
 }

@@ -124,10 +124,8 @@ type Controller struct {
 	replayLen int
 	playPos   int
 
-	hostBuf  []complex128
-	hostPos  int
-	triggers uint64
-	txCount  uint64
+	hostBuf []complex128
+	hostPos int
 }
 
 // New returns a controller with the WGN preset, a 0.1 ms uptime, no delay,
@@ -197,16 +195,14 @@ func (c *Controller) toPhase(to Phase) {
 	}
 }
 
-// Reset aborts any jamming in progress and clears counters and capture
-// state; configuration is preserved.
+// Reset aborts any jamming in progress and clears the capture state;
+// configuration is preserved.
 func (c *Controller) Reset() {
 	c.st = PhaseIdle
 	c.rfPending = false
 	c.remaining = 0
 	c.replayPos, c.replayLen, c.playPos = 0, 0, 0
 	c.hostPos = 0
-	c.triggers = 0
-	c.txCount = 0
 }
 
 // Process advances one baseband sample tick. rx is the receive-path sample
@@ -224,7 +220,6 @@ func (c *Controller) Process(rx fixed.IQ, trigger bool) complex128 {
 	}
 
 	if trigger && c.st == PhaseIdle {
-		c.triggers++
 		if c.delay > 0 {
 			c.toPhase(PhaseDelay)
 			c.remaining = c.delay
@@ -263,7 +258,6 @@ func (c *Controller) Process(rx fixed.IQ, trigger bool) complex128 {
 			}
 		}
 		out := c.waveformSample()
-		c.txCount++
 		c.remaining--
 		if c.remaining == 0 {
 			c.toPhase(PhaseIdle)
@@ -349,7 +343,6 @@ func (c *Controller) ProcessQuietSpan(iPlane, qPlane []int16, tx []complex128) (
 					tx[i+k] = out
 				}
 			}
-			c.txCount += span
 			c.remaining -= span
 			i += m
 			if c.remaining == 0 {

@@ -7,6 +7,18 @@ import (
 	"repro/internal/fixed"
 )
 
+// countTriggers counts the triggers the controller accepts: every one
+// leaves the idle phase.
+func countTriggers(c *Controller) *int {
+	n := new(int)
+	c.OnPhase(func(from, _ Phase) {
+		if from == PhaseIdle {
+			*n++
+		}
+	})
+	return n
+}
+
 // run advances the controller n ticks with no trigger and quiet RX,
 // collecting TX samples.
 func run(c *Controller, n int, trigFirst bool) []complex128 {
@@ -39,6 +51,7 @@ func TestUptimeExact(t *testing.T) {
 	if err := c.SetUptimeSamples(5); err != nil {
 		t.Fatal(err)
 	}
+	triggers := countTriggers(c)
 	out := run(c, 30, true)
 	active := 0
 	for _, s := range out {
@@ -49,8 +62,8 @@ func TestUptimeExact(t *testing.T) {
 	if active != 5 {
 		t.Errorf("jammed for %d samples, want 5", active)
 	}
-	if c.txCount != 5 || c.triggers != 1 {
-		t.Errorf("counters: tx=%d trig=%d", c.txCount, c.triggers)
+	if *triggers != 1 {
+		t.Errorf("%d triggers, want 1", *triggers)
 	}
 }
 
@@ -95,11 +108,12 @@ func TestRetriggerIgnoredWhileBusy(t *testing.T) {
 	if err := c.SetUptimeSamples(20); err != nil {
 		t.Fatal(err)
 	}
+	triggers := countTriggers(c)
 	for i := 0; i < 25; i++ {
 		c.Process(fixed.IQ{}, true) // continuous triggering
 	}
-	if c.triggers != 2 { // one at start, one after the 20-sample burst ends
-		t.Errorf("Triggers = %d, want 2", c.triggers)
+	if *triggers != 2 { // one at start, one after the 20-sample burst ends
+		t.Errorf("%d triggers, want 2", *triggers)
 	}
 }
 
@@ -222,7 +236,7 @@ func TestResetAbortsJamming(t *testing.T) {
 		t.Fatal("should be jamming")
 	}
 	c.Reset()
-	if c.st == PhaseJamming || c.triggers != 0 || c.txCount != 0 {
+	if c.st != PhaseIdle || c.remaining != 0 || c.replayLen != 0 {
 		t.Error("Reset incomplete")
 	}
 	out := run(c, 10, false)

@@ -6,17 +6,16 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dsp"
 	"repro/internal/host"
 	"repro/internal/jammer"
 	"repro/internal/telemetry"
 	"repro/internal/trigger"
 )
 
-// Radio-level live-recorder parity: the front end folds its RX gain into the
-// core's fused block quantizer, so a radio streaming buffers of any size must
-// journal the exact event stream — kinds, cycle stamps, args and engagement
-// IDs — that a per-sample core fed pre-scaled samples produces.
+// Radio-level live-recorder parity: a radio streaming buffers of any size
+// through the core's block datapath must journal the exact event stream —
+// kinds, cycle stamps, args and engagement IDs — that a per-sample core fed
+// the same samples produces.
 
 // burstyCapture builds a capture whose loud spans drive detections and full
 // jam-burst lifecycles through a 10 dB energy trigger.
@@ -53,18 +52,15 @@ func programBench(t *testing.T, c *core.Core) *telemetry.Live {
 }
 
 func TestRadioBlockModeJournalParity(t *testing.T) {
-	const rxGainDB = 6.5
 	input := burstyCapture(4000)
 
-	// Per-sample reference: a bare core fed samples pre-scaled by the RX
-	// gain, the semantics the radio's folded scaling must reproduce exactly.
+	// Per-sample reference: a bare core fed the same samples one at a time.
 	refCore := core.New()
 	refLive := programBench(t, refCore)
 	refCore.ResetDatapath()
-	gain := complex(dsp.AmplitudeFromDB(rxGainDB), 0)
 	wantTx := make([]complex128, len(input))
 	for i, s := range input {
-		wantTx[i] = refCore.ProcessSample(s * gain)
+		wantTx[i] = refCore.ProcessSample(s)
 	}
 	wantEvents := refLive.Events()
 	wantSnap := refLive.Snapshot()
@@ -79,7 +75,6 @@ func TestRadioBlockModeJournalParity(t *testing.T) {
 	for _, blocks := range [][]int{{4000}, {64}, {1, 3, 127, 64, 300}, {7}} {
 		r := New()
 		live := programBench(t, r.Core())
-		r.rxGainDB = rxGainDB
 		r.Start()
 
 		gotTx := make([]complex128, 0, len(input))

@@ -33,8 +33,6 @@ type N210 struct {
 	core *core.Core
 
 	centerHz float64
-	rxGainDB float64
-	txGainDB float64
 
 	ddc      *dsp.Resampler // source-rate → 25 MSPS, when needed
 	sourceHz int
@@ -44,7 +42,7 @@ type N210 struct {
 }
 
 // New returns a radio with a fresh DSP core, tuned to WiFi channel 14
-// (2.484 GHz, the paper's §4.1 setting) with 0 dB gains.
+// (2.484 GHz, the paper's §4.1 setting).
 func New() *N210 {
 	return &N210{core: core.New(), centerHz: 2.484e9, sourceHz: fpga.SampleRateHz}
 }
@@ -113,12 +111,8 @@ func (r *N210) MarkFrame(offsetSourceSamples int) {
 }
 
 // Process streams a block of received baseband through the DDC (if any) and
-// the custom DSP core, returning the transmit-path output at 25 MSPS,
-// scaled by the front-end gains. The core runs in block mode with the RX
-// gain folded into its fused quantization sweep, so the scaling costs no
-// extra pass over the block (bit-identical to scaling each sample by
-// complex(rxGain, 0) first); the TX gain is applied only when it is not
-// unity.
+// the custom DSP core in block mode, returning the transmit-path output at
+// 25 MSPS.
 //
 // The returned slice is the radio's own transmit buffer: it stays valid
 // only until the next call to Process, which overwrites every sample of it.
@@ -137,12 +131,7 @@ func (r *N210) Process(rx dsp.Samples) (dsp.Samples, error) {
 		r.tx = make(dsp.Samples, max(len(in), 2*cap(r.tx)))
 	}
 	out := r.tx[:len(in)]
-	r.core.ProcessBlockScaled(in, out, dsp.AmplitudeFromDB(r.rxGainDB))
-	if txGain := dsp.AmplitudeFromDB(r.txGainDB); txGain != 1 {
-		for i := range out {
-			out[i] *= complex(txGain, 0)
-		}
-	}
+	r.core.ProcessBlock(in, out)
 	return out, nil
 }
 

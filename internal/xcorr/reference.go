@@ -27,7 +27,6 @@ type Reference struct {
 	warm  int // samples consumed, saturates at Length
 
 	threshold uint32
-	metric    uint32
 }
 
 // NewReference returns a reference correlator with all-zero coefficients
@@ -56,7 +55,6 @@ func (c *Reference) Reset() {
 	c.signQ = [Length]int8{}
 	c.pos = 0
 	c.warm = 0
-	c.metric = 0
 }
 
 // Process consumes one baseband sample and returns the correlation metric
@@ -97,7 +95,6 @@ func (c *Reference) Process(s fixed.IQ) (metric uint32, trigger bool) {
 	re := sumII - sumQQ
 	im := sumQI + sumIQ
 	m := uint32(re*re) + uint32(im*im)
-	c.metric = m
 	// Hold off until the window has filled once so start-up garbage in the
 	// delay line cannot fire the comparator.
 	trigger = c.warm == Length && m >= c.threshold

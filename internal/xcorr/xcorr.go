@@ -121,7 +121,6 @@ type Correlator struct {
 	warm  int    // samples consumed, saturates at Length
 
 	threshold uint32
-	metric    uint32
 }
 
 // New returns a correlator with all-zero coefficients (never triggers) and
@@ -151,7 +150,6 @@ func (c *Correlator) Reset() {
 	c.signQ = 0
 	c.valid = 0
 	c.warm = 0
-	c.metric = 0
 }
 
 // Process consumes one baseband sample and returns the correlation metric
@@ -185,7 +183,6 @@ func (c *Correlator) Process(s fixed.IQ) (metric uint32, trigger bool) {
 	re := sumII - sumQQ
 	im := sumQI + sumIQ
 	m := uint32(re*re) + uint32(im*im)
-	c.metric = m
 	// Hold off until the window has filled once so start-up garbage in the
 	// delay line cannot fire the comparator.
 	trigger = c.warm == Length && m >= c.threshold
@@ -202,10 +199,10 @@ func (c *Correlator) Process(s fixed.IQ) (metric uint32, trigger bool) {
 // Instead of rotating the two uint64 sign histories once per sample, each
 // sample's 64-bit window is extracted from two adjacent packed words with a
 // pair of shifts, so the whole popcount kernel runs register-resident over
-// the block. Metric, trigger decisions and end-of-block state (sign
-// histories, warm-up fill, last metric) are bit-identical to calling
-// Process once per sample — the differential and fuzz suites pin this
-// against both the per-sample kernel and the scalar Reference.
+// the block. Trigger decisions and end-of-block state (sign histories,
+// warm-up fill) are bit-identical to calling Process once per sample — the
+// differential and fuzz suites pin this against both the per-sample kernel
+// and the scalar Reference.
 func (c *Correlator) ProcessPacked(signI, signQ []uint64, n int, level []uint64) {
 	if n == 0 {
 		return
@@ -226,7 +223,6 @@ func (c *Correlator) ProcessPacked(signI, signQ []uint64, n int, level []uint64)
 	mi0, mi1, mi2, bi := c.bankI.mag[0], c.bankI.mag[1], c.bankI.mag[2], c.bankI.base
 	mq0, mq1, mq2, bq := c.bankQ.mag[0], c.bankQ.mag[1], c.bankQ.mag[2], c.bankQ.base
 	var histI, histQ uint64
-	var m uint32
 	for w := 0; w < words; w++ {
 		wordI, wordQ := signI[w], signQ[w]
 		count := n - w<<6
@@ -249,7 +245,7 @@ func (c *Correlator) ProcessPacked(signI, signQ []uint64, n int, level []uint64)
 			sumIQ := c.bankQ.dotMasked(histI^negQ, v)
 			re := sumII - sumQQ
 			im := sumQI + sumIQ
-			m = uint32(re*re) + uint32(im*im)
+			m := uint32(re*re) + uint32(im*im)
 			if c.warm == Length && m >= thr {
 				lvl |= 1 << k
 			}
@@ -279,7 +275,7 @@ func (c *Correlator) ProcessPacked(signI, signQ []uint64, n int, level []uint64)
 					2*bits.OnesCount64(xIQ&mq1)))
 				re := sumII - sumQQ
 				im := sumQI + sumIQ
-				m = uint32(re*re) + uint32(im*im)
+				m := uint32(re*re) + uint32(im*im)
 				if m >= thr {
 					lvl |= 1 << k
 				}
@@ -302,7 +298,7 @@ func (c *Correlator) ProcessPacked(signI, signQ []uint64, n int, level []uint64)
 					2*bits.OnesCount64(xIQ&mq1)+4*bits.OnesCount64(xIQ&mq2)))
 				re := sumII - sumQQ
 				im := sumQI + sumIQ
-				m = uint32(re*re) + uint32(im*im)
+				m := uint32(re*re) + uint32(im*im)
 				if m >= thr {
 					lvl |= 1 << k
 				}
@@ -312,7 +308,6 @@ func (c *Correlator) ProcessPacked(signI, signQ []uint64, n int, level []uint64)
 		carryI, carryQ = wordI, wordQ
 	}
 	c.signI, c.signQ = histI, histQ
-	c.metric = m
 }
 
 // Resources reports the synthesized utilization of the cross-correlator

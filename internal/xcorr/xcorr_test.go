@@ -129,20 +129,24 @@ func TestResetClearsHistory(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tpl := randTemplate(rng, Length)
 	c := loaded(t, tpl)
-	for _, s := range tpl {
-		c.Process(fixed.Quantize(s))
+	feed := func() []uint32 {
+		metrics := make([]uint32, len(tpl))
+		for i, s := range tpl {
+			metrics[i], _ = c.Process(fixed.Quantize(s))
+		}
+		return metrics
 	}
-	before := c.metric
+	before := feed()
 	c.Reset()
-	if c.metric != 0 {
-		t.Error("Reset did not clear metric")
+	if c.signI != 0 || c.signQ != 0 || c.valid != 0 || c.warm != 0 {
+		t.Error("Reset did not clear the sample history")
 	}
-	// After reset the same template must reproduce the same metric.
-	for _, s := range tpl {
-		c.Process(fixed.Quantize(s))
-	}
-	if c.metric != before {
-		t.Errorf("metric after reset %d != %d", c.metric, before)
+	// After reset the same template must reproduce the same metrics, the
+	// warm-up included.
+	for i, m := range feed() {
+		if m != before[i] {
+			t.Fatalf("metric %d after reset %d != %d", i, m, before[i])
+		}
 	}
 }
 
