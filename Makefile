@@ -126,11 +126,15 @@ incident:
 	$(GO) run ./cmd/experiments -run incident
 
 ## examples-smoke: run every example program end to end and require a clean
-## exit — the examples are executable documentation and must not rot.
+## exit and stdout equal to its committed examples/<name>/stdout.golden —
+## the examples are executable documentation and must not rot. After an
+## intended output change, regenerate the goldens with
+## `for d in examples/*/; do go run ./$d > ${d}stdout.golden; done`.
 examples-smoke:
 	@set -e; for d in examples/*/; do \
 		echo "examples-smoke: $$d"; \
-		$(GO) run ./$$d >/dev/null; \
+		out=$$($(GO) run ./$$d); \
+		printf '%s\n' "$$out" | diff -u $${d}stdout.golden -; \
 	done
 
 ## cover: the coverage ratchet. Measures statement coverage across

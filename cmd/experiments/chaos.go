@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 
 	"repro/internal/chaos"
 )
@@ -32,15 +32,8 @@ func runChaos(seed int64, frames int, out string) error {
 	}
 
 	if out != "" {
-		f, err := os.Create(out)
+		err := writeFile(out, func(w io.Writer) error { return chaos.WriteReport(w, results) })
 		if err != nil {
-			return err
-		}
-		if err := chaos.WriteReport(f, results); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("  report: %s (%d campaigns, seed %d)\n", out, len(results), seed)

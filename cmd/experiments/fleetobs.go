@@ -3,7 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"repro/internal/experiments"
@@ -66,20 +66,13 @@ func runFleetObs(cells, framesPerCell int, seed int64, ledgerPath string) error 
 	printRanks("worst journal drops", s.WorstDropped)
 
 	if ledgerPath != "" {
-		f, err := os.Create(ledgerPath)
-		if err != nil {
-			return err
-		}
 		meta := fleet.LedgerMeta{
 			Scenario: "fleetobs",
 			Seed:     seed,
 			WallMS:   float64(wall.Microseconds()) / 1000,
 		}
-		if err := fleet.WriteLedger(f, s, meta); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		err := writeFile(ledgerPath, func(w io.Writer) error { return fleet.WriteLedger(w, s, meta) })
+		if err != nil {
 			return err
 		}
 		fmt.Printf("  wrote %d ledger rows to %s\n", len(s.Cells)+1, ledgerPath)

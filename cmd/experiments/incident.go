@@ -49,7 +49,7 @@ func incidentRun(quiet bool) (*flight.Dump, error) {
 	}); err != nil {
 		return nil, err
 	}
-	fr := flight.New(live, flight.Options{Seed: incidentSeed})
+	fr := flight.New(live, incidentSeed)
 	fr.Arm()
 	r.Start()
 
@@ -143,15 +143,7 @@ func runIncident(flightOut string) error {
 		len(d1.Events), d1.EventsTruncated, len(d1.RegWrites), len(d1.IQ))
 	fmt.Printf("  replayed twice, byte-identical: fnv1a %s\n", h)
 	if flightOut != "" {
-		f, err := os.Create(flightOut)
-		if err != nil {
-			return err
-		}
-		if err := d1.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(flightOut, d1.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Printf("  wrote %s (%d bytes)\n", flightOut, len(b1))

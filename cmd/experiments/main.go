@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -134,6 +135,20 @@ func run(args []string) error {
 		printWall(c.name, time.Since(start))
 	}
 	return nil
+}
+
+// writeFile creates path, fills it with write and closes it, returning the
+// first error.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func printWall(name string, wall time.Duration) {

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -123,10 +125,28 @@ func TestRunCommands(t *testing.T) {
 			}
 		}
 	}
-	for _, f := range []string{"ledger.jsonl", "chaos.jsonl"} {
-		if fi, err := os.Stat(filepath.Join(dir, f)); err != nil || fi.Size() == 0 {
+	// The seeded files are byte-stable; EXPERIMENTS.md quotes these hashes.
+	for f, want := range map[string]string{
+		"ledger.jsonl": "40af5fa2c29b703ccb39a28c30d020daf721fa355783322f251e1f235514df5d",
+		"chaos.jsonl":  "10fd8e24273fc09d1cfc4ae82ee423845a6f6a853985f492268f9dd41a3f8caf",
+	} {
+		b, err := os.ReadFile(filepath.Join(dir, f))
+		if err != nil {
 			t.Errorf("%s not written: %v", f, err)
+			continue
 		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+			t.Errorf("%s sha256 = %s, want %s", f, got, want)
+		}
+	}
+}
+
+// writeFile reports a path it cannot create.
+func TestWriteFileReportsCreateError(t *testing.T) {
+	called := false
+	err := writeFile(t.TempDir(), func(io.Writer) error { called = true; return nil })
+	if err == nil || called {
+		t.Errorf("writeFile to a directory: err=%v, write called=%v", err, called)
 	}
 }
 
@@ -164,8 +184,9 @@ func TestEveryRunNameDispatches(t *testing.T) {
 func TestRunIncidentWritesDump(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "incident_dump.json")
 	out := runCLI(t, "-run", "incident", "-flight-out", path)
-	if !strings.Contains(out, "byte-identical") {
-		t.Errorf("output lacks the replay check:\n%s", out)
+	// The seeded dump's hash, as EXPERIMENTS.md E16 quotes it.
+	if !strings.Contains(out, "byte-identical: fnv1a ce229d3694bd6f25\n") {
+		t.Errorf("output lacks the replay check and its hash:\n%s", out)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -11,18 +11,16 @@ import (
 	"repro/internal/verdict"
 )
 
-// sloVerdictConfig is the seeded single-point run the SLO evaluation (and
+// verdictDetection is the seeded single-point run the SLO evaluation (and
 // `-run verdict`) classifies: energy detection at a comfortably detectable
 // SNR, the regime the paper's reaction guarantees describe.
-func sloVerdictConfig(frames int) experiments.VerdictConfig {
-	return experiments.VerdictConfig{
-		Detection: experiments.DetectionConfig{
-			EnergyThresholdDB: 10,
-			Kind:              experiments.FullFrame,
-			FramesPerPoint:    frames,
-			SNRsDB:            []float64{11},
-			Seed:              7,
-		},
+func verdictDetection(frames int) experiments.DetectionConfig {
+	return experiments.DetectionConfig{
+		EnergyThresholdDB: 10,
+		Kind:              experiments.FullFrame,
+		FramesPerPoint:    frames,
+		SNRsDB:            []float64{11},
+		Seed:              7,
 	}
 }
 
@@ -38,7 +36,7 @@ func runSLO(frames int) error {
 	if err != nil {
 		return err
 	}
-	out, err := experiments.RunVerdictLedger(sloVerdictConfig(30))
+	out, err := experiments.RunVerdictLedger(verdictDetection(30))
 	if err != nil {
 		return err
 	}
@@ -78,7 +76,7 @@ func runSLO(frames int) error {
 // the per-packet JSONL ledger when -ledger is set.
 func runVerdict(frames int, ledgerPath string) error {
 	fmt.Println("per-packet verdict ledger (seeded single-point run)")
-	out, err := experiments.RunVerdictLedger(sloVerdictConfig(frames))
+	out, err := experiments.RunVerdictLedger(verdictDetection(frames))
 	if err != nil {
 		return err
 	}
@@ -101,15 +99,7 @@ func runVerdict(frames int, ledgerPath string) error {
 		}
 	}
 	if ledgerPath != "" {
-		f, err := os.Create(ledgerPath)
-		if err != nil {
-			return err
-		}
-		if err := out.Ledger.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(ledgerPath, out.Ledger.WriteJSONL); err != nil {
 			return err
 		}
 		fmt.Printf("  wrote %d ledger rows to %s\n", len(out.Ledger.Records)+1, ledgerPath)

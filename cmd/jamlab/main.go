@@ -143,7 +143,7 @@ func main() {
 		c.enableTelemetry(*flightOut)
 	}
 	if *profileDir != "" {
-		c.sampler = profile.NewSampler(profile.Config{Dir: *profileDir})
+		c.sampler = profile.NewSampler(*profileDir)
 		if err := c.sampler.Start(); err != nil {
 			log.Fatal(err)
 		}
@@ -177,9 +177,9 @@ func main() {
 func (c *console) enableTelemetry(flightOut string) {
 	live := c.jam.EnableTelemetry()
 	c.flightOut = flightOut
-	c.flight = flight.New(live, flight.Options{})
+	c.flight = flight.New(live, 0)
 	c.flight.Arm()
-	c.det = anomaly.New(live, anomaly.Config{})
+	c.det = anomaly.New(live)
 	c.det.OnAlert = func(a anomaly.Alert) {
 		fmt.Fprintf(c.out, "anomaly: %s z=%.1f (value %.4g, baseline %.4g) at cycle %d\n",
 			a.Name, a.Score, a.Value, a.Mean, a.Cycle)

@@ -14,7 +14,6 @@ import (
 	"repro/internal/jammer"
 	"repro/internal/radio"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/flight"
 	"repro/internal/trigger"
 	"repro/internal/verdict"
 	"repro/internal/xcorr"
@@ -32,20 +31,19 @@ const (
 	frameTiles  = 4
 )
 
+// The stimulus frame's power over the noise floor, and the correlator
+// threshold's false-alarm target in triggers per second.
+const (
+	snrDB    = 12
+	faPerSec = 0.5
+)
+
 // Config describes one fault campaign.
 type Config struct {
 	// Plan is the fault plan (zero value + seed = control campaign).
 	Plan Plan
 	// Frames is the number of stimulus blocks (default 12).
 	Frames int
-	// SNRdB is the frame power over the noise floor (default 12).
-	SNRdB float64
-	// FAPerSec is the correlator threshold's false-alarm target (default 0.5).
-	FAPerSec float64
-	// Flight attaches a flight recorder to the primary core: armed after
-	// register programming, fed the faulted stimulus, and triggered into a
-	// dump when any invariant degrades or breaks (Result.Flight).
-	Flight bool
 }
 
 // KindCount is one per-kind fault tally in the report, ordered by kind.
@@ -83,10 +81,6 @@ type Result struct {
 	// Faults is the full injection ledger (not serialized into the sweep
 	// report; available to tests and direct callers).
 	Faults []Fault `json:"-"`
-	// Flight is the incident dump captured when Config.Flight is set and an
-	// invariant failed to hold (nil otherwise). Like Faults it stays out of
-	// the sweep report so report bytes are unchanged.
-	Flight *flight.Dump `json:"-"`
 }
 
 // Run executes one fault campaign: a dual-core differential datapath (block
@@ -97,12 +91,6 @@ type Result struct {
 func Run(cfg Config) (*Result, error) {
 	if cfg.Frames <= 0 {
 		cfg.Frames = 12
-	}
-	if cfg.SNRdB == 0 {
-		cfg.SNRdB = 12
-	}
-	if cfg.FAPerSec == 0 {
-		cfg.FAPerSec = 0.5
 	}
 	plan := cfg.Plan.withDefaults()
 	if err := plan.validate(); err != nil {
@@ -146,7 +134,7 @@ func Run(cfg Config) (*Result, error) {
 	tpl := host.WiFiShortTemplate()
 	events := []trigger.Event{trigger.EventXCorr, trigger.EventEnergyHigh}
 	steps := []func() error{
-		func() error { _, err := h.ProgramCorrelatorFA(tpl, cfg.FAPerSec); return err },
+		func() error { _, err := h.ProgramCorrelatorFA(tpl, faPerSec); return err },
 		func() error { _, err := h.ProgramEnergy(10, 0); return err },
 		func() error { _, err := h.ProgramTrigger(core.FusionAny, events, 0); return err },
 		func() error {
@@ -161,14 +149,6 @@ func Run(cfg Config) (*Result, error) {
 		if err := program(s); err != nil {
 			return nil, err
 		}
-	}
-
-	// The flight recorder arms after programming so histogram deltas measure
-	// only the campaign itself.
-	var fr *flight.Recorder
-	if cfg.Flight {
-		fr = flight.New(plive, flight.Options{Seed: plan.Seed})
-		fr.Arm()
 	}
 
 	// Timing faults are campaign-wide; ledger them at cycle 0.
@@ -187,7 +167,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// Standalone kernel differential pair on the same faulted stream.
 	ci, cq := xcorr.CoefficientsFromTemplate(tpl)
-	thr := xcorr.ThresholdForFARate(ci, cq, cfg.FAPerSec)
+	thr := xcorr.ThresholdForFARate(ci, cq, faPerSec)
 	hw := xcorr.New()
 	ref := xcorr.NewReference()
 	for _, c := range []interface {
@@ -204,7 +184,7 @@ func Run(cfg Config) (*Result, error) {
 	for i := 0; i < frameTiles; i++ {
 		frame = append(frame, tpl...)
 	}
-	amp := math.Sqrt(noiseFloorPower * dsp.FromDB(cfg.SNRdB))
+	amp := math.Sqrt(noiseFloorPower * dsp.FromDB(snrDB))
 	scale := complex(amp/math.Sqrt(frame.Power()), 0)
 	noise := dsp.NewNoiseSource(noiseFloorPower, plan.Seed+101)
 	pclock := pc.Clock()
@@ -256,9 +236,6 @@ func Run(cfg Config) (*Result, error) {
 			chain.ProcessInto(buf, buf)
 		}
 		buf = inj.mutateBlock(buf)
-		if fr != nil {
-			fr.RecordIQ(buf)
-		}
 
 		start := pclock.Cycle()
 		txP, err := r.Process(buf)
@@ -320,19 +297,6 @@ func Run(cfg Config) (*Result, error) {
 		case Broken:
 			res.Broken++
 		}
-	}
-	// Fire the flight recorder only after the checker has read both journals:
-	// the dump marker lands in the primary journal, and journaling it earlier
-	// would desynchronize the block/sample parity comparison.
-	if fr != nil && res.Held < len(res.Invariants) {
-		detail := ""
-		for _, inv := range res.Invariants {
-			if inv.Status != Held {
-				detail = fmt.Sprintf("invariant %s %s: %s", inv.Name, inv.Status, inv.Detail)
-				break
-			}
-		}
-		res.Flight = fr.Trigger(flight.TriggerChaosInvariant, pclock.Cycle(), detail)
 	}
 	return res, nil
 }

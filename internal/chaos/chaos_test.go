@@ -98,7 +98,7 @@ func TestSweepReportReplays(t *testing.T) {
 		t.Skip("full sweep in -short mode")
 	}
 	run := func() []byte {
-		results, err := RunSweep(SweepConfig{Seed: 42, Frames: 8, Severities: []int{1, 3}})
+		results, err := RunSweep(SweepConfig{Seed: 42, Frames: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,24 +83,21 @@ type SweepConfig struct {
 	Seed int64
 	// Frames per campaign (default 12).
 	Frames int
-	// Severities per fault class (default 1..3).
-	Severities []int
 }
+
+// severities are the levels every fault class of the sweep runs at.
+var severities = []int{1, 2, 3}
 
 // RunSweep runs the control campaign followed by every fault class at every
 // severity, returning the results in deterministic report order.
 func RunSweep(cfg SweepConfig) ([]*Result, error) {
-	sev := cfg.Severities
-	if len(sev) == 0 {
-		sev = []int{1, 2, 3}
-	}
 	type cell struct {
 		class    string
 		severity int
 	}
 	cells := []cell{{"control", 0}}
 	for _, class := range Classes() {
-		for _, s := range sev {
+		for _, s := range severities {
 			cells = append(cells, cell{class, s})
 		}
 	}

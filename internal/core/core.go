@@ -82,8 +82,6 @@ type Core struct {
 	engLinger uint64
 
 	scratch blockScratch
-
-	antenna uint8
 }
 
 // EdgeHoldoff is the default detector re-trigger holdoff in samples,

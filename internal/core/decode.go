@@ -39,7 +39,6 @@ func (c *Core) installRegisterDecode() {
 	})
 	c.bus.Watch(RegJammerGainAnt, func(_ uint8, v uint32) {
 		c.jam.SetGain(float64(v&0xFFFF) / 1000)
-		c.antenna = uint8((v >> 16) & 0xF)
 	})
 }
 

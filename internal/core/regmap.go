@@ -28,8 +28,9 @@ const (
 	RegJammerUptime uint8 = 22
 	// RegJammerDelay is the trigger-to-jam delay in samples.
 	RegJammerDelay uint8 = 23
-	// RegJammerGainAnt: bits 0-15 TX gain in milli-units (1000 = unity),
-	// bits 16-19 the antenna-control GPIO lines.
+	// RegJammerGainAnt: bits 0-15 TX gain in milli-units (1000 = unity).
+	// Bits 16-19 are the N210's antenna-control GPIO lines; the host writes
+	// them as 0 and the core ignores them.
 	RegJammerGainAnt uint8 = 24
 )
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/dsp"
 	"repro/internal/fixed"
+	"repro/internal/fpga"
 	"repro/internal/host"
 	"repro/internal/impair"
 	"repro/internal/iperf"
@@ -99,7 +101,10 @@ func AblationCorrelators(snrsDB []float64, frames int, seed int64) ([]Correlator
 	rawThresh := xcorr.ThresholdForFARate(iR, qR, 0.52)
 	// Soft thresholds: same χ² logic — for the normalized soft metric under
 	// noise of power Pn, E[m] = Pn, and the tail is exp(-T/Pn).
-	softFactor := math.Log(float64(fpga25M()) / 0.52)
+	// A float64 division, not exact constant arithmetic: the figure
+	// golden pins the rounding of the former.
+	rate := float64(fpga.SampleRateHz)
+	softFactor := math.Log(rate / 0.52)
 
 	out := make([]CorrelatorComparison, len(snrsDB))
 	err := forEach(len(snrsDB), func(oi int) error {
@@ -178,8 +183,6 @@ func AblationCorrelators(snrsDB []float64, frames int, seed int64) ([]Correlator
 	}
 	return out, nil
 }
-
-func fpga25M() int { return 25_000_000 }
 
 // EnergyWindowPoint is one row of the energy-window ablation: worst-case
 // detection latency and detection probability for a given moving-sum
@@ -356,16 +359,12 @@ func AblationImpairments(frames int, snrDB float64, seed int64) ([]ImpairmentRow
 			FATargetPerSec: 0.52,
 			Kind:           FullFrame,
 			FramesPerPoint: frames,
-			SNRsDB:         []float64{snrDB},
 			Seed:           seed,
 			Impairments:    c.cfg,
 		}
-		res, err := CharacterizeDetection(cfg)
-		if err != nil {
-			return err
-		}
-		out[oi] = ImpairmentRow{Label: c.label, Pd: res.Points[0].Pd}
-		return nil
+		p, err := detectionPoint(cfg, snrDB, nil, nil)
+		out[oi] = ImpairmentRow{Label: c.label, Pd: p.Pd}
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -416,10 +415,10 @@ func AblationSoftDecision(burstSymbols []int, trials int, seed int64) ([]SoftDec
 			}
 			dsp.NewNoiseSource(1e-4, seed+int64(tr)+5000).AddTo(rx)
 
-			if res, err := wifi.Demodulate(rx, 0, 300); err != nil || !equalBytes(res.PSDU, psdu) {
+			if res, err := wifi.Demodulate(rx, 0, 300); err != nil || !bytes.Equal(res.PSDU, psdu) {
 				hardErr++
 			}
-			if res, err := wifi.DemodulateSoft(rx, 0, 300); err != nil || !equalBytes(res.PSDU, psdu) {
+			if res, err := wifi.DemodulateSoft(rx, 0, 300); err != nil || !bytes.Equal(res.PSDU, psdu) {
 				softErr++
 			}
 		}
@@ -434,16 +433,4 @@ func AblationSoftDecision(burstSymbols []int, trials int, seed int64) ([]SoftDec
 		return nil, err
 	}
 	return out, nil
-}
-
-func equalBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

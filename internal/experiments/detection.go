@@ -15,6 +15,7 @@ import (
 	"repro/internal/host"
 	"repro/internal/impair"
 	"repro/internal/radio"
+	"repro/internal/telemetry"
 	"repro/internal/trigger"
 	"repro/internal/wifi"
 )
@@ -244,75 +245,101 @@ func CharacterizeDetection(cfg DetectionConfig) (*DetectionResult, error) {
 	if len(cfg.SNRsDB) == 0 {
 		return nil, fmt.Errorf("experiments: no SNR points")
 	}
-
-	// --- False-alarm calibration: terminated input, noise only. ---
-	r, count, _, err := buildDetector(cfg)
+	faCount, faSec, _, err := falseAlarms(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	noise := dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+9999)
-	// 2M samples at 20 MSPS input (2.5M at the core) ≈ 0.1 s. Kept modest;
-	// cmd/experiments -full raises it via FACalibrationScale.
-	faSamples := 2_000_000 * faCalibrationScale
-	if err := processNoise(r, noise, faSamples); err != nil {
-		return nil, err
-	}
-	faCount := count()
-	faSec := float64(faSamples) / wifi.SampleRate
 	result := &DetectionResult{
 		FalseAlarmsPerSec: float64(faCount) / faSec,
 		FACalibrationSec:  faSec,
 	}
-
-	// --- Pd sweep: one worker-pool item per SNR point. Each point builds
-	// its own radio stack and derives every seed from (cfg.Seed, snr), so
-	// the sweep is bit-identical at any pool width. ---
+	// One worker-pool item per SNR point. Each point builds its own radio
+	// stack and derives every seed from (cfg.Seed, snr), so the sweep is
+	// bit-identical at any pool width.
 	result.Points = make([]DetectionPoint, len(cfg.SNRsDB))
 	err = forEach(len(cfg.SNRsDB), func(pi int) error {
-		snr := cfg.SNRsDB[pi]
-		r, count, _, err := buildDetector(cfg)
-		if err != nil {
-			return err
-		}
-		front := impair.New(cfg.Impairments)
-		noise := dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+int64(snr*100))
-		amp := math.Sqrt(noiseFloorPower * dsp.FromDB(snr))
-		src := newFrameSource(cfg.Kind, cfg.Seed)
-		framesDetected := 0
-		var detections uint64
-		for f := 0; f < cfg.FramesPerPoint; f++ {
-			// Scale the unit-power frame to the target SNR over noise and
-			// surround it with idle gap (the paper sends 130 frames/s; the
-			// inter-frame gap only needs to re-arm the detectors).
-			buf, power, err := src.framed(f, interFrameGap)
-			if err != nil {
-				return err
-			}
-			scale := amp / math.Sqrt(power)
-			for i := range buf {
-				buf[i] = front.ProcessSample(buf[i]*complex(scale, 0)) + noise.Sample()
-			}
-			before := count()
-			if _, err := r.Process(buf); err != nil {
-				return err
-			}
-			d := count() - before
-			if d > 0 {
-				framesDetected++
-			}
-			detections += d
-		}
-		result.Points[pi] = DetectionPoint{
-			SNRdB:              snr,
-			Pd:                 float64(framesDetected) / float64(cfg.FramesPerPoint),
-			DetectionsPerFrame: float64(detections) / float64(cfg.FramesPerPoint),
-		}
-		return nil
+		p, err := detectionPoint(cfg, cfg.SNRsDB[pi], nil, nil)
+		result.Points[pi] = p
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return result, nil
+}
+
+// falseAlarms is the false-alarm calibration: noise only, the terminated
+// input of §3.2, through a fresh detector with live (when non-nil) as its
+// recorder. It returns the detection count, the calibration window in
+// seconds and the resolved detection event.
+func falseAlarms(cfg DetectionConfig, live *telemetry.Live) (uint64, float64, trigger.Event, error) {
+	r, count, ev, err := buildDetector(cfg)
+	if err != nil {
+		return 0, 0, ev, err
+	}
+	if live != nil {
+		r.Core().SetRecorder(live)
+	}
+	noise := dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+9999)
+	// 2M samples at 20 MSPS input (2.5M at the core) ≈ 0.1 s. Kept modest;
+	// cmd/experiments -full raises it via FACalibrationScale.
+	n := 2_000_000 * faCalibrationScale
+	if err := processNoise(r, noise, n); err != nil {
+		return 0, 0, ev, err
+	}
+	return count(), float64(n) / wifi.SampleRate, ev, nil
+}
+
+// detectionPoint measures one SNR point: FramesPerPoint frames through a
+// fresh detector with live (when non-nil) as its recorder, counting
+// per-frame detections. A non-nil onFrame receives each frame's clock
+// window [start, end) in cycles.
+func detectionPoint(cfg DetectionConfig, snr float64, live *telemetry.Live, onFrame func(start, end uint64)) (DetectionPoint, error) {
+	r, count, _, err := buildDetector(cfg)
+	if err != nil {
+		return DetectionPoint{}, err
+	}
+	if live != nil {
+		r.Core().SetRecorder(live)
+	}
+	clock := r.Core().Clock()
+	front := impair.New(cfg.Impairments)
+	noise := dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+int64(snr*100))
+	amp := math.Sqrt(noiseFloorPower * dsp.FromDB(snr))
+	src := newFrameSource(cfg.Kind, cfg.Seed)
+	framesDetected := 0
+	var detections uint64
+	for f := 0; f < cfg.FramesPerPoint; f++ {
+		// Scale the unit-power frame to the target SNR over noise and
+		// surround it with idle gap (the paper sends 130 frames/s; the
+		// inter-frame gap only needs to re-arm the detectors).
+		buf, power, err := src.framed(f, interFrameGap)
+		if err != nil {
+			return DetectionPoint{}, err
+		}
+		scale := amp / math.Sqrt(power)
+		for i := range buf {
+			buf[i] = front.ProcessSample(buf[i]*complex(scale, 0)) + noise.Sample()
+		}
+		before := count()
+		start := clock.Cycle()
+		if _, err := r.Process(buf); err != nil {
+			return DetectionPoint{}, err
+		}
+		if onFrame != nil {
+			onFrame(start, clock.Cycle())
+		}
+		d := count() - before
+		if d > 0 {
+			framesDetected++
+		}
+		detections += d
+	}
+	return DetectionPoint{
+		SNRdB:              snr,
+		Pd:                 float64(framesDetected) / float64(cfg.FramesPerPoint),
+		DetectionsPerFrame: float64(detections) / float64(cfg.FramesPerPoint),
+	}, nil
 }
 
 // interFrameGap is the idle padding around each characterization frame at

@@ -88,13 +88,12 @@ type JamSweepConfig struct {
 // DefaultAttenuationSweep spans SIR ≈ -12…+38 dB at the AP.
 var DefaultAttenuationSweep = []float64{0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50}
 
-// DefaultJamSweep returns the sweep settings for one curve with a modest
-// packet budget.
+// DefaultJamSweep returns the sweep settings for one curve; the caller sets
+// Packets.
 func DefaultJamSweep(mode iperf.JamMode, uptime time.Duration) JamSweepConfig {
 	return JamSweepConfig{
 		Mode: mode, Uptime: uptime,
 		Attenuations: DefaultAttenuationSweep,
-		Packets:      40,
 		PayloadBytes: 1470,
 		Seed:         101,
 	}

@@ -21,16 +21,12 @@ import (
 type ReactionConfig struct {
 	// Frames is the number of measured frames.
 	Frames int
-	// SNRdB is the frame power over the noise floor. The default sits just
-	// above the energy threshold — the marginal regime the paper's 1.28 µs
-	// worst case describes, where the 32-sample window must fill with the
-	// new level before the comparison crosses. Well above threshold the
-	// detector fires earlier (fewer samples suffice).
+	// SNRdB is the frame power over the noise floor. The default, 11 dB,
+	// sits just above the 10 dB energy threshold — the marginal regime the
+	// paper's 1.28 µs worst case describes, where the 32-sample window must
+	// fill with the new level before the comparison crosses. Well above
+	// threshold the detector fires earlier (fewer samples suffice).
 	SNRdB float64
-	// EnergyThresholdDB arms the energy differentiator (default 10 dB).
-	EnergyThresholdDB float64
-	// Uptime is the jamming burst duration (default 10 µs).
-	Uptime time.Duration
 	// Seed drives noise and payload randomness.
 	Seed int64
 	// Cell, when non-empty and a fleet sink is installed (SetFleetSink),
@@ -58,6 +54,12 @@ type ReactionResult struct {
 	Recorder *telemetry.Live
 }
 
+// The reaction probe's energy-high threshold and jamming burst.
+const (
+	reactionThresholdDB = 10
+	reactionUptime      = 10 * time.Microsecond
+)
+
 // WiFiFrontEndGroupDelayCycles returns the group delay, in hardware clock
 // cycles, of the DDC a WiFi-rate (20 MSPS) source passes through before the
 // detectors see it. Latency budgets anchored at the frame boundary entering
@@ -78,14 +80,8 @@ func MeasureReactionLatency(cfg ReactionConfig) (*ReactionResult, error) {
 	if cfg.Frames <= 0 {
 		return nil, fmt.Errorf("experiments: Frames must be positive")
 	}
-	if cfg.EnergyThresholdDB == 0 {
-		cfg.EnergyThresholdDB = 10
-	}
 	if cfg.SNRdB == 0 {
 		cfg.SNRdB = 11
-	}
-	if cfg.Uptime == 0 {
-		cfg.Uptime = 10 * time.Microsecond
 	}
 
 	r := radio.New()
@@ -93,7 +89,7 @@ func MeasureReactionLatency(cfg ReactionConfig) (*ReactionResult, error) {
 		return nil, err
 	}
 	h := host.New(r.Core())
-	if _, err := h.ProgramEnergy(cfg.EnergyThresholdDB, 0); err != nil {
+	if _, err := h.ProgramEnergy(reactionThresholdDB, 0); err != nil {
 		return nil, err
 	}
 	if _, err := h.ProgramTrigger(core.FusionSequence,
@@ -102,7 +98,7 @@ func MeasureReactionLatency(cfg ReactionConfig) (*ReactionResult, error) {
 	}
 	if _, err := h.ProgramJammer(host.Personality{
 		Name: "reaction-probe", Waveform: jammer.WaveformWGN,
-		Uptime: cfg.Uptime, Gain: 1,
+		Uptime: reactionUptime, Gain: 1,
 	}); err != nil {
 		return nil, err
 	}

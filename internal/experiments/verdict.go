@@ -2,39 +2,23 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/dsp"
-	"repro/internal/impair"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/span"
 	"repro/internal/trigger"
 	"repro/internal/verdict"
-	"repro/internal/wifi"
 )
 
-// The verdict-ledger experiment replays the §3.2 detection methodology —
-// identical stimulus, seeds, radio construction and phase structure as
-// CharacterizeDetection for a single SNR point — with the telemetry journal
-// capturing every engagement, then classifies each transmitted frame from
-// the journal alone and reconciles the ledger's Pd / false-alarm figures
-// against the counter-delta figures computed the way the characterization
-// computes them. Both views observe the same datapath run, so they must
-// agree bit-for-bit; any divergence is an instrumentation bug (lost journal
-// events, mis-stamped clocks, window misattribution), which is exactly what
-// the reconciliation exists to catch.
-
-// VerdictConfig describes one verdict-ledger run.
-type VerdictConfig struct {
-	// Detection is the stimulus and detector configuration, interpreted
-	// exactly as CharacterizeDetection interprets it. SNRsDB must hold
-	// exactly one point.
-	Detection DetectionConfig
-	// JournalDepth sizes the telemetry journals (default 1<<16 events). The
-	// run fails if either journal drops events, since a truncated journal
-	// cannot reconcile.
-	JournalDepth int
-}
+// The verdict-ledger experiment runs the §3.2 detection methodology for a
+// single SNR point — the false-alarm calibration and the point of
+// CharacterizeDetection themselves — with the telemetry journal capturing
+// every engagement, then classifies each transmitted frame from the journal
+// alone and reconciles the ledger's Pd / false-alarm figures against the
+// counter-delta figures the characterization computes. Both views observe
+// the same datapath run, so they must agree bit-for-bit; any divergence is
+// an instrumentation bug (lost journal events, mis-stamped clocks, window
+// misattribution), which is exactly what the reconciliation exists to
+// catch.
 
 // VerdictOutcome is the ledger plus both sets of figures.
 type VerdictOutcome struct {
@@ -80,10 +64,11 @@ func detectionKind(ev trigger.Event) telemetry.EventKind {
 	}
 }
 
-// RunVerdictLedger runs the instrumented single-point characterization and
-// returns the reconciled ledger.
-func RunVerdictLedger(cfg VerdictConfig) (*VerdictOutcome, error) {
-	d := cfg.Detection
+// RunVerdictLedger runs the instrumented single-point characterization of
+// d, which must hold exactly one SNR point, and returns the reconciled
+// ledger. The run fails if a journal of telemetry.DefaultJournalDepth
+// events drops any, since a truncated journal cannot reconcile.
+func RunVerdictLedger(d DetectionConfig) (*VerdictOutcome, error) {
 	if d.FramesPerPoint <= 0 {
 		return nil, fmt.Errorf("experiments: FramesPerPoint must be positive")
 	}
@@ -91,30 +76,18 @@ func RunVerdictLedger(cfg VerdictConfig) (*VerdictOutcome, error) {
 		return nil, fmt.Errorf("experiments: verdict ledger runs exactly one SNR point, got %d", len(d.SNRsDB))
 	}
 	snr := d.SNRsDB[0]
-	depth := cfg.JournalDepth
-	if depth <= 0 {
-		depth = 1 << 16
-	}
 
-	// --- Phase 1: noise-only false-alarm calibration, its own fresh radio
-	// and journal (mirroring CharacterizeDetection's structure so the
-	// figures are comparable run-to-run, not just within this run). ---
-	r, count, ev, err := buildDetector(d)
+	// Phase 1: the noise-only false-alarm calibration, on its own radio
+	// and journal.
+	faLive := telemetry.NewLive(telemetry.DefaultJournalDepth)
+	counterFA, faSec, ev, err := falseAlarms(d, faLive)
 	if err != nil {
 		return nil, err
 	}
-	kind := detectionKind(ev)
-	faLive := telemetry.NewLive(depth)
-	r.Core().SetRecorder(faLive)
-	noise := dsp.NewNoiseSource(noiseFloorPower, d.Seed+9999)
-	faSamples := 2_000_000 * faCalibrationScale
-	if err := processNoise(r, noise, faSamples); err != nil {
-		return nil, err
-	}
-	counterFA := count()
 	if dropped := faLive.Dropped(); dropped != 0 {
-		return nil, fmt.Errorf("experiments: FA journal dropped %d events; raise JournalDepth", dropped)
+		return nil, fmt.Errorf("experiments: FA journal dropped %d events", dropped)
 	}
+	kind := detectionKind(ev)
 	// With no ground-truth packets, every engagement is a false positive and
 	// every configured-kind edge a false alarm.
 	faResult, err := verdict.Classify(nil, span.Build(faLive.Events()),
@@ -123,45 +96,18 @@ func RunVerdictLedger(cfg VerdictConfig) (*VerdictOutcome, error) {
 		return nil, err
 	}
 
-	// --- Phase 2: Pd measurement on a fresh radio, per-frame clock windows
-	// journaled alongside the per-frame counter deltas. ---
-	r, count, _, err = buildDetector(d)
+	// Phase 2: the Pd point on a fresh radio, each frame's clock window
+	// journaled alongside the per-frame counter deltas.
+	live := telemetry.NewLive(telemetry.DefaultJournalDepth)
+	packets := make([]verdict.Packet, 0, d.FramesPerPoint)
+	pt, err := detectionPoint(d, snr, live, func(start, end uint64) {
+		packets = append(packets, verdict.Packet{Index: len(packets), Start: start, End: end})
+	})
 	if err != nil {
 		return nil, err
 	}
-	live := telemetry.NewLive(depth)
-	r.Core().SetRecorder(live)
-	clock := r.Core().Clock()
-	front := impair.New(d.Impairments)
-	pNoise := dsp.NewNoiseSource(noiseFloorPower, d.Seed+int64(snr*100))
-	amp := math.Sqrt(noiseFloorPower * dsp.FromDB(snr))
-	framesDetected := 0
-	var detections uint64
-	packets := make([]verdict.Packet, 0, d.FramesPerPoint)
-	src := newFrameSource(d.Kind, d.Seed)
-	for f := 0; f < d.FramesPerPoint; f++ {
-		buf, power, err := src.framed(f, interFrameGap)
-		if err != nil {
-			return nil, err
-		}
-		scale := amp / math.Sqrt(power)
-		for i := range buf {
-			buf[i] = front.ProcessSample(buf[i]*complex(scale, 0)) + pNoise.Sample()
-		}
-		before := count()
-		start := clock.Cycle()
-		if _, err := r.Process(buf); err != nil {
-			return nil, err
-		}
-		packets = append(packets, verdict.Packet{Index: f, Start: start, End: clock.Cycle()})
-		delta := count() - before
-		if delta > 0 {
-			framesDetected++
-		}
-		detections += delta
-	}
 	if dropped := live.Dropped(); dropped != 0 {
-		return nil, fmt.Errorf("experiments: journal dropped %d events; raise JournalDepth", dropped)
+		return nil, fmt.Errorf("experiments: journal dropped %d events", dropped)
 	}
 
 	engs := span.Build(live.Events())
@@ -181,7 +127,6 @@ func RunVerdictLedger(cfg VerdictConfig) (*VerdictOutcome, error) {
 	ledger.Summary.FPEngagements += faResult.Summary.FPEngagements
 	ledger.Summary.FalseAlarmEdges += faResult.Summary.FalseAlarmEdges
 
-	faSec := float64(faSamples) / wifi.SampleRate
 	out := &VerdictOutcome{
 		SNRdB:       snr,
 		Event:       ev,
@@ -189,8 +134,8 @@ func RunVerdictLedger(cfg VerdictConfig) (*VerdictOutcome, error) {
 		Engagements: engs,
 		Ledger:      ledger,
 
-		CounterPd:                 float64(framesDetected) / float64(d.FramesPerPoint),
-		CounterDetectionsPerFrame: float64(detections) / float64(d.FramesPerPoint),
+		CounterPd:                 pt.Pd,
+		CounterDetectionsPerFrame: pt.DetectionsPerFrame,
 		CounterFalseAlarms:        counterFA,
 		LedgerPd:                  ledger.Summary.Pd,
 		LedgerDetectionsPerFrame:  float64(ledger.Summary.DetectionEdges) / float64(d.FramesPerPoint),

@@ -19,7 +19,7 @@ func TestVerdictLedgerReconciles(t *testing.T) {
 		SNRsDB:            []float64{9}, // marginal: a mix of hits and misses
 		Seed:              7,
 	}
-	out, err := RunVerdictLedger(VerdictConfig{Detection: cfg})
+	out, err := RunVerdictLedger(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,19 +47,15 @@ const (
 // not call back into the same bus unless it handles its own reentrancy.
 type WriteInterceptor func(addr uint8, value uint32) (uint32, WriteAction)
 
-// RegisterBus is the user register file plus write-latency accounting.
-// It is safe for concurrent use: the host-side application and the sample
-// clocked core may touch it from different goroutines.
+// RegisterBus is the user register file. It is safe for concurrent use:
+// the host-side application and the sample clocked core may touch it from
+// different goroutines.
 type RegisterBus struct {
 	mu          sync.RWMutex
 	regs        [NumUserRegisters]uint32
-	written     [NumUserRegisters]bool
 	watchers    map[uint8][]RegWatcher
 	watchersAll []RegWatcher
 	intercept   WriteInterceptor
-	writes      uint64
-	reads       uint64
-	dropped     uint64
 }
 
 // NewRegisterBus returns an empty register file.
@@ -78,17 +74,12 @@ func (b *RegisterBus) Write(addr uint8, value uint32) error {
 	if icept != nil {
 		v, action := icept(addr, value)
 		if action == WriteDrop {
-			b.mu.Lock()
-			b.dropped++
-			b.mu.Unlock()
 			return nil
 		}
 		value = v
 	}
 	b.mu.Lock()
 	b.regs[addr] = value
-	b.written[addr] = true
-	b.writes++
 	// Snapshot copies of the watcher lists so dispatch (outside the lock)
 	// stays safe when a watcher reentrantly registers another watcher —
 	// append may grow the shared backing arrays mid-iteration otherwise.
@@ -109,9 +100,8 @@ func (b *RegisterBus) Read(addr uint8) (uint32, error) {
 	if addr == 0 {
 		return 0, fmt.Errorf("%w: register 0 is reserved by UHD", ErrBadRegister)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.reads++
+	b.mu.RLock()
+	defer b.mu.RUnlock()
 	return b.regs[addr], nil
 }
 

@@ -65,12 +65,13 @@ func TestRegisterWatcher(t *testing.T) {
 
 func TestUsedRegisters(t *testing.T) {
 	b := NewRegisterBus()
+	log := watchCommits(b)
 	for _, a := range []uint8{30, 3, 12, 3} {
 		if err := b.Write(a, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	used := usedRegisters(b)
+	used := log.used()
 	want := []uint8{3, 12, 30}
 	if len(used) != len(want) {
 		t.Fatalf("used registers = %v", used)
@@ -80,17 +81,34 @@ func TestUsedRegisters(t *testing.T) {
 			t.Fatalf("used registers = %v, want %v", used, want)
 		}
 	}
-	if b.writes != 4 {
-		t.Errorf("writes = %d, want 4", b.writes)
+	if log.commits != 4 {
+		t.Errorf("commits = %d, want 4", log.commits)
 	}
 }
 
-// usedRegisters lists, in address order, the registers written at least
-// once.
-func usedRegisters(b *RegisterBus) []uint8 {
+// commitLog records the writes a bus commits, as its WatchAll hook sees
+// them.
+type commitLog struct {
+	commits uint64
+	written [NumUserRegisters]bool
+}
+
+// watchCommits installs a commit log on b. It is not safe for concurrent
+// writers.
+func watchCommits(b *RegisterBus) *commitLog {
+	l := &commitLog{}
+	b.WatchAll(func(addr uint8, _ uint32) {
+		l.commits++
+		l.written[addr] = true
+	})
+	return l
+}
+
+// used lists, in address order, the registers committed at least once.
+func (l *commitLog) used() []uint8 {
 	var used []uint8
 	for a := 1; a < NumUserRegisters; a++ {
-		if b.written[a] {
+		if l.written[a] {
 			used = append(used, uint8(a))
 		}
 	}
@@ -144,9 +162,6 @@ func TestRegisterBusWatcherConcurrency(t *testing.T) {
 	if got := addr9.Load(); got != want9 {
 		t.Errorf("Watch(9) saw %d writes, want %d", got, want9)
 	}
-	if b.reads != perG {
-		t.Errorf("reads = %d, want %d", b.reads, perG)
-	}
 }
 
 // TestWatcherReentrantRegistration is the regression test for the dispatch
@@ -198,9 +213,11 @@ func TestWriteInterceptor(t *testing.T) {
 	b := NewRegisterBus()
 	var seen []uint32
 	b.Watch(9, func(a uint8, v uint32) { seen = append(seen, v) })
+	drops := 0
 	b.Intercept(func(addr uint8, value uint32) (uint32, WriteAction) {
 		switch value {
 		case 1:
+			drops++
 			return 0, WriteDrop
 		case 2:
 			return value ^ 0x80, WriteCommit // injected bit error
@@ -216,14 +233,12 @@ func TestWriteInterceptor(t *testing.T) {
 	if got, _ := b.Read(9); got != 3 {
 		t.Errorf("final value = %d, want 3", got)
 	}
+	// Dropped writes don't commit: the watchers see only the other two.
 	if len(seen) != 2 || seen[0] != 2^0x80 || seen[1] != 3 {
 		t.Errorf("watchers saw %v, want [130 3]", seen)
 	}
-	if b.writes != 2 {
-		t.Errorf("writes = %d, want 2 (dropped writes don't commit)", b.writes)
-	}
-	if b.dropped != 1 {
-		t.Errorf("dropped = %d, want 1", b.dropped)
+	if drops != 1 {
+		t.Errorf("drops = %d, want 1", drops)
 	}
 	// Reserved register 0 is rejected before interception.
 	called := false
@@ -245,6 +260,8 @@ func TestWriteInterceptor(t *testing.T) {
 
 func TestRegisterBusConcurrency(t *testing.T) {
 	b := NewRegisterBus()
+	var commits atomic.Uint64
+	b.WatchAll(func(uint8, uint32) { commits.Add(1) })
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -258,7 +275,7 @@ func TestRegisterBusConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if b.writes != 8000 {
-		t.Errorf("writes = %d, want 8000", b.writes)
+	if got := commits.Load(); got != 8000 {
+		t.Errorf("commits = %d, want 8000", got)
 	}
 }

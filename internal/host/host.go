@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dsp"
+	"repro/internal/fixed"
 	"repro/internal/fpga"
 	"repro/internal/jammer"
 	"repro/internal/trigger"
@@ -58,30 +59,11 @@ func (h *Host) ProgramCorrelator(tpl []complex128, thresholdFrac float64) (time.
 		return 0, fmt.Errorf("host: threshold fraction %v outside (0,1]", thresholdFrac)
 	}
 	i, q := xcorr.CoefficientsFromTemplate(tpl)
-	peak := xcorr.IdealPeakMetric(tpl)
-	thresh := uint32(float64(peak) * thresholdFrac)
+	thresh := uint32(float64(xcorr.IdealPeakMetric(tpl)) * thresholdFrac)
 	if thresh == 0 {
 		thresh = 1
 	}
-	var total time.Duration
-	iRegs := core.PackCoefficients(i)
-	qRegs := core.PackCoefficients(q)
-	for r, v := range iRegs {
-		d, err := h.write(core.RegXCorrCoefI0+uint8(r), v)
-		if err != nil {
-			return total, err
-		}
-		total += d
-	}
-	for r, v := range qRegs {
-		d, err := h.write(core.RegXCorrCoefQ0+uint8(r), v)
-		if err != nil {
-			return total, err
-		}
-		total += d
-	}
-	d, err := h.write(core.RegXCorrThreshold, thresh)
-	return total + d, err
+	return h.writeCorrelator(i, q, thresh)
 }
 
 // ProgramCorrelatorFA programs the template with the threshold calibrated
@@ -92,21 +74,24 @@ func (h *Host) ProgramCorrelatorFA(tpl []complex128, faPerSec float64) (time.Dur
 		return 0, fmt.Errorf("host: false-alarm target %v must be positive", faPerSec)
 	}
 	i, q := xcorr.CoefficientsFromTemplate(tpl)
-	thresh := xcorr.ThresholdForFARate(i, q, faPerSec)
+	return h.writeCorrelator(i, q, xcorr.ThresholdForFARate(i, q, faPerSec))
+}
+
+// writeCorrelator writes the I bank, the Q bank and then the threshold,
+// returning the total bus latency.
+func (h *Host) writeCorrelator(i, q []fixed.Coeff3, thresh uint32) (time.Duration, error) {
 	var total time.Duration
-	for r, v := range core.PackCoefficients(i) {
-		d, err := h.write(core.RegXCorrCoefI0+uint8(r), v)
-		if err != nil {
-			return total, err
+	for _, bank := range []struct {
+		base  uint8
+		coefs []fixed.Coeff3
+	}{{core.RegXCorrCoefI0, i}, {core.RegXCorrCoefQ0, q}} {
+		for r, v := range core.PackCoefficients(bank.coefs) {
+			d, err := h.write(bank.base+uint8(r), v)
+			if err != nil {
+				return total, err
+			}
+			total += d
 		}
-		total += d
-	}
-	for r, v := range core.PackCoefficients(q) {
-		d, err := h.write(core.RegXCorrCoefQ0+uint8(r), v)
-		if err != nil {
-			return total, err
-		}
-		total += d
 	}
 	d, err := h.write(core.RegXCorrThreshold, thresh)
 	return total + d, err
@@ -175,8 +160,6 @@ type Personality struct {
 	Delay time.Duration
 	// Gain is the TX amplitude scale (1.0 = unity).
 	Gain float64
-	// Antenna drives the 4 antenna-control GPIO lines.
-	Antenna uint8
 }
 
 // Standard personalities used in the §4.3 experiments.
@@ -214,7 +197,7 @@ func (h *Host) ProgramJammer(p Personality) (time.Duration, error) {
 		{core.RegJammerWaveform, uint32(p.Waveform)},
 		{core.RegJammerUptime, uint32(up)},
 		{core.RegJammerDelay, uint32(fpga.DurationToSamples(p.Delay))},
-		{core.RegJammerGainAnt, uint32(p.Gain*1000) | uint32(p.Antenna&0xF)<<16},
+		{core.RegJammerGainAnt, uint32(p.Gain * 1000)},
 	}
 	for _, w := range writes {
 		d, err := h.write(w.addr, w.v)

@@ -234,20 +234,3 @@ func TestConcurrentRunsMatchSequential(t *testing.T) {
 		}
 	}
 }
-
-func TestTemplateTriggeredJamming(t *testing.T) {
-	// Protocol-aware mode: correlator template of the WiFi short preamble.
-	cfg := reactive(100*time.Microsecond, 0)
-	cfg.Template = host.WiFiShortTemplate()
-	cfg.TemplateThresholdFrac = 0.5
-	res, err := Run(testLink(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.JamAirtimeFrac == 0 {
-		t.Error("template-triggered jammer never fired on WiFi frames")
-	}
-	if res.PRR > 0.3 {
-		t.Errorf("PRR %v under protocol-aware jamming at full power", res.PRR)
-	}
-}

@@ -32,8 +32,6 @@ const (
 type N210 struct {
 	core *core.Core
 
-	centerHz float64
-
 	ddc      *dsp.Resampler // source-rate → 25 MSPS, when needed
 	sourceHz int
 	tx       dsp.Samples // transmit output, reused by every Process call
@@ -41,22 +39,22 @@ type N210 struct {
 	started bool
 }
 
-// New returns a radio with a fresh DSP core, tuned to WiFi channel 14
-// (2.484 GHz, the paper's §4.1 setting).
+// New returns a radio with a fresh DSP core.
 func New() *N210 {
-	return &N210{core: core.New(), centerHz: 2.484e9, sourceHz: fpga.SampleRateHz}
+	return &N210{core: core.New(), sourceHz: fpga.SampleRateHz}
 }
 
 // Core exposes the custom DSP core (and through it the register bus).
 func (r *N210) Core() *core.Core { return r.core }
 
-// Tune sets the RF center frequency.
+// Tune checks an RF center frequency against the SBX range. The model
+// runs at complex baseband, so the frequency itself changes nothing
+// downstream.
 func (r *N210) Tune(hz float64) error {
 	if hz < MinFreqHz || hz > MaxFreqHz {
 		return fmt.Errorf("radio: %.0f Hz outside SBX range [%.0f, %.0f]",
 			hz, MinFreqHz, MaxFreqHz)
 	}
-	r.centerHz = hz
 	return nil
 }
 

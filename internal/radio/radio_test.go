@@ -11,8 +11,8 @@ import (
 
 func TestTuningRange(t *testing.T) {
 	r := New()
-	if r.centerHz != 2.484e9 {
-		t.Errorf("default center %v, want WiFi channel 14", r.centerHz)
+	if err := r.Tune(2.484e9); err != nil { // WiFi channel 14, §4.1
+		t.Error(err)
 	}
 	if err := r.Tune(2.608e9); err != nil { // the paper's WiMAX frequency
 		t.Error(err)

@@ -2,7 +2,7 @@
 // plane: rolling-window EWMA + robust z-score detectors over the handful of
 // per-engagement telemetry signals that predict trouble — reaction p99,
 // detection probability, false-alarm rate, journal-drop rate and engagement
-// duty cycle. A value that strays more than Threshold robust sigmas from the
+// duty cycle. A value that strays more than four robust sigmas from the
 // rolling mean raises an Alert, which is journaled as a first-class
 // EvAnomalyAlert event (so it lands in the Chrome trace and the /metrics
 // rollups) and handed to an optional callback — the hook the flight recorder
@@ -75,39 +75,21 @@ type Alert struct {
 	Score float64 `json:"score"`
 }
 
-// Config tunes the detector bank.
-type Config struct {
-	// Window is the effective rolling-window length in observations; the
-	// EWMA decay is 2/(Window+1). Default 32.
-	Window int
-	// Warmup is the number of observations a series must accumulate before
+// The detector bank's tuning.
+const (
+	// window is the effective rolling-window length in observations; the
+	// EWMA decay is 2/(window+1).
+	window = 32
+	// warmup is the number of observations a series must accumulate before
 	// it may alert (a baseline estimated from two points is noise).
-	// Default 8.
-	Warmup int
-	// Threshold is the robust z-score above which an observation alerts.
-	// Default 4.
-	Threshold float64
-	// Cooldown suppresses repeat alerts on the same metric for this many
+	warmup = 8
+	// threshold is the robust z-score above which an observation alerts.
+	threshold = 4
+	// cooldown suppresses repeat alerts on the same metric for this many
 	// observations after one fires, so a level shift raises one alert, not
-	// an alert per sample while the EWMA catches up. Default 8.
-	Cooldown int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 32
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 8
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 4
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 8
-	}
-	return c
-}
+	// an alert per sample while the EWMA catches up.
+	cooldown = 8
+)
 
 // madToSigma converts a mean absolute deviation to a normal-equivalent
 // standard deviation.
@@ -124,7 +106,6 @@ type series struct {
 // Detector is a bank of rolling-window detectors, one per watched metric.
 // Not safe for concurrent use; the caller's rollup loop owns it.
 type Detector struct {
-	cfg    Config
 	rec    telemetry.Recorder // journal sink for alerts (never nil)
 	series [numMetrics]series
 	alerts []Alert
@@ -139,11 +120,11 @@ type Detector struct {
 
 // New returns a detector bank journaling alerts into rec (pass
 // telemetry.Discard to disable journaling).
-func New(rec telemetry.Recorder, cfg Config) *Detector {
+func New(rec telemetry.Recorder) *Detector {
 	if rec == nil {
 		rec = telemetry.Discard
 	}
-	return &Detector{cfg: cfg.withDefaults(), rec: rec}
+	return &Detector{rec: rec}
 }
 
 // Observe feeds one observation of a watched metric at the given hardware
@@ -177,19 +158,19 @@ func (d *Detector) Observe(m Metric, cycle uint64, v float64) (Alert, bool) {
 	var alert Alert
 	if s.cooldown > 0 {
 		s.cooldown--
-	} else if s.n > uint64(d.cfg.Warmup) && score > d.cfg.Threshold {
+	} else if s.n > warmup && score > threshold {
 		alert = Alert{
 			Metric: m, Name: m.String(), Cycle: cycle,
 			Value: v, Mean: s.mean, Score: score,
 		}
 		d.alerts = append(d.alerts, alert)
-		s.cooldown = d.cfg.Cooldown
+		s.cooldown = cooldown
 		d.rec.Event(telemetry.EvAnomalyAlert, cycle, EncodeArg(m, score), 0)
 		fired = true
 	}
 	// Update the rolling baseline after the decision, so the offending
 	// observation does not vouch for itself.
-	alpha := 2 / float64(d.cfg.Window+1)
+	alpha := 2.0 / (window + 1)
 	s.dev += alpha * (math.Abs(v-s.mean) - s.dev)
 	s.mean += alpha * (v - s.mean)
 	if fired && d.OnAlert != nil {

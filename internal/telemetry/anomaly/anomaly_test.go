@@ -18,7 +18,7 @@ func feedStable(d *Detector, m Metric, n int, level float64) {
 }
 
 func TestStableStreamNeverAlerts(t *testing.T) {
-	d := New(nil, Config{})
+	d := New(nil)
 	feedStable(d, MetricReactionP99, 500, 140)
 	if len(d.alerts) != 0 {
 		t.Fatalf("stable stream raised %d alerts", len(d.alerts))
@@ -26,7 +26,7 @@ func TestStableStreamNeverAlerts(t *testing.T) {
 }
 
 func TestLevelShiftAlertsOnce(t *testing.T) {
-	d := New(nil, Config{Cooldown: 100})
+	d := New(nil)
 	feedStable(d, MetricReactionP99, 64, 140)
 	// A 10x tail-latency excursion must fire on the first bad observation.
 	a, fired := d.Observe(MetricReactionP99, 9999, 1400)
@@ -36,8 +36,8 @@ func TestLevelShiftAlertsOnce(t *testing.T) {
 	if a.Metric != MetricReactionP99 || a.Cycle != 9999 || a.Value != 1400 {
 		t.Fatalf("alert = %+v", a)
 	}
-	if a.Score <= 4 {
-		t.Errorf("score = %g, want > threshold 4", a.Score)
+	if a.Score <= threshold {
+		t.Errorf("score = %g, want > threshold %d", a.Score, threshold)
 	}
 	// Cooldown suppresses the echo while the EWMA catches up.
 	if _, fired := d.Observe(MetricReactionP99, 10000, 1400); fired {
@@ -49,9 +49,9 @@ func TestLevelShiftAlertsOnce(t *testing.T) {
 }
 
 func TestWarmupSuppressesEarlyAlerts(t *testing.T) {
-	d := New(nil, Config{Warmup: 8})
+	d := New(nil)
 	// Wild early values: no baseline yet, so no alerts allowed.
-	for i, v := range []float64{1, 1000, 2, 900, 3} {
+	for i, v := range []float64{1, 1000, 2, 900, 3, 1000, 1, 900}[:warmup] {
 		if _, fired := d.Observe(MetricDutyCycle, uint64(i), v); fired {
 			t.Fatalf("alert during warmup at observation %d", i)
 		}
@@ -60,7 +60,7 @@ func TestWarmupSuppressesEarlyAlerts(t *testing.T) {
 
 func TestAlertJournaledAsFirstClassEvent(t *testing.T) {
 	live := telemetry.NewLive(64)
-	d := New(live, Config{})
+	d := New(live)
 	feedStable(d, MetricFalseAlarmRate, 64, 0.1)
 	if _, fired := d.Observe(MetricFalseAlarmRate, 777, 50); !fired {
 		t.Fatal("excursion did not alert")
@@ -83,7 +83,7 @@ func TestAlertJournaledAsFirstClassEvent(t *testing.T) {
 }
 
 func TestOnAlertHookFires(t *testing.T) {
-	d := New(nil, Config{})
+	d := New(nil)
 	var hooked []Alert
 	d.OnAlert = func(a Alert) { hooked = append(hooked, a) }
 	feedStable(d, MetricPd, 64, 0.98)
@@ -96,7 +96,7 @@ func TestOnAlertHookFires(t *testing.T) {
 }
 
 func TestNonFiniteObservationsIgnored(t *testing.T) {
-	d := New(nil, Config{})
+	d := New(nil)
 	feedStable(d, MetricDutyCycle, 64, 0.5)
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, fired := d.Observe(MetricDutyCycle, 1, v); fired {
@@ -111,7 +111,7 @@ func TestNonFiniteObservationsIgnored(t *testing.T) {
 
 func TestFeedSnapshotDerivesMetrics(t *testing.T) {
 	live := telemetry.NewLive(256)
-	d := New(live, Config{Window: 8, Warmup: 4})
+	d := New(live)
 
 	// Synthesize rollup snapshots with a stable duty cycle, then a spike.
 	c := &telemetry.Counters{}

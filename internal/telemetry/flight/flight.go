@@ -1,11 +1,11 @@
 // Package flight is the datapath's black-box flight recorder. It rides an
 // attached telemetry.Live recorder at near-zero cost — a baseline histogram
 // snapshot taken at Arm time and a small ring of recent I/Q samples — and,
-// when a trigger fires (SLO budget breach, chaos invariant degradation,
-// anomaly alert, or an explicit call), captures a self-contained incident
-// Dump: the tail of the event journal, histogram deltas since arming, the
-// counter block, the register-write history visible in the journal, and the
-// I/Q scope snapshot.
+// when a trigger fires (SLO budget breach, anomaly alert, or an explicit
+// call), captures a self-contained incident Dump: the tail of the event
+// journal, histogram deltas since arming, the counter block, the
+// register-write history visible in the journal, and the I/Q scope
+// snapshot.
 //
 // Dumps are deterministic by construction: they contain no wall-clock
 // state, every field is cycle-stamped, and serialization goes through
@@ -26,20 +26,17 @@ import (
 type Trigger uint8
 
 // The trigger taxonomy. Values are stable: they are journaled in
-// EvFlightDump's Arg and serialized by name in dumps.
+// EvFlightDump's Arg and serialized by name in dumps. Value 2 stays unused
+// so that chaos-invariant dumps in older journals do not read as another
+// trigger.
 const (
 	// TriggerManual is an explicit API call (jamlab's -flight-out path).
-	TriggerManual Trigger = iota
+	TriggerManual Trigger = 0
 	// TriggerSLOBreach is a violated budget from internal/telemetry/slo.
-	TriggerSLOBreach
-	// TriggerChaosInvariant is a degraded or broken invariant from
-	// internal/chaos.
-	TriggerChaosInvariant
+	TriggerSLOBreach Trigger = 1
 	// TriggerAnomaly is a streaming-detector alert from
 	// internal/telemetry/anomaly.
-	TriggerAnomaly
-
-	numTriggers
+	TriggerAnomaly Trigger = 3
 )
 
 // String returns the stable dump name of the trigger.
@@ -49,8 +46,6 @@ func (t Trigger) String() string {
 		return "manual"
 	case TriggerSLOBreach:
 		return "slo-breach"
-	case TriggerChaosInvariant:
-		return "chaos-invariant"
 	case TriggerAnomaly:
 		return "anomaly"
 	default:
@@ -63,34 +58,19 @@ func (t Trigger) MarshalJSON() ([]byte, error) {
 	return json.Marshal(t.String())
 }
 
-// Options tunes the recorder.
-type Options struct {
-	// EventTail bounds how many journal events (newest last) a dump
-	// carries. Default 512.
-	EventTail int
-	// IQDepth bounds the I/Q scope ring. Default 256.
-	IQDepth int
-	// Seed labels the dump with the run's master seed, making "same seed ⇒
-	// same dump" checkable from the artifact alone.
-	Seed int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.EventTail <= 0 {
-		o.EventTail = 512
-	}
-	if o.IQDepth <= 0 {
-		o.IQDepth = 256
-	}
-	return o
-}
+// A dump carries at most eventTail journal events (newest last) and the
+// last iqDepth received samples.
+const (
+	eventTail = 512
+	iqDepth   = 256
+)
 
 // Recorder is the flight recorder. Methods are not safe for concurrent use
 // on their own; a single rollup/datapath goroutine owns it (the attached
 // Live recorder has its own lock).
 type Recorder struct {
 	live *telemetry.Live
-	opts Options
+	seed int64
 
 	baseline telemetry.Snapshot
 	armed    bool
@@ -101,9 +81,10 @@ type Recorder struct {
 }
 
 // New returns a flight recorder riding the given live telemetry recorder.
-func New(live *telemetry.Live, opts Options) *Recorder {
-	o := opts.withDefaults()
-	return &Recorder{live: live, opts: o, iq: make([]complex128, o.IQDepth)}
+// seed labels its dumps with the run's master seed, making "same seed ⇒
+// same dump" checkable from the artifact alone.
+func New(live *telemetry.Live, seed int64) *Recorder {
+	return &Recorder{live: live, seed: seed, iq: make([]complex128, iqDepth)}
 }
 
 // Arm captures the histogram baseline that dump deltas are computed
@@ -115,7 +96,7 @@ func (r *Recorder) Arm() {
 }
 
 // RecordIQ taps a block of received samples into the scope ring, keeping
-// the most recent IQDepth samples.
+// the most recent iqDepth samples.
 func (r *Recorder) RecordIQ(buf []complex128) {
 	if len(buf) > len(r.iq) {
 		buf = buf[len(buf)-len(r.iq):]
@@ -189,7 +170,7 @@ type Dump struct {
 	Trigger Trigger `json:"trigger"`
 	Detail  string  `json:"detail,omitempty"`
 	Cycle   uint64  `json:"cycle"`
-	// Seed is the run's master seed (Options.Seed).
+	// Seed is the run's master seed (New's seed).
 	Seed int64 `json:"seed"`
 	// Armed reports whether histogram deltas are anchored to an Arm call.
 	Armed bool `json:"armed"`
@@ -202,7 +183,7 @@ type Dump struct {
 	Dropped     uint64 `json:"dropped"`
 	// Histograms is the per-histogram movement since arming.
 	Histograms []HistDelta `json:"histograms"`
-	// Events is the journal tail, oldest first, at most EventTail entries.
+	// Events is the journal tail, oldest first, at most eventTail entries.
 	// EventsTruncated reports how many surviving journal events fell
 	// outside the tail window.
 	Events          []DumpEvent `json:"events"`
@@ -227,7 +208,7 @@ func (r *Recorder) Trigger(tr Trigger, cycle uint64, detail string) *Dump {
 		Trigger:     tr,
 		Detail:      detail,
 		Cycle:       cycle,
-		Seed:        r.opts.Seed,
+		Seed:        r.seed,
 		Armed:       r.armed,
 		Counters:    snap.Counters,
 		Engagements: snap.Engagements,
@@ -251,7 +232,7 @@ func (r *Recorder) Trigger(tr Trigger, cycle uint64, detail string) *Dump {
 		d.Histograms = append(d.Histograms, delta)
 	}
 	events := r.live.Events()
-	if n := len(events) - r.opts.EventTail; n > 0 {
+	if n := len(events) - eventTail; n > 0 {
 		d.EventsTruncated = n
 		events = events[n:]
 	}

@@ -24,7 +24,7 @@ func populate(l *telemetry.Live) {
 
 func TestDumpCapturesEverything(t *testing.T) {
 	live := telemetry.NewLive(64)
-	r := New(live, Options{Seed: 42})
+	r := New(live, 42)
 	r.Arm()
 	populate(live)
 	r.RecordIQ([]complex128{1 + 2i, 3 + 4i})
@@ -71,7 +71,7 @@ func TestDumpCapturesEverything(t *testing.T) {
 
 func TestArmAnchorsHistogramDeltas(t *testing.T) {
 	live := telemetry.NewLive(64)
-	r := New(live, Options{})
+	r := New(live, 0)
 	populate(live) // one burst before arming
 	r.Arm()
 	d := r.Trigger(TriggerManual, 3000, "")
@@ -84,51 +84,57 @@ func TestArmAnchorsHistogramDeltas(t *testing.T) {
 
 func TestEventTailBounded(t *testing.T) {
 	live := telemetry.NewLive(1024)
-	r := New(live, Options{EventTail: 8})
-	for i := 0; i < 100; i++ {
+	r := New(live, 0)
+	const n = eventTail + 92
+	for i := 0; i < n; i++ {
 		live.Event(telemetry.EvHostPoll, uint64(i), 0, 0)
 	}
-	d := r.Trigger(TriggerAnomaly, 100, "")
-	if len(d.Events) != 8 {
-		t.Fatalf("events = %d, want 8", len(d.Events))
+	d := r.Trigger(TriggerAnomaly, n, "")
+	if len(d.Events) != eventTail {
+		t.Fatalf("events = %d, want %d", len(d.Events), eventTail)
 	}
 	if d.EventsTruncated != 92 {
 		t.Errorf("truncated = %d, want 92", d.EventsTruncated)
 	}
 	// Newest events survive.
-	if d.Events[7].Cycle != 99 {
-		t.Errorf("last event cycle = %d, want 99", d.Events[7].Cycle)
+	if last := d.Events[eventTail-1].Cycle; last != n-1 {
+		t.Errorf("last event cycle = %d, want %d", last, n-1)
 	}
 }
 
 func TestIQRingKeepsNewest(t *testing.T) {
 	live := telemetry.NewLive(16)
-	r := New(live, Options{IQDepth: 4})
-	for i := 0; i < 10; i++ {
+	r := New(live, 0)
+	const n = iqDepth + 6
+	for i := 0; i < n; i++ {
 		r.RecordIQ([]complex128{complex(float64(i), 0)})
 	}
 	d := r.Trigger(TriggerManual, 1, "")
-	if len(d.IQ) != 4 {
-		t.Fatalf("iq = %d samples, want 4", len(d.IQ))
+	if len(d.IQ) != iqDepth {
+		t.Fatalf("iq = %d samples, want %d", len(d.IQ), iqDepth)
 	}
-	for i, want := range []float64{6, 7, 8, 9} {
-		if d.IQ[i][0] != want {
+	for i := range d.IQ {
+		if want := float64(6 + i); d.IQ[i][0] != want {
 			t.Errorf("iq[%d] = %v, want %g", i, d.IQ[i], want)
 		}
 	}
 	// A block larger than the ring keeps only its newest samples.
-	r2 := New(live, Options{IQDepth: 2})
-	r2.RecordIQ([]complex128{1, 2, 3, 4})
+	block := make([]complex128, iqDepth+2)
+	for i := range block {
+		block[i] = complex(float64(i), 0)
+	}
+	r2 := New(live, 0)
+	r2.RecordIQ(block)
 	d2 := r2.Trigger(TriggerManual, 1, "")
-	if len(d2.IQ) != 2 || d2.IQ[0][0] != 3 || d2.IQ[1][0] != 4 {
-		t.Errorf("oversized block iq = %+v", d2.IQ)
+	if len(d2.IQ) != iqDepth || d2.IQ[0][0] != 2 || d2.IQ[iqDepth-1][0] != iqDepth+1 {
+		t.Errorf("oversized block iq = %v … %v", d2.IQ[0], d2.IQ[len(d2.IQ)-1])
 	}
 }
 
 func TestDumpDeterministicBytes(t *testing.T) {
 	build := func() []byte {
 		live := telemetry.NewLive(64)
-		r := New(live, Options{Seed: 7})
+		r := New(live, 7)
 		r.Arm()
 		populate(live)
 		r.RecordIQ([]complex128{0.5 + 0.25i})
@@ -157,9 +163,9 @@ func TestDumpDeterministicBytes(t *testing.T) {
 
 func TestHashMatchesBytes(t *testing.T) {
 	live := telemetry.NewLive(64)
-	r := New(live, Options{})
+	r := New(live, 0)
 	populate(live)
-	d := r.Trigger(TriggerChaosInvariant, 5000, "engagement-ledger degraded")
+	d := r.Trigger(TriggerAnomaly, 5000, "duty cycle anomaly")
 	h1, err := d.Hash()
 	if err != nil {
 		t.Fatal(err)
@@ -180,10 +186,9 @@ func TestHashMatchesBytes(t *testing.T) {
 
 func TestTriggerNamesStable(t *testing.T) {
 	want := map[Trigger]string{
-		TriggerManual:         "manual",
-		TriggerSLOBreach:      "slo-breach",
-		TriggerChaosInvariant: "chaos-invariant",
-		TriggerAnomaly:        "anomaly",
+		TriggerManual:    "manual",
+		TriggerSLOBreach: "slo-breach",
+		TriggerAnomaly:   "anomaly",
 	}
 	for tr, name := range want {
 		if tr.String() != name {

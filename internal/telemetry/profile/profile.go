@@ -55,21 +55,14 @@ func capture() Summary {
 	}
 }
 
-// Config tunes a Sampler.
-type Config struct {
-	// Dir receives the profile files (created if missing).
-	Dir string
-	// Interval is the capture cadence (default 30 s).
-	Interval time.Duration
-	// CPUWindow is each CPU profile's duration (default 5 s; clamped to
-	// Interval/2 so capture never overruns the cadence).
-	CPUWindow time.Duration
-}
-
 // Sampler periodically captures heap and CPU profiles. Start it once;
 // Stop returns the final Summary.
 type Sampler struct {
-	cfg  Config
+	dir string
+	// interval is the capture cadence; each CPU profile lasts cpuWindow,
+	// at most interval/2 so capture never overruns the cadence.
+	interval, cpuWindow time.Duration
+
 	stop chan struct{}
 	done chan struct{}
 
@@ -79,30 +72,24 @@ type Sampler struct {
 	err  error // first capture error, reported by Stop
 }
 
-// NewSampler returns an unstarted sampler.
-func NewSampler(cfg Config) *Sampler {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 30 * time.Second
-	}
-	if cfg.CPUWindow <= 0 {
-		cfg.CPUWindow = 5 * time.Second
-	}
-	if cfg.CPUWindow > cfg.Interval/2 {
-		cfg.CPUWindow = cfg.Interval / 2
-	}
+// NewSampler returns an unstarted sampler that captures into dir (created
+// if missing) every 30 s, each CPU profile 5 s long.
+func NewSampler(dir string) *Sampler {
 	return &Sampler{
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		dir:       dir,
+		interval:  30 * time.Second,
+		cpuWindow: 5 * time.Second,
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 }
 
 // Start creates the output directory and launches the capture loop.
 func (s *Sampler) Start() error {
-	if s.cfg.Dir == "" {
-		return fmt.Errorf("profile: Dir must be set")
+	if s.dir == "" {
+		return fmt.Errorf("profile: no output directory")
 	}
-	if err := os.MkdirAll(s.cfg.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return err
 	}
 	go s.loop()
@@ -111,7 +98,7 @@ func (s *Sampler) Start() error {
 
 func (s *Sampler) loop() {
 	defer close(s.done)
-	ticker := time.NewTicker(s.cfg.Interval)
+	ticker := time.NewTicker(s.interval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -147,7 +134,7 @@ func (s *Sampler) captureOnce() {
 }
 
 func (s *Sampler) writeHeap(n int) error {
-	f, err := os.Create(filepath.Join(s.cfg.Dir, fmt.Sprintf("heap_%04d.pprof", n)))
+	f, err := os.Create(filepath.Join(s.dir, fmt.Sprintf("heap_%04d.pprof", n)))
 	if err != nil {
 		return err
 	}
@@ -157,7 +144,7 @@ func (s *Sampler) writeHeap(n int) error {
 }
 
 func (s *Sampler) writeCPU(n int) error {
-	f, err := os.Create(filepath.Join(s.cfg.Dir, fmt.Sprintf("cpu_%04d.pprof", n)))
+	f, err := os.Create(filepath.Join(s.dir, fmt.Sprintf("cpu_%04d.pprof", n)))
 	if err != nil {
 		return err
 	}
@@ -168,7 +155,7 @@ func (s *Sampler) writeCPU(n int) error {
 		return err
 	}
 	select {
-	case <-time.After(s.cfg.CPUWindow):
+	case <-time.After(s.cpuWindow):
 	case <-s.stop:
 	}
 	pprof.StopCPUProfile()
@@ -194,6 +181,6 @@ func (s *Sampler) Stop() (Summary, error) {
 	sum := capture()
 	sum.CPUProfiles = s.cpu
 	sum.HeapProfiles = s.heap
-	sum.Dir = s.cfg.Dir
+	sum.Dir = s.dir
 	return sum, s.err
 }

@@ -22,7 +22,8 @@ func TestCaptureSummaryPopulated(t *testing.T) {
 
 func TestSamplerWritesProfiles(t *testing.T) {
 	dir := t.TempDir()
-	s := NewSampler(Config{Dir: dir, Interval: 20 * time.Millisecond, CPUWindow: 5 * time.Millisecond})
+	s := NewSampler(dir)
+	s.interval, s.cpuWindow = 20*time.Millisecond, 5*time.Millisecond
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestSamplerWritesProfiles(t *testing.T) {
 }
 
 func TestSamplerRequiresDir(t *testing.T) {
-	s := NewSampler(Config{})
+	s := NewSampler("")
 	if err := s.Start(); err == nil {
 		t.Fatal("Start() with no Dir succeeded")
 	}

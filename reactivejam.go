@@ -112,7 +112,8 @@ func New() *Framework {
 	return f
 }
 
-// Tune sets the RF center frequency (SBX front end: 400 MHz – 4.4 GHz).
+// Tune checks an RF center frequency against the SBX front end's range
+// (400 MHz – 4.4 GHz); the model runs at complex baseband.
 func (f *Framework) Tune(hz float64) error { return f.radio.Tune(hz) }
 
 // SetSourceRate declares the sample rate of the stream passed to Process;
