@@ -40,8 +40,28 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(l, JammerConfig{Mode: JamMode(9)}); err == nil {
 		t.Error("bogus mode accepted")
 	}
-	if _, err := Run(l, JammerConfig{Mode: JamReactive, VariableAttDB: -3}); err == nil {
+	if _, err := Run(l, reactive(100*time.Microsecond, -3)); err == nil {
 		t.Error("negative attenuation accepted")
+	}
+	for _, c := range []struct {
+		name string
+		jam  JammerConfig
+	}{
+		{"reactive zero gain", JammerConfig{Mode: JamReactive,
+			Personality: host.Personality{Uptime: 100 * time.Microsecond}}},
+		{"reactive negative gain", JammerConfig{Mode: JamReactive,
+			Personality: host.Personality{Uptime: 100 * time.Microsecond, Gain: -1}}},
+		{"reactive zero uptime", JammerConfig{Mode: JamReactive,
+			Personality: host.Personality{Gain: 1}}},
+		{"reactive negative uptime", JammerConfig{Mode: JamReactive,
+			Personality: host.Personality{Uptime: -time.Microsecond, Gain: 1}}},
+		{"continuous zero gain", JammerConfig{Mode: JamContinuous}},
+		{"continuous negative gain", JammerConfig{Mode: JamContinuous,
+			Personality: host.Personality{Gain: -1}}},
+	} {
+		if _, err := Run(l, c.jam); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 
