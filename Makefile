@@ -23,8 +23,8 @@ STATICCHECK_VERSION ?= 2025.1
 ## on journal drops, a reconciliation mismatch, or a malformed /
 ## over-budget metrics scrape.
 ## bench-test runs the benchmark module's own tests, which `go test ./...`
-## cannot reach.
-ci: vet staticcheck build test race bench-test bench-smoke slo overhead fleetobs-smoke examples-smoke cover
+## cannot reach. unlinked fails on a function no binary links.
+ci: vet staticcheck build test race bench-test bench-smoke slo overhead fleetobs-smoke examples-smoke cover unlinked
 
 ## staticcheck: zero-findings lint gate, pinned to $(STATICCHECK_VERSION).
 ## Skips with a note when the binary is absent (no network fetches in CI).
@@ -81,11 +81,11 @@ BENCH_SEED ?= 1
 bench-pairs:
 	bash scripts/benchpairs.sh $(BENCH_PARENT) $(BENCH_PAIRS) $(BENCH_WORKLOAD) $(BENCH_SEED)
 
-## unlinked: list the functions of the root package and internal/ that no
-## binary links (scripts/unlinked.go): every main and bench/ built with
-## inlining off, their text symbols diffed against the declared functions.
-## A report, not a gate: it exits 0 whatever it lists, and each function
-## that stays unlinked carries its reason in the script's allowlist.
+## unlinked: the dead-code gate (scripts/unlinked.go): every main and
+## bench/ built with inlining off, their text symbols diffed against the
+## functions declared in the root package and internal/. It exits 1 on a
+## function no binary links that is not on the script's allowlist (where
+## each one that stays carries its reason), or on a stale allowlist entry.
 unlinked:
 	$(GO) run scripts/unlinked.go
 

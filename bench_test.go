@@ -23,7 +23,6 @@ import (
 	"repro/internal/jammer"
 	"repro/internal/radio"
 	"repro/internal/telemetry"
-	"repro/internal/trigger"
 	"repro/internal/wifi"
 )
 
@@ -366,11 +365,7 @@ func newTelemetryBenchCore(tb testing.TB) (*core.Core, []complex128) {
 	tb.Helper()
 	r := radio.New()
 	h := host.New(r.Core())
-	if _, err := h.ProgramEnergy(10, 0); err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := h.ProgramTrigger(core.FusionSequence,
-		[]trigger.Event{trigger.EventEnergyHigh}, 0); err != nil {
+	if err := h.Arm(host.Detector{EnergyThresholdDB: host.EnergyRiseDB}); err != nil {
 		tb.Fatal(err)
 	}
 	if _, err := h.ProgramJammer(host.Personality{
@@ -391,11 +386,11 @@ func newTelemetryBenchCore(tb testing.TB) (*core.Core, []complex128) {
 	return r.Core(), buf
 }
 
-// BenchmarkTelemetryRecorder compares the per-sample datapath cost with the
-// default no-op recorder against a live recorder (journal + histograms +
-// counters attached).
+// BenchmarkTelemetryRecorder compares the per-sample datapath cost with no
+// recorder against a live recorder (journal + histograms + counters
+// attached).
 func BenchmarkTelemetryRecorder(b *testing.B) {
-	for _, mode := range []string{"nop", "live"} {
+	for _, mode := range []string{"nil", "live"} {
 		b.Run(mode, func(b *testing.B) {
 			c, buf := newTelemetryBenchCore(b)
 			if mode == "live" {
@@ -411,11 +406,11 @@ func BenchmarkTelemetryRecorder(b *testing.B) {
 }
 
 // TestRecorderZeroAllocs pins the tentpole guarantee: the instrumented
-// sample loop performs zero heap allocations per sample — with the default
-// no-op recorder AND with a live recorder attached (ring journal and
+// sample loop performs zero heap allocations per sample — with no recorder
+// (the nil default) AND with a live recorder attached (ring journal and
 // histograms are preallocated).
 func TestRecorderZeroAllocs(t *testing.T) {
-	for _, mode := range []string{"nop", "live"} {
+	for _, mode := range []string{"nil", "live"} {
 		c, buf := newTelemetryBenchCore(t)
 		if mode == "live" {
 			c.SetRecorder(telemetry.NewLive(1 << 12))

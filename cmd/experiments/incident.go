@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/host"
 	"repro/internal/jammer"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/flight"
 	"repro/internal/telemetry/slo"
-	"repro/internal/trigger"
 )
 
 // The incident drill (E16): a fully seeded energy-triggered run with the
@@ -36,16 +34,11 @@ func incidentRun(quiet bool) (*flight.Dump, error) {
 	live := telemetry.NewLive(telemetry.DefaultJournalDepth)
 	r.Core().SetRecorder(live)
 	h := host.New(r.Core())
-	if _, err := h.ProgramEnergy(10, 0); err != nil {
-		return nil, err
-	}
-	if _, err := h.ProgramTrigger(core.FusionSequence,
-		[]trigger.Event{trigger.EventEnergyHigh}, 0); err != nil {
+	if err := h.Arm(host.Detector{EnergyThresholdDB: host.EnergyRiseDB}); err != nil {
 		return nil, err
 	}
 	if _, err := h.ProgramJammer(host.Personality{
-		Name: "incident-probe", Waveform: jammer.WaveformWGN,
-		Uptime: 10 * time.Microsecond, Gain: 1,
+		Waveform: jammer.WaveformWGN, Uptime: 10 * time.Microsecond, Gain: 1,
 	}); err != nil {
 		return nil, err
 	}

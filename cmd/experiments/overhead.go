@@ -40,7 +40,7 @@ func benchCore() (*core.Core, error) {
 	if _, err := h.ProgramCorrelator(host.WiFiShortTemplate(), 0.1); err != nil {
 		return nil, err
 	}
-	if _, err := h.ProgramEnergy(10, 0); err != nil {
+	if _, err := h.ProgramEnergy(host.EnergyRiseDB, 0); err != nil {
 		return nil, err
 	}
 	r.Start()

@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"repro/internal/experiments"
+	"repro/internal/host"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/slo"
 	"repro/internal/telemetry/span"
@@ -16,11 +17,11 @@ import (
 // SNR, the regime the paper's reaction guarantees describe.
 func verdictDetection(frames int) experiments.DetectionConfig {
 	return experiments.DetectionConfig{
-		EnergyThresholdDB: 10,
-		Kind:              experiments.FullFrame,
-		FramesPerPoint:    frames,
-		SNRsDB:            []float64{11},
-		Seed:              7,
+		Detector:       host.Detector{EnergyThresholdDB: host.EnergyRiseDB},
+		Kind:           experiments.FullFrame,
+		FramesPerPoint: frames,
+		SNRsDB:         []float64{11},
+		Seed:           7,
 	}
 }
 

@@ -23,7 +23,7 @@
 //	replay <file>                 stream a recorded capture into the detector
 //	timelines                     print the Fig. 5 latency budget
 //	stats                         poll host feedback counters
-//	reset                         clear counters and datapath state
+//	reset                         clear the feedback counters
 //	quit
 //
 // Flags:
@@ -71,6 +71,7 @@ import (
 	"repro"
 	"repro/internal/capture"
 	"repro/internal/dsp"
+	"repro/internal/fpga"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/anomaly"
 	"repro/internal/telemetry/fleet"
@@ -732,10 +733,10 @@ func (c *console) process(rx dsp.Samples) (dsp.Samples, error) {
 	return tx, nil
 }
 
-// cycle approximates the hardware clock from the samples counter (the core
-// consumes one sample per 100 MHz cycle).
+// cycle reads the 100 MHz hardware clock that stamps the journal's events;
+// reset clears the counters, not the clock.
 func (c *console) cycle() uint64 {
-	return c.jam.Telemetry().Snapshot().Counters.Samples
+	return uint64(c.jam.Elapsed() / fpga.ClockPeriod)
 }
 
 // pad surrounds a waveform with quiet lead/tail and a touch of noise so the

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/capture"
 	"repro/internal/dsp"
+	"repro/internal/fpga"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/fleet"
 )
@@ -322,5 +323,46 @@ func TestShutdownWritesTraceAndFlightDump(t *testing.T) {
 	}
 	if want := "telemetry: "; !strings.Contains(out.String(), want) {
 		t.Errorf("output %q lacks the summary line", out.String())
+	}
+}
+
+// The flight dump is stamped with the hardware clock that stamps the
+// journal's events: no earlier than any of them, 4 cycles per sample, and
+// not set back by reset (which clears only the counters).
+func TestFlightDumpCycleIsHardwareClock(t *testing.T) {
+	for _, withReset := range []bool{false, true} {
+		dump := filepath.Join(t.TempDir(), "flight.json")
+		c := newConsole(io.Discard)
+		c.enableTelemetry(dump)
+		run(t, c, "detect energy 10", "personality wgn 10us 0 1", "inject wifi 24 100 3")
+		if withReset {
+			run(t, c, "reset", "inject idle 1")
+		}
+		c.shutdown("")
+		data, err := os.ReadFile(dump)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d struct {
+			Cycle    uint64
+			Counters struct{ Samples uint64 }
+			Events   []struct{ Cycle uint64 }
+		}
+		if err := json.Unmarshal(data, &d); err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Events) == 0 {
+			t.Fatalf("reset=%v: dump holds no events", withReset)
+		}
+		for _, e := range d.Events {
+			if e.Cycle > d.Cycle {
+				t.Errorf("reset=%v: event at cycle %d after the dump's cycle %d",
+					withReset, e.Cycle, d.Cycle)
+			}
+		}
+		if !withReset && d.Cycle != fpga.CyclesPerSample*d.Counters.Samples {
+			t.Errorf("dump cycle %d, want %d × %d samples",
+				d.Cycle, fpga.CyclesPerSample, d.Counters.Samples)
+		}
 	}
 }

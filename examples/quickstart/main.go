@@ -24,7 +24,6 @@ func main() {
 	}
 	// A 0.1 ms wideband-noise burst per trigger, at unit TX gain.
 	if _, err := jam.SetPersonality(reactivejam.Personality{
-		Name:     "reactive-0.1ms",
 		Waveform: reactivejam.WGN,
 		Uptime:   100 * time.Microsecond,
 		Gain:     1,

@@ -14,7 +14,6 @@ import (
 	"repro/internal/jammer"
 	"repro/internal/radio"
 	"repro/internal/telemetry"
-	"repro/internal/trigger"
 	"repro/internal/verdict"
 	"repro/internal/xcorr"
 )
@@ -132,15 +131,15 @@ func Run(cfg Config) (*Result, error) {
 
 	h := host.New(pc)
 	tpl := host.WiFiShortTemplate()
-	events := []trigger.Event{trigger.EventXCorr, trigger.EventEnergyHigh}
 	steps := []func() error{
-		func() error { _, err := h.ProgramCorrelatorFA(tpl, faPerSec); return err },
-		func() error { _, err := h.ProgramEnergy(10, 0); return err },
-		func() error { _, err := h.ProgramTrigger(core.FusionAny, events, 0); return err },
+		func() error {
+			return h.Arm(host.Detector{
+				Template: tpl, FATargetPerSec: faPerSec, EnergyThresholdDB: host.EnergyRiseDB,
+			})
+		},
 		func() error {
 			_, err := h.ProgramJammer(host.Personality{
-				Name: "chaos-reactive", Waveform: jammer.WaveformWGN,
-				Uptime: 10 * time.Microsecond, Gain: 1,
+				Waveform: jammer.WaveformWGN, Uptime: 10 * time.Microsecond, Gain: 1,
 			})
 			return err
 		},
@@ -213,8 +212,7 @@ func Run(cfg Config) (*Result, error) {
 			mid := []func() error{
 				func() error {
 					_, err := h.ProgramJammer(host.Personality{
-						Name: "chaos-reactive-long", Waveform: jammer.WaveformWGN,
-						Uptime: 20 * time.Microsecond, Gain: 1,
+						Waveform: jammer.WaveformWGN, Uptime: 20 * time.Microsecond, Gain: 1,
 					})
 					return err
 				},

@@ -7,8 +7,8 @@ import (
 )
 
 // Allocation guards for the block datapath: after scratch warm-up,
-// ProcessBlock must run allocation-free in steady state — with the default
-// no-op recorder and with a live journal attached.
+// ProcessBlock must run allocation-free in steady state — with no recorder
+// and with a live journal attached.
 
 func TestProcessBlockZeroAllocNop(t *testing.T) {
 	c := New()
@@ -20,7 +20,7 @@ func TestProcessBlockZeroAllocNop(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, func() {
 		c.ProcessBlock(input, tx)
 	}); avg != 0 {
-		t.Fatalf("ProcessBlock (nop recorder) allocates %.1f per call in steady state", avg)
+		t.Fatalf("ProcessBlock (no recorder) allocates %.1f per call in steady state", avg)
 	}
 }
 

@@ -65,13 +65,12 @@ type Core struct {
 	events []trigger.Event
 
 	counters *telemetry.Counters
-	rec      telemetry.Recorder
-	live     bool // a capturing recorder is attached
+	rec      *telemetry.Live // nil while no recorder is attached
 
-	// Engagement tracking (only maintained while a capturing recorder is
-	// attached): every detector edge that arrives while no engagement is
-	// open allocates a fresh engagement ID, and all subsequent sample-
-	// clocked events — detector edges, trigger FSM transitions, jammer
+	// Engagement tracking (only maintained while a recorder is attached):
+	// every detector edge that arrives while no engagement is open
+	// allocates a fresh engagement ID, and all subsequent sample-clocked
+	// events — detector edges, trigger FSM transitions, jammer
 	// phases — carry that ID until the engagement closes. An engagement
 	// closes EdgeHoldoff samples after the datapath goes quiescent (jammer
 	// idle, no new edges), at which point EvHoldoffRelease is journaled:
@@ -103,7 +102,6 @@ func New() *Core {
 		fusion:   FusionSequence,
 		events:   []trigger.Event{trigger.EventEnergyHigh},
 		counters: &telemetry.Counters{},
-		rec:      telemetry.Discard,
 	}
 	c.installRegisterDecode()
 	c.installInstrumentation()
@@ -118,7 +116,7 @@ func (c *Core) installInstrumentation() {
 		c.counters.RegWrites.Add(1)
 		// Register writes may arrive from a host goroutine while the
 		// datapath runs, so they never read the engagement state.
-		c.rec.Event(telemetry.EvRegWrite, c.clock.Cycle(),
+		c.event(telemetry.EvRegWrite, c.clock.Cycle(),
 			uint64(addr)<<32|uint64(value), 0)
 	})
 	c.sm.OnTransition(func(from, to int, fired bool) {
@@ -127,23 +125,23 @@ func (c *Core) installInstrumentation() {
 		}
 		switch {
 		case from == 0 && to > 0:
-			c.rec.Event(telemetry.EvTriggerArm, c.clock.Cycle(), uint64(to), c.curEng)
+			c.event(telemetry.EvTriggerArm, c.clock.Cycle(), uint64(to), c.curEng)
 		case to > from:
-			c.rec.Event(telemetry.EvTriggerStage, c.clock.Cycle(), uint64(to), c.curEng)
+			c.event(telemetry.EvTriggerStage, c.clock.Cycle(), uint64(to), c.curEng)
 		case to < from:
-			c.rec.Event(telemetry.EvTriggerAbandon, c.clock.Cycle(), uint64(from), c.curEng)
+			c.event(telemetry.EvTriggerAbandon, c.clock.Cycle(), uint64(from), c.curEng)
 		}
 	})
 	c.jam.OnPhase(func(from, to jammer.Phase) {
 		switch {
 		case to == jammer.PhaseDelay:
-			c.rec.Event(telemetry.EvJamDelay, c.clock.Cycle(), 0, c.curEng)
+			c.event(telemetry.EvJamDelay, c.clock.Cycle(), 0, c.curEng)
 		case to == jammer.PhaseInit:
-			c.rec.Event(telemetry.EvJamInit, c.clock.Cycle(), 0, c.curEng)
+			c.event(telemetry.EvJamInit, c.clock.Cycle(), 0, c.curEng)
 		case to == jammer.PhaseJamming:
-			c.rec.Event(telemetry.EvJamRFOn, c.clock.Cycle(), 0, c.curEng)
+			c.event(telemetry.EvJamRFOn, c.clock.Cycle(), 0, c.curEng)
 		case to == jammer.PhaseIdle && from == jammer.PhaseJamming:
-			c.rec.Event(telemetry.EvJamRFOff, c.clock.Cycle(), 0, c.curEng)
+			c.event(telemetry.EvJamRFOff, c.clock.Cycle(), 0, c.curEng)
 			// The burst is over: restart the engagement linger so the
 			// holdoff-release fires once the detectors have re-armed.
 			c.engLinger = EdgeHoldoff
@@ -151,22 +149,22 @@ func (c *Core) installInstrumentation() {
 	})
 }
 
-// SetRecorder installs a telemetry recorder (telemetry.Discard to disable).
-// A *telemetry.Live recorder is additionally bound to the core's counter
-// block so its exposition reads the same counters Stats snapshots. Swap
-// recorders only while the sample loop is quiescent.
-func (c *Core) SetRecorder(r telemetry.Recorder) {
-	if r == nil {
-		r = telemetry.Discard
-	}
-	if l, ok := r.(*telemetry.Live); ok {
-		l.BindCounters(c.counters)
+// SetRecorder attaches a telemetry recorder (nil detaches it) and binds it
+// to the core's counter block, so its exposition reads the same counters
+// Stats snapshots. Swap recorders only while the sample loop is quiescent.
+func (c *Core) SetRecorder(r *telemetry.Live) {
+	if r != nil {
+		r.BindCounters(c.counters)
+	} else {
+		c.curEng, c.engLinger = 0, 0
 	}
 	c.rec = r
-	_, nop := r.(telemetry.Nop)
-	c.live = !nop
-	if !c.live {
-		c.curEng, c.engLinger = 0, 0
+}
+
+// event journals one event when a recorder is attached.
+func (c *Core) event(kind telemetry.EventKind, cycle, arg uint64, eng uint32) {
+	if c.rec != nil {
+		c.rec.Event(kind, cycle, arg, eng)
 	}
 }
 
@@ -175,14 +173,14 @@ func (c *Core) SetRecorder(r telemetry.Recorder) {
 // frame begins, which is what anchors the end-to-end reaction-latency
 // histogram.
 func (c *Core) MarkFrameStart(cycle uint64) {
-	c.rec.Event(telemetry.EvFrameStart, cycle, 0, 0)
+	c.event(telemetry.EvFrameStart, cycle, 0, 0)
 }
 
 // PollFeedback reads the host-feedback counters the way the host
 // application does ("Synchro Flags" in Fig. 1), counting the poll itself.
 func (c *Core) PollFeedback() Stats {
 	c.counters.HostPolls.Add(1)
-	c.rec.Event(telemetry.EvHostPoll, c.clock.Cycle(), 0, 0)
+	c.event(telemetry.EvHostPoll, c.clock.Cycle(), 0, 0)
 	return c.Stats()
 }
 
@@ -272,7 +270,7 @@ func (c *Core) stepLevels(q fixed.IQ, xcLevel, enHigh, enLow bool) complex128 {
 		EnergyHigh: c.edgeH.Process(enHigh),
 		EnergyLow:  c.edgeL.Process(enLow),
 	}
-	if c.live && (in.XCorr || in.EnergyHigh || in.EnergyLow) {
+	if c.rec != nil && (in.XCorr || in.EnergyHigh || in.EnergyLow) {
 		if c.curEng == 0 {
 			c.engSeq++
 			c.curEng = c.engSeq
@@ -281,15 +279,15 @@ func (c *Core) stepLevels(q fixed.IQ, xcLevel, enHigh, enLow bool) complex128 {
 	}
 	if in.XCorr {
 		c.counters.XCorrDetections.Add(1)
-		c.rec.Event(telemetry.EvXCorrEdge, c.clock.Cycle(), 0, c.curEng)
+		c.event(telemetry.EvXCorrEdge, c.clock.Cycle(), 0, c.curEng)
 	}
 	if in.EnergyHigh {
 		c.counters.EnergyHighDetections.Add(1)
-		c.rec.Event(telemetry.EvEnergyHighEdge, c.clock.Cycle(), 0, c.curEng)
+		c.event(telemetry.EvEnergyHighEdge, c.clock.Cycle(), 0, c.curEng)
 	}
 	if in.EnergyLow {
 		c.counters.EnergyLowDetections.Add(1)
-		c.rec.Event(telemetry.EvEnergyLowEdge, c.clock.Cycle(), 0, c.curEng)
+		c.event(telemetry.EvEnergyLowEdge, c.clock.Cycle(), 0, c.curEng)
 	}
 
 	var fire bool
@@ -310,7 +308,7 @@ func (c *Core) stepLevels(q fixed.IQ, xcLevel, enHigh, enLow bool) complex128 {
 	}
 	if fire {
 		c.counters.JamTriggers.Add(1)
-		c.rec.Event(telemetry.EvTriggerFire, c.clock.Cycle(), 0, c.curEng)
+		c.event(telemetry.EvTriggerFire, c.clock.Cycle(), 0, c.curEng)
 	}
 
 	tx := c.jam.Process(q, fire)
@@ -320,7 +318,7 @@ func (c *Core) stepLevels(q fixed.IQ, xcLevel, enHigh, enLow bool) complex128 {
 	if c.curEng != 0 && c.jam.Phase() == jammer.PhaseIdle {
 		c.engLinger--
 		if c.engLinger == 0 {
-			c.rec.Event(telemetry.EvHoldoffRelease, c.clock.Cycle(), 0, c.curEng)
+			c.event(telemetry.EvHoldoffRelease, c.clock.Cycle(), 0, c.curEng)
 			c.curEng = 0
 		}
 	}
@@ -381,12 +379,12 @@ func (s *blockScratch) grow(n int) {
 // memclr), and the datapath only drops to cycle-accurate scalar stepping
 // for samples inside detection and engagement windows.
 //
-// With the default no-op recorder the hardware clock is advanced once per
-// block (nothing can observe mid-block cycle stamps when events are
-// discarded). With a live recorder attached the clock advances per quiet
-// span and per scalar sample, so every journaled event keeps the exact
-// cycle stamp the per-sample path would give it; while an engagement is
-// open the whole path stays scalar so holdoff-release timing is preserved.
+// With no recorder attached the hardware clock is advanced once per block
+// (nothing can observe mid-block cycle stamps when no event is journaled).
+// With a recorder attached the clock advances per quiet span and per scalar
+// sample, so every journaled event keeps the exact cycle stamp the
+// per-sample path would give it; while an engagement is open the whole path
+// stays scalar so holdoff-release timing is preserved.
 func (c *Core) ProcessBlock(rx []complex128, tx []complex128) {
 	n := len(rx)
 	if n == 0 {
@@ -394,8 +392,8 @@ func (c *Core) ProcessBlock(rx []complex128, tx []complex128) {
 	}
 	tx = tx[:n]
 	c.counters.Samples.Add(uint64(n))
-	nop := !c.live
-	if nop {
+	off := c.rec == nil
+	if off {
 		c.clock.AdvanceSamples(uint64(n))
 	}
 
@@ -413,7 +411,7 @@ func (c *Core) ProcessBlock(rx []complex128, tx []complex128) {
 		if c.bulkEligible() {
 			if j := nextLevelBit(sc.lvlAny, i, n); j > i {
 				span := uint64(j - i)
-				if !nop {
+				if !off {
 					c.clock.AdvanceSamples(span)
 				}
 				c.edgeX.AdvanceQuiet(span)
@@ -427,7 +425,7 @@ func (c *Core) ProcessBlock(rx []complex128, tx []complex128) {
 				continue
 			}
 		}
-		if !nop {
+		if !off {
 			c.clock.AdvanceSamples(1)
 		}
 		w, b := i>>6, uint(i&63)
@@ -448,15 +446,15 @@ func (c *Core) ProcessBlock(rx []complex128, tx []complex128) {
 }
 
 // bulkEligible reports whether the datapath may batch a detector-quiet span
-// right now. With the no-op recorder every quiet span batches: the batched
-// state updates are bit-identical and no observer exists for mid-span
-// timing. With a live recorder attached, batching is only safe while
+// right now. With no recorder attached every quiet span batches: the
+// batched state updates are bit-identical and no observer exists for
+// mid-span timing. With a recorder attached, batching is only safe while
 // nothing that journals cycle-stamped events can fire mid-span: the jammer
 // must be idle (phase transitions carry stamps), no engagement may be open
 // (the holdoff-release countdown is per-sample), and no trigger window may
 // be armed (its expiry journals an abandon transition).
 func (c *Core) bulkEligible() bool {
-	if !c.live {
+	if c.rec == nil {
 		return true
 	}
 	return c.curEng == 0 &&

@@ -99,8 +99,8 @@ func TestBlockModeTelemetryParity(t *testing.T) {
 	}
 }
 
-// TestBlockModeNopRecorderSkipsPerSampleClock confirms the fast path: with
-// the default Nop recorder the block datapath still advances the sample
+// TestBlockModeNopRecorderParity confirms the fast path: with no recorder
+// attached the block datapath still advances the sample
 // clock by the block length and produces identical TX output.
 func TestBlockModeNopRecorderParity(t *testing.T) {
 	input := parityInput()

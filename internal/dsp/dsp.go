@@ -1,17 +1,14 @@
 // Package dsp provides the digital signal processing primitives that every
 // other subsystem of the reactive jamming framework is built on: complex
-// baseband sample buffers, power and decibel conversions, FFT/IFFT, FIR
-// lowpass design, window functions, and rational resampling.
+// baseband sample buffers, power and decibel conversions, planned FFT/IFFT,
+// FIR lowpass design, window functions, and rational resampling.
 //
 // All waveforms in the simulator are complex baseband I/Q streams
 // (complex128). Conversion to and from the fixed-point representation used
 // inside the simulated FPGA lives in package fixed.
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Samples is a complex baseband I/Q sample buffer.
 type Samples []complex128
@@ -77,57 +74,16 @@ func IsPow2(n int) bool {
 	return n > 0 && n&(n-1) == 0
 }
 
-// IFFT computes the in-place inverse FFT of x, including the 1/N scaling.
-// len(x) must be a power of two.
-func IFFT(x Samples) {
-	fft(x, true)
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] /= n
-	}
-}
-
 // stageRoot returns the length-th root of unity that seeds one butterfly
-// stage's incremental twiddle recurrence. Shared between the generic kernel
-// and the FFTPlan twiddle tables so both produce identical weights.
+// stage's incremental twiddle recurrence. Shared between the FFTPlan
+// twiddle tables and the generic kernel the plan tests compare against, so
+// both produce identical weights.
 func stageRoot(length int, inverse bool) complex128 {
 	ang := 2 * math.Pi / float64(length)
 	if !inverse {
 		ang = -ang
 	}
 	return complex(math.Cos(ang), math.Sin(ang))
-}
-
-func fft(x Samples, inverse bool) {
-	n := len(x)
-	if !IsPow2(n) {
-		panic(fmt.Sprintf("dsp: FFT size %d is not a power of two", n))
-	}
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j ^= bit
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	for length := 2; length <= n; length <<= 1 {
-		wl := stageRoot(length, inverse)
-		for start := 0; start < n; start += length {
-			w := complex(1, 0)
-			half := length / 2
-			for k := 0; k < half; k++ {
-				u := x[start+k]
-				v := x[start+k+half] * w
-				x[start+k] = u + v
-				x[start+k+half] = u - v
-				w *= wl
-			}
-		}
-	}
 }
 
 // Tone synthesizes n samples of a complex exponential at frequency freq

@@ -9,12 +9,13 @@ import "fmt"
 // free, which is what lets the OFDM modems run whole frames through pooled
 // scratch buffers.
 //
-// The plan is bit-exact against the generic FFT/IFFT: the twiddle tables are
+// The plan is bit-exact against the generic radix-2 kernel its tests keep as
+// the reference (FFT/IFFT in plan_test.go): the twiddle tables are
 // generated by the same incremental-rotation recurrence the generic kernel
 // evaluates on the fly, and the Inverse folds the 1/N normalization into the
 // butterfly passes as a per-stage 0.5 — an exact power-of-two scaling that
 // commutes with every add and multiply, so the differential suite can pin
-// the planned path against dsp.FFT/dsp.IFFT with exact equality.
+// the planned path against that kernel with exact equality.
 //
 // A plan is immutable after construction and safe for concurrent use by
 // multiple goroutines (each transform mutates only its argument).
@@ -37,7 +38,7 @@ type FFTPlan struct {
 var FFT64 = NewFFTPlan(64)
 
 // NewFFTPlan builds a plan for n-point transforms. n must be a power of two;
-// NewFFTPlan panics otherwise, matching dsp.FFT's contract.
+// NewFFTPlan panics otherwise.
 func NewFFTPlan(n int) *FFTPlan {
 	if !IsPow2(n) {
 		panic(fmt.Sprintf("dsp: FFT plan size %d is not a power of two", n))
@@ -81,7 +82,7 @@ func (p *FFTPlan) check(x Samples) {
 }
 
 // Forward computes the in-place FFT of x. len(x) must equal the plan size.
-// Bit-exact against dsp.FFT; allocation free.
+// Bit-exact against the generic kernel; allocation free.
 func (p *FFTPlan) Forward(x Samples) {
 	p.check(x)
 	for _, pr := range p.revPairs {
@@ -105,7 +106,8 @@ func (p *FFTPlan) Forward(x Samples) {
 
 // Inverse computes the in-place inverse FFT of x including the 1/N scaling,
 // which is folded into the butterfly passes as an exact 0.5 per stage.
-// Value-exact against dsp.IFFT (up to IEEE zero signs); allocation free.
+// Value-exact against the generic kernel's inverse (up to IEEE zero signs);
+// allocation free.
 func (p *FFTPlan) Inverse(x Samples) {
 	p.check(x)
 	for _, pr := range p.revPairs {

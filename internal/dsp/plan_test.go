@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +12,52 @@ import (
 // power of two; FFT panics otherwise.
 func FFT(x Samples) {
 	fft(x, false)
+}
+
+// IFFT computes the in-place inverse FFT of x through the generic kernel,
+// including the 1/N scaling: the == reference of FFTPlan.Inverse. len(x)
+// must be a power of two.
+func IFFT(x Samples) {
+	fft(x, true)
+	n := complex(float64(len(x)), 0)
+	for i := range x {
+		x[i] /= n
+	}
+}
+
+// fft is the generic radix-2 kernel: it evaluates each stage's twiddles by
+// the incremental rotation from stageRoot that the plan tabulates.
+
+func fft(x Samples, inverse bool) {
+	n := len(x)
+	if !IsPow2(n) {
+		panic(fmt.Sprintf("dsp: FFT size %d is not a power of two", n))
+	}
+	// Bit-reversal permutation.
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j ^= bit
+		if i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	for length := 2; length <= n; length <<= 1 {
+		wl := stageRoot(length, inverse)
+		for start := 0; start < n; start += length {
+			w := complex(1, 0)
+			half := length / 2
+			for k := 0; k < half; k++ {
+				u := x[start+k]
+				v := x[start+k+half] * w
+				x[start+k] = u + v
+				x[start+k+half] = u - v
+				w *= wl
+			}
+		}
+	}
 }
 
 // TestFFTPlanMatchesGenericFFT pins the planned forward transform bit-exact

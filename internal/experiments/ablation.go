@@ -355,8 +355,7 @@ func AblationImpairments(frames int, snrDB float64, seed int64) ([]ImpairmentRow
 	err := forEach(len(cases), func(oi int) error {
 		c := cases[oi]
 		cfg := DetectionConfig{
-			Template:       host.WiFiLongTemplate(),
-			FATargetPerSec: 0.52,
+			Detector:       host.Detector{Template: host.WiFiLongTemplate(), FATargetPerSec: 0.52},
 			Kind:           FullFrame,
 			FramesPerPoint: frames,
 			Seed:           seed,

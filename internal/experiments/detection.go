@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/host"
 	"repro/internal/impair"
@@ -36,16 +35,9 @@ const (
 
 // DetectionConfig describes one detection characterization run.
 type DetectionConfig struct {
-	// Template arms the cross-correlator (nil runs energy-only).
-	Template []complex128
-	// ThresholdFrac is the correlator threshold as a fraction of the
-	// template's ideal peak metric. Ignored when FATargetPerSec is set.
-	ThresholdFrac float64
-	// FATargetPerSec calibrates the correlator threshold to this
-	// false-alarm rate on terminated input (the §3.2 methodology).
-	FATargetPerSec float64
-	// EnergyThresholdDB arms the energy differentiator (0 leaves it off).
-	EnergyThresholdDB float64
+	// Detector is the armed detector set; the correlator's edges count as
+	// detections when a template is set, the energy-high edges otherwise.
+	host.Detector
 	// Kind selects the transmitted frames.
 	Kind FrameKind
 	// FramesPerPoint is the number of frames per SNR point (the paper uses
@@ -59,8 +51,9 @@ type DetectionConfig struct {
 	// hardware-realistic front end before the jammer's DDC (zero value =
 	// ideal front end).
 	Impairments impair.Config
-	// Event selects which detector's edges count as detections; defaults
-	// to xcorr when a template is present, energy-high otherwise.
+	// Event must stay unset (a set Event is an error): the counted event
+	// follows from Detector. The field remains because the benchmark's
+	// mirror of the detector set-up in bench/ reads it.
 	Event trigger.Event
 }
 
@@ -174,46 +167,24 @@ func processNoise(r *radio.N210, noise *dsp.NoiseSource, n int) error {
 }
 
 // buildDetector assembles a jammer radio with the requested detection
-// configuration; the returned counter function reports the chosen event's
-// edge count, and the returned event is the resolved detection event.
+// configuration; the returned counter function reports the counted event's
+// edge count, and the returned event is that event.
 func buildDetector(cfg DetectionConfig) (*radio.N210, func() uint64, trigger.Event, error) {
+	if cfg.Event != trigger.EventNone {
+		return nil, nil, trigger.EventNone,
+			fmt.Errorf("experiments: DetectionConfig.Event must be unset: the armed detector decides it")
+	}
 	r := radio.New()
 	if err := r.SetSourceRate(wifi.SampleRate); err != nil {
 		return nil, nil, trigger.EventNone, err
 	}
 	h := host.New(r.Core())
-	ev := cfg.Event
+	if err := h.Arm(cfg.Detector); err != nil {
+		return nil, nil, trigger.EventNone, err
+	}
+	ev := trigger.EventEnergyHigh
 	if len(cfg.Template) > 0 {
-		if cfg.FATargetPerSec > 0 {
-			if _, err := h.ProgramCorrelatorFA(cfg.Template, cfg.FATargetPerSec); err != nil {
-				return nil, nil, ev, err
-			}
-		} else {
-			frac := cfg.ThresholdFrac
-			if frac == 0 {
-				frac = 0.5
-			}
-			if _, err := h.ProgramCorrelator(cfg.Template, frac); err != nil {
-				return nil, nil, ev, err
-			}
-		}
-		if ev == trigger.EventNone {
-			ev = trigger.EventXCorr
-		}
-	}
-	if cfg.EnergyThresholdDB > 0 {
-		if _, err := h.ProgramEnergy(cfg.EnergyThresholdDB, 0); err != nil {
-			return nil, nil, ev, err
-		}
-		if ev == trigger.EventNone {
-			ev = trigger.EventEnergyHigh
-		}
-	}
-	if ev == trigger.EventNone {
-		return nil, nil, ev, fmt.Errorf("experiments: no detector armed")
-	}
-	if _, err := h.ProgramTrigger(core.FusionSequence, []trigger.Event{ev}, 0); err != nil {
-		return nil, nil, ev, err
+		ev = trigger.EventXCorr
 	}
 	// The jammer must stay silent during characterization: minimum burst,
 	// zero gain.
@@ -223,14 +194,10 @@ func buildDetector(cfg DetectionConfig) (*radio.N210, func() uint64, trigger.Eve
 	r.Start()
 	counter := func() uint64 {
 		st := r.Core().Stats()
-		switch ev {
-		case trigger.EventXCorr:
+		if ev == trigger.EventXCorr {
 			return st.XCorrDetections
-		case trigger.EventEnergyLow:
-			return st.EnergyLowDetections
-		default:
-			return st.EnergyHighDetections
 		}
+		return st.EnergyHighDetections
 	}
 	return r, counter, ev, nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/iperf"
 	"repro/internal/testbed"
+	"repro/internal/trigger"
 	"repro/internal/wifi"
 )
 
@@ -131,6 +132,13 @@ func TestCharacterizeValidation(t *testing.T) {
 	cfg.EnergyThresholdDB = 0
 	if _, err := CharacterizeDetection(cfg); err == nil {
 		t.Error("no detector armed accepted")
+	}
+	// The counted event follows from the armed detectors; a set Event is
+	// a caller's mistake, not a choice.
+	cfg = Fig8Config(1)
+	cfg.Event = trigger.EventEnergyHigh
+	if _, err := CharacterizeDetection(cfg); err == nil {
+		t.Error("set Event accepted")
 	}
 }
 

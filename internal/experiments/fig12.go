@@ -7,14 +7,11 @@ import (
 	"time"
 
 	"repro/internal/channel"
-
-	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/host"
 	"repro/internal/jammer"
 	"repro/internal/radio"
 	"repro/internal/scope"
-	"repro/internal/trigger"
 	"repro/internal/wimax"
 )
 
@@ -57,22 +54,15 @@ func wimaxDetector(cfg wimax.Config, combined bool, jamGain float64) (*radio.N21
 	// preamble code, and the template is built for the 11.4 MHz rate the
 	// Airspan reports while the true 802.16e sampling factor for 10 MHz is
 	// 11.2 MSPS (28/25): the residual slip plus over-the-air fading leaves
-	// a thin margin. The threshold (0.83 of the matched peak) is calibrated
-	// so the xcorr-only configuration lands at the paper's reported
-	// operating point of ~2/3 misdetection; see EXPERIMENTS.md.
-	if _, err := h.ProgramCorrelator(tpl, 0.86); err != nil {
-		return nil, err
-	}
-	events := []trigger.Event{trigger.EventXCorr}
-	mode := core.FusionSequence
+	// a thin margin. The threshold (host.WiMAXThresholdFrac of the matched
+	// peak) is calibrated so the xcorr-only configuration lands at the
+	// paper's reported operating point of ~2/3 misdetection; see
+	// EXPERIMENTS.md.
+	d := host.Detector{Template: tpl, ThresholdFrac: host.WiMAXThresholdFrac}
 	if combined {
-		if _, err := h.ProgramEnergy(10, 0); err != nil {
-			return nil, err
-		}
-		events = []trigger.Event{trigger.EventXCorr, trigger.EventEnergyHigh}
-		mode = core.FusionAny
+		d.EnergyThresholdDB = host.EnergyRiseDB
 	}
-	if _, err := h.ProgramTrigger(mode, events, 0); err != nil {
+	if err := h.Arm(d); err != nil {
 		return nil, err
 	}
 	if _, err := h.ProgramJammer(host.Personality{

@@ -23,8 +23,7 @@ func Fig6Config(kind FrameKind, tight bool, frames int) DetectionConfig {
 		fa = 0.083
 	}
 	return DetectionConfig{
-		Template:       host.WiFiLongTemplate(),
-		FATargetPerSec: fa,
+		Detector:       host.Detector{Template: host.WiFiLongTemplate(), FATargetPerSec: fa},
 		Kind:           kind,
 		FramesPerPoint: frames,
 		SNRsDB:         DefaultSNRSweep,
@@ -36,8 +35,7 @@ func Fig6Config(kind FrameKind, tight bool, frames int) DetectionConfig {
 // (full WiFi frames, constant false-alarm rate 0.059 trig/s).
 func Fig7Config(frames int) DetectionConfig {
 	return DetectionConfig{
-		Template:       host.WiFiShortTemplate(),
-		FATargetPerSec: 0.059,
+		Detector:       host.Detector{Template: host.WiFiShortTemplate(), FATargetPerSec: 0.059},
 		Kind:           FullFrame,
 		FramesPerPoint: frames,
 		SNRsDB:         DefaultSNRSweep,
@@ -49,11 +47,11 @@ func Fig7Config(frames int) DetectionConfig {
 // (full WiFi frames, 10 dB threshold).
 func Fig8Config(frames int) DetectionConfig {
 	return DetectionConfig{
-		EnergyThresholdDB: 10,
-		Kind:              FullFrame,
-		FramesPerPoint:    frames,
-		SNRsDB:            DefaultSNRSweep,
-		Seed:              81,
+		Detector:       host.Detector{EnergyThresholdDB: host.EnergyRiseDB},
+		Kind:           FullFrame,
+		FramesPerPoint: frames,
+		SNRsDB:         DefaultSNRSweep,
+		Seed:           81,
 	}
 }
 
@@ -190,7 +188,7 @@ func ReconfigLatency() (personality, fullDetector time.Duration, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	d2, err := h.ProgramEnergy(10, 0)
+	d2, err := h.ProgramEnergy(host.EnergyRiseDB, 0)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/host"
 )
 
 // withParallelism runs f with the pool fixed at width n, restoring the
@@ -116,11 +118,11 @@ func TestSetParallelismFloor(t *testing.T) {
 // derives all of its randomness from the config and its own parameters.
 func TestCharacterizeDetectionDeterministicAcrossWidths(t *testing.T) {
 	cfg := DetectionConfig{
-		EnergyThresholdDB: 10,
-		Kind:              FullFrame,
-		FramesPerPoint:    6,
-		SNRsDB:            []float64{-4, 0, 4, 8, 12},
-		Seed:              1234,
+		Detector:       host.Detector{EnergyThresholdDB: host.EnergyRiseDB},
+		Kind:           FullFrame,
+		FramesPerPoint: 6,
+		SNRsDB:         []float64{-4, 0, 4, 8, 12},
+		Seed:           1234,
 	}
 	widths := []int{1, 4, runtime.GOMAXPROCS(0)}
 	var ref []byte

@@ -5,13 +5,11 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/host"
 	"repro/internal/jammer"
 	"repro/internal/radio"
 	"repro/internal/telemetry"
-	"repro/internal/trigger"
 	"repro/internal/wifi"
 )
 
@@ -54,11 +52,8 @@ type ReactionResult struct {
 	Recorder *telemetry.Live
 }
 
-// The reaction probe's energy-high threshold and jamming burst.
-const (
-	reactionThresholdDB = 10
-	reactionUptime      = 10 * time.Microsecond
-)
+// reactionUptime is the reaction probe's jamming burst.
+const reactionUptime = 10 * time.Microsecond
 
 // WiFiFrontEndGroupDelayCycles returns the group delay, in hardware clock
 // cycles, of the DDC a WiFi-rate (20 MSPS) source passes through before the
@@ -89,16 +84,11 @@ func MeasureReactionLatency(cfg ReactionConfig) (*ReactionResult, error) {
 		return nil, err
 	}
 	h := host.New(r.Core())
-	if _, err := h.ProgramEnergy(reactionThresholdDB, 0); err != nil {
-		return nil, err
-	}
-	if _, err := h.ProgramTrigger(core.FusionSequence,
-		[]trigger.Event{trigger.EventEnergyHigh}, 0); err != nil {
+	if err := h.Arm(host.Detector{EnergyThresholdDB: host.EnergyRiseDB}); err != nil {
 		return nil, err
 	}
 	if _, err := h.ProgramJammer(host.Personality{
-		Name: "reaction-probe", Waveform: jammer.WaveformWGN,
-		Uptime: reactionUptime, Gain: 1,
+		Waveform: jammer.WaveformWGN, Uptime: reactionUptime, Gain: 1,
 	}); err != nil {
 		return nil, err
 	}

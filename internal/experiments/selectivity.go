@@ -136,7 +136,7 @@ func Selectivity(frames int, snrDB float64, seed int64) (*SelectivityResult, err
 		}
 	}
 	for si := range AllStandards {
-		cells = append(cells, cell{ti: -1, si: si, energyDB: 10})
+		cells = append(cells, cell{ti: -1, si: si, energyDB: host.EnergyRiseDB})
 	}
 
 	err := forEach(len(cells), func(i int) error {
@@ -164,12 +164,12 @@ func Selectivity(frames int, snrDB float64, seed int64) (*SelectivityResult, err
 func selectivityCell(tpl []complex128, thresholdFrac, energyDB float64, sig Standard,
 	frames int, snrDB float64, seed int64) (float64, error) {
 	cfg := DetectionConfig{
-		Template:          tpl,
-		ThresholdFrac:     thresholdFrac,
-		EnergyThresholdDB: energyDB,
-		FramesPerPoint:    frames,
-		SNRsDB:            []float64{snrDB},
-		Seed:              seed,
+		Detector: host.Detector{
+			Template: tpl, ThresholdFrac: thresholdFrac, EnergyThresholdDB: energyDB,
+		},
+		FramesPerPoint: frames,
+		SNRsDB:         []float64{snrDB},
+		Seed:           seed,
 	}
 	r, counter, _, err := buildDetector(cfg)
 	if err != nil {

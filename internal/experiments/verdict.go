@@ -54,14 +54,10 @@ type VerdictOutcome struct {
 // detectionKind maps a trigger event to the telemetry edge kind its counter
 // counts.
 func detectionKind(ev trigger.Event) telemetry.EventKind {
-	switch ev {
-	case trigger.EventXCorr:
+	if ev == trigger.EventXCorr {
 		return telemetry.EvXCorrEdge
-	case trigger.EventEnergyLow:
-		return telemetry.EvEnergyLowEdge
-	default:
-		return telemetry.EvEnergyHighEdge
 	}
+	return telemetry.EvEnergyHighEdge
 }
 
 // RunVerdictLedger runs the instrumented single-point characterization of

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/host"
 	"repro/internal/verdict"
 )
 
@@ -13,11 +14,11 @@ import (
 // configuration.
 func TestVerdictLedgerReconciles(t *testing.T) {
 	cfg := DetectionConfig{
-		EnergyThresholdDB: 10,
-		Kind:              FullFrame,
-		FramesPerPoint:    30,
-		SNRsDB:            []float64{9}, // marginal: a mix of hits and misses
-		Seed:              7,
+		Detector:       host.Detector{EnergyThresholdDB: host.EnergyRiseDB},
+		Kind:           FullFrame,
+		FramesPerPoint: 30,
+		SNRsDB:         []float64{9}, // marginal: a mix of hits and misses
+		Seed:           7,
 	}
 	out, err := RunVerdictLedger(cfg)
 	if err != nil {

@@ -146,12 +146,73 @@ func (h *Host) ProgramTrigger(mode core.FusionMode, events []trigger.Event, wind
 	return total + d, err
 }
 
+// The operating points the paper's experiments arm.
+const (
+	// EnergyRiseDB is the energy differentiator's 10 dB rise threshold of
+	// §3.2, the energy-high trigger of every reactive experiment.
+	EnergyRiseDB = 10
+	// WiMAXThresholdFrac is the WiMAX downlink correlator threshold as a
+	// fraction of the template's matched peak, calibrated so the
+	// correlator alone misses about 2/3 of the downlink frames, the §5
+	// operating point (EXPERIMENTS.md, Fig. 12).
+	WiMAXThresholdFrac = 0.86
+)
+
+// Detector is the set of detectors one arming programs: the
+// cross-correlator when Template is set, the energy differentiator's
+// rising edge when EnergyThresholdDB is positive, or both.
+type Detector struct {
+	// Template arms the cross-correlator (nil leaves it off).
+	Template []complex128
+	// ThresholdFrac is the correlator threshold as a fraction of the
+	// template's ideal peak metric. Used only when FATargetPerSec is 0.
+	ThresholdFrac float64
+	// FATargetPerSec calibrates the correlator threshold to this
+	// false-alarm rate on terminated input (the §3.2 methodology).
+	FATargetPerSec float64
+	// EnergyThresholdDB arms the energy differentiator (0 leaves it off).
+	EnergyThresholdDB float64
+}
+
+// Arm programs the detectors of d and the trigger that fires on them: the
+// correlator, then the energy differentiator, then the event builder. One
+// armed detector fires a single-stage sequence on its own event; both fire
+// on whichever of xcorr and energy-high comes first (the §5 fusion).
+func (h *Host) Arm(d Detector) error {
+	var events []trigger.Event
+	if len(d.Template) > 0 {
+		var err error
+		if d.FATargetPerSec != 0 || d.ThresholdFrac == 0 {
+			_, err = h.ProgramCorrelatorFA(d.Template, d.FATargetPerSec)
+		} else {
+			_, err = h.ProgramCorrelator(d.Template, d.ThresholdFrac)
+		}
+		if err != nil {
+			return err
+		}
+		events = append(events, trigger.EventXCorr)
+	}
+	if d.EnergyThresholdDB > 0 {
+		if _, err := h.ProgramEnergy(d.EnergyThresholdDB, 0); err != nil {
+			return err
+		}
+		events = append(events, trigger.EventEnergyHigh)
+	}
+	if len(events) == 0 {
+		return fmt.Errorf("host: no detector armed")
+	}
+	mode := core.FusionSequence
+	if len(events) > 1 {
+		mode = core.FusionAny
+	}
+	_, err := h.ProgramTrigger(mode, events, 0)
+	return err
+}
+
 // Personality bundles the jammer settings that define one jamming behavior;
 // §4.3 demonstrates switching between these at run time on a single
 // hardware instantiation.
 type Personality struct {
-	// Name labels the personality in reports.
-	Name string
 	// Waveform selects the TX preset.
 	Waveform jammer.Waveform
 	// Uptime is the burst duration.
@@ -165,13 +226,13 @@ type Personality struct {
 // Standard personalities used in the §4.3 experiments.
 var (
 	// ReactiveLong is the 0.1 ms-uptime reactive jammer.
-	ReactiveLong = Personality{Name: "reactive-0.1ms", Waveform: jammer.WaveformWGN,
+	ReactiveLong = Personality{Waveform: jammer.WaveformWGN,
 		Uptime: 100 * time.Microsecond, Gain: 1}
 	// ReactiveShort is the 0.01 ms-uptime reactive jammer.
-	ReactiveShort = Personality{Name: "reactive-0.01ms", Waveform: jammer.WaveformWGN,
+	ReactiveShort = Personality{Waveform: jammer.WaveformWGN,
 		Uptime: 10 * time.Microsecond, Gain: 1}
 	// Continuous approximates the always-on jammer with the maximum burst.
-	Continuous = Personality{Name: "continuous", Waveform: jammer.WaveformWGN,
+	Continuous = Personality{Waveform: jammer.WaveformWGN,
 		Uptime: 40 * time.Second, Gain: 1}
 )
 

@@ -2,6 +2,8 @@ package host
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -249,5 +251,103 @@ func TestProgramJammerUptimeClampHigh(t *testing.T) {
 	}
 	if c.Jammer().UptimeSamples() != 1<<32-1 {
 		t.Errorf("hour-long uptime clamped to %d", c.Jammer().UptimeSamples())
+	}
+}
+
+// writeLog attaches to c's register bus and returns the log of every write
+// that follows, as (address, value) pairs.
+func writeLog(c *core.Core) *[][2]uint32 {
+	var log [][2]uint32
+	c.Bus().WatchAll(func(addr uint8, v uint32) {
+		log = append(log, [2]uint32{uint32(addr), v})
+	})
+	return &log
+}
+
+// registers returns the whole user register file of c.
+func registers(t *testing.T, c *core.Core) [fpga.NumUserRegisters]uint32 {
+	t.Helper()
+	var regs [fpga.NumUserRegisters]uint32
+	for a := 1; a < fpga.NumUserRegisters; a++ {
+		v, err := c.Bus().Read(uint8(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs[a] = v
+	}
+	return regs
+}
+
+// TestArmMatchesExplicitSequence pins Arm to the hand-written register
+// sequences it replaced: for each detector shape, the same writes in the
+// same order, leaving the same register file.
+func TestArmMatchesExplicitSequence(t *testing.T) {
+	tpl := WiFiShortTemplate()
+	for _, c := range []struct {
+		name     string
+		d        Detector
+		explicit func(h *Host) error
+	}{
+		{"energy", Detector{EnergyThresholdDB: EnergyRiseDB}, func(h *Host) error {
+			if _, err := h.ProgramEnergy(EnergyRiseDB, 0); err != nil {
+				return err
+			}
+			_, err := h.ProgramTrigger(core.FusionSequence,
+				[]trigger.Event{trigger.EventEnergyHigh}, 0)
+			return err
+		}},
+		{"template-frac", Detector{Template: tpl, ThresholdFrac: 0.55}, func(h *Host) error {
+			if _, err := h.ProgramCorrelator(tpl, 0.55); err != nil {
+				return err
+			}
+			_, err := h.ProgramTrigger(core.FusionSequence,
+				[]trigger.Event{trigger.EventXCorr}, 0)
+			return err
+		}},
+		{"template-fa", Detector{Template: tpl, FATargetPerSec: 0.059}, func(h *Host) error {
+			if _, err := h.ProgramCorrelatorFA(tpl, 0.059); err != nil {
+				return err
+			}
+			_, err := h.ProgramTrigger(core.FusionSequence,
+				[]trigger.Event{trigger.EventXCorr}, 0)
+			return err
+		}},
+		{"template-energy", Detector{Template: tpl, ThresholdFrac: WiMAXThresholdFrac,
+			EnergyThresholdDB: EnergyRiseDB}, func(h *Host) error {
+			if _, err := h.ProgramCorrelator(tpl, WiMAXThresholdFrac); err != nil {
+				return err
+			}
+			if _, err := h.ProgramEnergy(EnergyRiseDB, 0); err != nil {
+				return err
+			}
+			_, err := h.ProgramTrigger(core.FusionAny,
+				[]trigger.Event{trigger.EventXCorr, trigger.EventEnergyHigh}, 0)
+			return err
+		}},
+	} {
+		armed, want := core.New(), core.New()
+		armedLog, wantLog := writeLog(armed), writeLog(want)
+		if err := New(armed).Arm(c.d); err != nil {
+			t.Fatalf("%s: Arm: %v", c.name, err)
+		}
+		if err := c.explicit(New(want)); err != nil {
+			t.Fatalf("%s: explicit sequence: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(*armedLog, *wantLog) {
+			t.Errorf("%s: Arm wrote %v, explicit sequence %v", c.name, *armedLog, *wantLog)
+		}
+		if registers(t, armed) != registers(t, want) {
+			t.Errorf("%s: register files differ", c.name)
+		}
+	}
+	for _, d := range []Detector{{}, {ThresholdFrac: 0.5, FATargetPerSec: 1}} {
+		if err := New(core.New()).Arm(d); err == nil {
+			t.Errorf("Arm(%+v) with no detector accepted", d)
+		}
+	}
+	// A template with neither threshold names the false-alarm target.
+	if err := New(core.New()).Arm(Detector{Template: tpl}); err == nil ||
+		!strings.Contains(err.Error(), "false-alarm target") {
+		t.Errorf("Arm with a template and no threshold: %v", err)
 	}
 }

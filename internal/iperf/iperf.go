@@ -20,13 +20,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/host"
 	"repro/internal/mac"
 	"repro/internal/radio"
 	"repro/internal/testbed"
-	"repro/internal/trigger"
 	"repro/internal/wifi"
 )
 
@@ -261,10 +259,6 @@ func newSim(link LinkConfig, jam JammerConfig, sc *exchangeScratch) (*sim, error
 	return s, nil
 }
 
-// energyThresholdDB arms the reactive jammer's energy-high trigger: the
-// 10 dB operating point of §3.2.
-const energyThresholdDB = 10
-
 func (s *sim) setupReactiveJammer() error {
 	r := radio.New()
 	s.jammer = r
@@ -278,11 +272,7 @@ func (s *sim) setupReactiveJammer() error {
 	if len(s.jcfg.HostStream) > 0 {
 		r.Core().Jammer().SetHostStream(s.jcfg.HostStream)
 	}
-	if _, err := h.ProgramEnergy(energyThresholdDB, 0); err != nil {
-		return err
-	}
-	if _, err := h.ProgramTrigger(core.FusionSequence,
-		[]trigger.Event{trigger.EventEnergyHigh}, 0); err != nil {
+	if err := h.Arm(host.Detector{EnergyThresholdDB: host.EnergyRiseDB}); err != nil {
 		return err
 	}
 	r.Start()

@@ -9,7 +9,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/jammer"
 	"repro/internal/telemetry"
-	"repro/internal/trigger"
 )
 
 // Radio-level live-recorder parity: a radio streaming buffers of any size
@@ -35,14 +34,10 @@ func burstyCapture(n int) []complex128 {
 func programBench(t *testing.T, c *core.Core) *telemetry.Live {
 	t.Helper()
 	h := host.New(c)
-	if _, err := h.ProgramEnergy(10, 0); err != nil {
+	if err := h.Arm(host.Detector{EnergyThresholdDB: host.EnergyRiseDB}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.ProgramTrigger(core.FusionSequence,
-		[]trigger.Event{trigger.EventEnergyHigh}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.ProgramJammer(host.Personality{Name: "parity",
+	if _, err := h.ProgramJammer(host.Personality{
 		Waveform: jammer.WaveformWGN, Uptime: 4 * time.Microsecond, Gain: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ type series struct {
 // Detector is a bank of rolling-window detectors, one per watched metric.
 // Not safe for concurrent use; the caller's rollup loop owns it.
 type Detector struct {
-	rec    telemetry.Recorder // journal sink for alerts (never nil)
+	rec    *telemetry.Live // journal sink for alerts (nil: not journaled)
 	series [numMetrics]series
 	alerts []Alert
 	// OnAlert, when set, is invoked for every alert after it is journaled —
@@ -118,12 +118,9 @@ type Detector struct {
 	hasPrev bool
 }
 
-// New returns a detector bank journaling alerts into rec (pass
-// telemetry.Discard to disable journaling).
-func New(rec telemetry.Recorder) *Detector {
-	if rec == nil {
-		rec = telemetry.Discard
-	}
+// New returns a detector bank journaling alerts into rec (nil journals
+// none).
+func New(rec *telemetry.Live) *Detector {
 	return &Detector{rec: rec}
 }
 
@@ -165,7 +162,9 @@ func (d *Detector) Observe(m Metric, cycle uint64, v float64) (Alert, bool) {
 		}
 		d.alerts = append(d.alerts, alert)
 		s.cooldown = cooldown
-		d.rec.Event(telemetry.EvAnomalyAlert, cycle, EncodeArg(m, score), 0)
+		if d.rec != nil {
+			d.rec.Event(telemetry.EvAnomalyAlert, cycle, EncodeArg(m, score), 0)
+		}
 		fired = true
 	}
 	// Update the rolling baseline after the decision, so the offending

@@ -19,7 +19,7 @@ func CyclesToDuration(cycles uint64) time.Duration {
 // (1024 samples ≈ 41 µs).
 const leadWindowCycles = 4096
 
-// Live is the capturing Recorder: it journals every event and maintains the
+// Live is the telemetry recorder: it journals every event and maintains the
 // latency histograms derived from event pairs. All methods are safe for
 // concurrent use (one mutex guards journal, histograms and pairing state —
 // events are edge-rate, not sample-rate, so the lock is cold).

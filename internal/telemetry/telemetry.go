@@ -8,13 +8,12 @@
 // which it occurred, histograms are kept in clock ticks, and the journal can
 // be exported as Chrome trace_event JSON for chrome://tracing / Perfetto.
 //
-// Two recorder implementations exist: Nop (the default everywhere) makes
-// every instrumentation point free apart from an interface call on the rare
-// event edges, and Live captures everything. The datapath's plain counters
-// (samples, detections, triggers) are *not* routed through the Recorder
-// interface — they live in a Counters struct that the core increments
-// directly and that both core.Stats and the exposition endpoint read, so the
-// two can never drift.
+// One recorder type exists, Live, which captures everything; a core or
+// detector without one (a nil *Live, the default everywhere) pays a nil
+// check on the rare event edges. The datapath's plain counters (samples,
+// detections, triggers) are *not* routed through the recorder — they live
+// in a Counters struct that the core increments directly and that both
+// core.Stats and the exposition endpoint read, so the two can never drift.
 package telemetry
 
 // EventKind identifies one kind of datapath event in the journal.
@@ -134,23 +133,3 @@ type Event struct {
 	// (frame markers, register writes, host polls).
 	Eng uint32
 }
-
-// Recorder receives datapath events. Implementations must be safe for the
-// concurrency the datapath exhibits: sample-clocked events arrive from the
-// processing goroutine, register-bus and host-poll events may arrive from a
-// host goroutine concurrently.
-type Recorder interface {
-	// Event records one event. It must not allocate: it is called from the
-	// sample loop. eng is the engagement ID (0 = none).
-	Event(kind EventKind, cycle uint64, arg uint64, eng uint32)
-}
-
-// Nop is the default recorder: it discards everything. The zero value is
-// ready to use.
-type Nop struct{}
-
-// Event discards the event.
-func (Nop) Event(EventKind, uint64, uint64, uint32) {}
-
-// Discard is a shared no-op recorder instance.
-var Discard Recorder = Nop{}

@@ -47,10 +47,9 @@ func carrierToBin(k int) int {
 
 // ifft64 performs a 64-point IFFT of freq-domain subcarriers scaled so the
 // time-domain signal has approximately unit peak (standard IFFT scaling).
-// Init-time only; the per-symbol paths use the dsp.FFT64 plan.
 func ifft64(freq dsp.Samples) dsp.Samples {
 	buf := freq.Clone()
-	dsp.IFFT(buf)
+	dsp.FFT64.Inverse(buf)
 	// Undo the 1/N of IFFT and apply 1/sqrt(52) style normalization so the
 	// average symbol power is ~1 regardless of occupied carriers.
 	buf.Scale(float64(FFTSize))

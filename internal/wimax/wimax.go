@@ -87,8 +87,8 @@ func pnSequence(cellID, segment int) []float64 {
 }
 
 // plan1024 is the precomputed 1024-point transform every OFDMA symbol here
-// modulates through; its folded-scaling inverse is value-exact against the
-// generic dsp.IFFT the original implementation used.
+// modulates through; its folded-scaling inverse is value-exact against a
+// generic radix-2 IFFT (internal/dsp's plan tests pin it).
 var plan1024 = dsp.NewFFTPlan(FFTSize)
 
 // PreambleSymbol generates the time-domain downlink preamble OFDMA symbol

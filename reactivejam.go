@@ -25,12 +25,10 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/host"
 	"repro/internal/jammer"
 	"repro/internal/radio"
 	"repro/internal/telemetry"
-	"repro/internal/trigger"
 	"repro/internal/wimax"
 )
 
@@ -52,7 +50,8 @@ const (
 // Personality bundles the run-time jammer settings. Switching personalities
 // costs only register-bus writes (≈1.2 µs), never an FPGA reprogram.
 type Personality struct {
-	// Name labels the personality in logs and reports.
+	// Name is the caller's label for the personality; the framework does
+	// not read it.
 	Name string
 	// Waveform selects the TX preset.
 	Waveform Waveform
@@ -130,25 +129,20 @@ func (f *Framework) GroupDelayCycles() uint64 { return f.radio.GroupDelayCycles(
 // DetectEnergyRise arms the energy differentiator alone: the platform
 // reacts to any in-band energy rise of at least thresholdDB (3–30 dB).
 func (f *Framework) DetectEnergyRise(thresholdDB float64) error {
-	if _, err := f.host.ProgramEnergy(thresholdDB, 0); err != nil {
-		return err
-	}
-	_, err := f.host.ProgramTrigger(core.FusionSequence,
-		[]trigger.Event{trigger.EventEnergyHigh}, 0)
-	return err
+	return f.host.Arm(host.Detector{EnergyThresholdDB: thresholdDB})
 }
 
 // DetectWiFiShortPreamble arms the cross-correlator with the 802.11g short
 // training sequence template at the given terminated-input false-alarm
 // rate (triggers per second).
 func (f *Framework) DetectWiFiShortPreamble(faPerSec float64) error {
-	return f.useTemplateFA(host.WiFiShortTemplate(), faPerSec)
+	return f.host.Arm(host.Detector{Template: host.WiFiShortTemplate(), FATargetPerSec: faPerSec})
 }
 
 // DetectWiFiLongPreamble arms the cross-correlator with the 802.11g long
 // training sequence template.
 func (f *Framework) DetectWiFiLongPreamble(faPerSec float64) error {
-	return f.useTemplateFA(host.WiFiLongTemplate(), faPerSec)
+	return f.host.Arm(host.Detector{Template: host.WiFiLongTemplate(), FATargetPerSec: faPerSec})
 }
 
 // DetectWiMAX arms both detectors for an 802.16e downlink (the §5 fusion
@@ -159,24 +153,11 @@ func (f *Framework) DetectWiMAX(cellID, segment int) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.host.ProgramCorrelator(tpl, 0.86); err != nil {
-		return err
-	}
-	if _, err := f.host.ProgramEnergy(10, 0); err != nil {
-		return err
-	}
-	_, err = f.host.ProgramTrigger(core.FusionAny,
-		[]trigger.Event{trigger.EventXCorr, trigger.EventEnergyHigh}, 0)
-	return err
-}
-
-func (f *Framework) useTemplateFA(tpl []complex128, faPerSec float64) error {
-	if _, err := f.host.ProgramCorrelatorFA(tpl, faPerSec); err != nil {
-		return err
-	}
-	_, err := f.host.ProgramTrigger(core.FusionSequence,
-		[]trigger.Event{trigger.EventXCorr}, 0)
-	return err
+	return f.host.Arm(host.Detector{
+		Template:          tpl,
+		ThresholdFrac:     host.WiMAXThresholdFrac,
+		EnergyThresholdDB: host.EnergyRiseDB,
+	})
 }
 
 // SetPersonality switches the jammer behavior at run time and returns the
@@ -186,7 +167,6 @@ func (f *Framework) SetPersonality(p Personality) (time.Duration, error) {
 		return 0, fmt.Errorf("reactivejam: unknown waveform %d", p.Waveform)
 	}
 	return f.host.ProgramJammer(host.Personality{
-		Name:     p.Name,
 		Waveform: jammer.Waveform(p.Waveform),
 		Uptime:   p.Uptime,
 		Delay:    p.Delay,

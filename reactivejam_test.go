@@ -16,7 +16,7 @@ func TestQuickstartFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := f.SetPersonality(Personality{
-		Name: "test", Waveform: WGN, Uptime: 50 * time.Microsecond, Gain: 1,
+		Waveform: WGN, Uptime: 50 * time.Microsecond, Gain: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}

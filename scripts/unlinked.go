@@ -14,8 +14,9 @@
 // source lines, doc comment included, and its position; the ones on the
 // allowlist below carry the reason they stay.
 //
-// The list is a report, not a gate: the command exits 0 whatever it finds,
-// and non-zero only when a build or a listing fails.
+// The list is a gate: the command exits 1 when it lists a function that is
+// not on the allowlist, or an allowlist entry that is linked or gone, and
+// when a build or a listing fails; otherwise it exits 0.
 package main
 
 import (
@@ -119,7 +120,6 @@ func main() {
 		}
 	}
 	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
 	fmt.Fprintf(w, "unlinked: %d functions, %d lines (%d binaries)\n",
 		len(unlinked), keptLines+otherLines, len(mains)+1)
 	fmt.Fprintf(w, "\nnot allowlisted: %d functions, %d lines\n", len(other), otherLines)
@@ -130,10 +130,16 @@ func main() {
 	for _, u := range kept {
 		fmt.Fprintf(w, "  %s\t%d\t%s\n\t%s\n", u.sym, u.lines, u.pos, allowlist[u.sym])
 	}
+	stale := 0
 	for sym := range allowlist {
 		if !containsSym(unlinked, sym) {
 			fmt.Fprintf(w, "\nstale allowlist entry (linked or gone): %s\n", sym)
+			stale++
 		}
+	}
+	check(w.Flush())
+	if len(other) > 0 || stale > 0 {
+		die(fmt.Sprintf("%d functions not allowlisted, %d stale allowlist entries", len(other), stale))
 	}
 }
 
