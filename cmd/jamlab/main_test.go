@@ -62,6 +62,31 @@ func TestEvalReactiveJamming(t *testing.T) {
 	}
 }
 
+// detect wifi-short after detect energy arms the template alone: a step
+// input that drew energy-high detections under detect energy draws none.
+func TestEvalDetectSwitchDisarmsEnergy(t *testing.T) {
+	step := make(dsp.Samples, 8192)
+	for i := len(step) / 2; i < len(step); i++ {
+		step[i] = 0.5
+	}
+	for _, c := range []struct {
+		cmds []string
+		want bool
+	}{
+		{[]string{"detect energy 10"}, true},
+		{[]string{"detect energy 10", "detect wifi-short 0.059"}, false},
+	} {
+		con := newConsole(&bytes.Buffer{})
+		run(t, con, c.cmds...)
+		if _, err := con.process(step); err != nil {
+			t.Fatal(err)
+		}
+		if n := con.jam.Stats().EnergyHighDetections; (n > 0) != c.want {
+			t.Errorf("%q then a step: %d energy-high detections, want some: %v", c.cmds, n, c.want)
+		}
+	}
+}
+
 func TestEvalRecordSaveReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jam.iq")
 	var out bytes.Buffer

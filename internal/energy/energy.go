@@ -232,6 +232,37 @@ func (d *Differentiator) ProcessBits(iPlane, qPlane []int16, high, low []uint64)
 	d.sum, d.wpos, d.spos, d.seen = sum, wpos, spos, seen
 }
 
+// CanFire reports whether either trigger edge is enabled.
+func (d *Differentiator) CanFire() bool { return d.highEnabled || d.lowEnabled }
+
+// SkipBits consumes the block ProcessBits would, without comparisons: the
+// block datapath calls it while CanFire is false. Only the last
+// WindowLength+CompareDelay samples can reach the state a later block reads
+// (the window ring, the Z⁻⁶⁴ sum history and the running sum), so the ring
+// positions jump over the rest and the ring-and-sum update runs on that
+// tail alone. sum is always the exact integer sum of window, so after
+// WindowLength tail samples both hold the newest readings whatever the ring
+// held before, and the last CompareDelay samples rewrite every sums slot.
+func (d *Differentiator) SkipBits(iPlane, qPlane []int16) {
+	n := len(iPlane)
+	tail := min(n, WindowLength+CompareDelay)
+	skip := n - tail
+	d.wpos = (d.wpos + skip) & (WindowLength - 1)
+	d.spos = (d.spos + skip) & (CompareDelay - 1)
+	sum, wpos, spos := d.sum, d.wpos, d.spos
+	for k := skip; k < n; k++ {
+		vi, vq := int64(iPlane[k]), int64(qPlane[k])
+		e := uint64(vi*vi + vq*vq)
+		sum += e - d.window[wpos]
+		d.window[wpos] = e
+		wpos = (wpos + 1) & (WindowLength - 1)
+		d.sums[spos] = sum
+		spos = (spos + 1) & (CompareDelay - 1)
+	}
+	d.sum, d.wpos, d.spos = sum, wpos, spos
+	d.seen = min(d.seen+n, WindowLength+CompareDelay)
+}
+
 // Resources reports the synthesized utilization of the energy differentiator
 // block (paper Fig. 4 inset).
 func (d *Differentiator) Resources() fpga.Resources {

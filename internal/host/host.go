@@ -12,6 +12,7 @@ package host
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -177,8 +178,15 @@ type Detector struct {
 // Arm programs the detectors of d and the trigger that fires on them: the
 // correlator, then the energy differentiator, then the event builder. One
 // armed detector fires a single-stage sequence on its own event; both fire
-// on whichever of xcorr and energy-high comes first (the §5 fusion).
+// on whichever of xcorr and energy-high comes first (the §5 fusion). A
+// detector d does not name is disarmed if it can still fire: the correlator
+// gets the all-ones threshold no metric reaches, the energy differentiator
+// a zero RegEnergyConfig. A fresh core's detectors cannot fire, so arming
+// one writes nothing for the other.
 func (h *Host) Arm(d Detector) error {
+	if len(d.Template) == 0 && d.EnergyThresholdDB <= 0 {
+		return fmt.Errorf("host: no detector armed")
+	}
 	var events []trigger.Event
 	if len(d.Template) > 0 {
 		var err error
@@ -191,15 +199,20 @@ func (h *Host) Arm(d Detector) error {
 			return err
 		}
 		events = append(events, trigger.EventXCorr)
+	} else if h.core.XCorr().CanFire() {
+		if _, err := h.write(core.RegXCorrThreshold, math.MaxUint32); err != nil {
+			return err
+		}
 	}
 	if d.EnergyThresholdDB > 0 {
 		if _, err := h.ProgramEnergy(d.EnergyThresholdDB, 0); err != nil {
 			return err
 		}
 		events = append(events, trigger.EventEnergyHigh)
-	}
-	if len(events) == 0 {
-		return fmt.Errorf("host: no detector armed")
+	} else if h.core.Energy().CanFire() {
+		if _, err := h.write(core.RegEnergyConfig, 0); err != nil {
+			return err
+		}
 	}
 	mode := core.FusionSequence
 	if len(events) > 1 {

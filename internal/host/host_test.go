@@ -1,8 +1,10 @@
 package host
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -349,5 +351,50 @@ func TestArmMatchesExplicitSequence(t *testing.T) {
 	if err := New(core.New()).Arm(Detector{Template: tpl}); err == nil ||
 		!strings.Contains(err.Error(), "false-alarm target") {
 		t.Errorf("Arm with a template and no threshold: %v", err)
+	}
+}
+
+// TestArmDisarmsTheUnnamedDetector re-arms one core energy → template →
+// energy: after each Arm exactly the named detector can fire, and the
+// disarm is one register write (the all-ones correlator threshold, or a
+// zero energy config) on top of the named detector's own sequence.
+func TestArmDisarmsTheUnnamedDetector(t *testing.T) {
+	c := core.New()
+	log := writeLog(c)
+	h := New(c)
+	energy := Detector{EnergyThresholdDB: EnergyRiseDB}
+	template := Detector{Template: WiFiShortTemplate(), FATargetPerSec: 0.059}
+	for i, step := range []struct {
+		d                Detector
+		xcorr, en        bool
+		disarm, disarmTo uint32
+	}{
+		{energy, false, true, 0, 0}, // a fresh correlator needs no disarm
+		{template, true, false, uint32(core.RegEnergyConfig), 0},
+		{energy, false, true, uint32(core.RegXCorrThreshold), math.MaxUint32},
+	} {
+		*log = (*log)[:0]
+		if err := h.Arm(step.d); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if got := c.XCorr().CanFire(); got != step.xcorr {
+			t.Errorf("step %d: correlator can fire %v, want %v", i, got, step.xcorr)
+		}
+		if got := c.Energy().CanFire(); got != step.en {
+			t.Errorf("step %d: energy can fire %v, want %v", i, got, step.en)
+		}
+		want := New(core.New())
+		wantLog := writeLog(want.core)
+		if err := want.Arm(step.d); err != nil {
+			t.Fatal(err)
+		}
+		extra := len(*log) - len(*wantLog)
+		switch {
+		case step.disarm == 0 && extra != 0:
+			t.Errorf("step %d: %d writes beyond a fresh core's %v", i, extra, *wantLog)
+		case step.disarm != 0 && (extra != 1 || !slices.Contains(*log, [2]uint32{step.disarm, step.disarmTo})):
+			t.Errorf("step %d: writes %v, want a fresh core's plus register %d = %#x",
+				i, *log, step.disarm, step.disarmTo)
+		}
 	}
 }

@@ -180,41 +180,65 @@ func TestHostStreamWaveform(t *testing.T) {
 }
 
 // TestProcessZeroAllocWarm pins the heap-free stream: once warm, a
-// 4096-sample chunk through Framework.Process allocates nothing, at the
-// native rate and through the 20 MSPS DDC, while detecting and jamming.
+// 4096-sample chunk through Framework.Process allocates nothing while
+// detecting and jamming. It covers the energy detector at the native rate
+// and through the 20 MSPS DDC, and the short-preamble correlator with 100 µs
+// WGN bursts at 25 MSPS, the stream-25msps benchmark's shape, in which the
+// block datapath skips the disarmed energy differentiator.
 func TestProcessZeroAllocWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	chunk := make(dsp.Samples, 4096)
-	for i := range chunk {
-		chunk[i] = complex(rng.NormFloat64(), rng.NormFloat64()) * 1e-4
+	step := make(dsp.Samples, 4096)
+	for i := range step {
+		step[i] = complex(rng.NormFloat64(), rng.NormFloat64()) * 1e-4
 		if i%2048 >= 1024 {
-			chunk[i] += complex(0.4, 0)
+			step[i] += complex(0.4, 0)
 		}
 	}
-	for _, sourceHz := range []int{25_000_000, wifi.SampleRate} {
+	preamble := make(dsp.Samples, 4096)
+	for i := range preamble {
+		preamble[i] = complex(rng.NormFloat64(), rng.NormFloat64()) * 1e-4
+	}
+	for _, at := range []int{1024, 3072} {
+		preamble[at:].Add(dsp.Resample(wifi.ShortPreamble(), 5, 4))
+	}
+	for _, c := range []struct {
+		name     string
+		arm      func(*Framework) error
+		uptime   time.Duration
+		sourceHz int
+		chunk    dsp.Samples
+	}{
+		{"energy", func(f *Framework) error { return f.DetectEnergyRise(10) },
+			10 * time.Microsecond, 25_000_000, step},
+		{"energy", func(f *Framework) error { return f.DetectEnergyRise(10) },
+			10 * time.Microsecond, wifi.SampleRate, step},
+		{"wifi-short", func(f *Framework) error { return f.DetectWiFiShortPreamble(0.059) },
+			100 * time.Microsecond, 25_000_000, preamble},
+	} {
 		f := New()
-		if err := f.DetectEnergyRise(10); err != nil {
+		if err := c.arm(f); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.SetPersonality(Personality{Waveform: WGN, Uptime: 10 * time.Microsecond, Gain: 1}); err != nil {
+		if _, err := f.SetPersonality(Personality{Waveform: WGN, Uptime: c.uptime, Gain: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.SetSourceRate(sourceHz); err != nil {
+		if err := f.SetSourceRate(c.sourceHz); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Process(chunk); err != nil {
+		if _, err := f.Process(c.chunk); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := f.Process(chunk); err != nil {
+			if _, err := f.Process(c.chunk); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("source %d Hz: warm Process allocates %v times per 4096-sample chunk, want 0", sourceHz, allocs)
+			t.Errorf("%s, source %d Hz: warm Process allocates %v times per 4096-sample chunk, want 0",
+				c.name, c.sourceHz, allocs)
 		}
 		if f.Stats().JamTriggers == 0 {
-			t.Errorf("source %d Hz: the chunk never triggered the jammer", sourceHz)
+			t.Errorf("%s, source %d Hz: the chunk never triggered the jammer", c.name, c.sourceHz)
 		}
 	}
 }
