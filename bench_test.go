@@ -9,11 +9,15 @@
 package reactivejam
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dsp"
 	"repro/internal/experiments"
 	"repro/internal/host"
 	"repro/internal/jammer"
@@ -29,6 +33,14 @@ func BenchmarkFigures(b *testing.B) {
 		b.Run(fig.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				// Every iteration starts from the same heap: a sync.Pool
+				// (iperf's scratch pool) keeps its victim cache across one
+				// GC and drops it at the second, so bytes per op do not
+				// depend on the iteration count.
+				b.StopTimer()
+				runtime.GC()
+				runtime.GC()
+				b.StartTimer()
 				var r experiments.Records
 				if err := fig.Run(&r, experiments.DefaultBudget); err != nil {
 					b.Fatal(err)
@@ -38,16 +50,48 @@ func BenchmarkFigures(b *testing.B) {
 	}
 }
 
+// engagementBlock is the core benchmarks' stimulus, shaped like the
+// incident drill's: a quiet lead that re-arms the detectors, then the WiFi
+// short preamble tiled four times at 12 dB over a -60 dBFS noise floor, then
+// quiet long enough for the jam burst to finish, 4096 samples in all.
+func engagementBlock() []complex128 {
+	tpl := host.WiFiShortTemplate()
+	frame := make(dsp.Samples, 0, 4*len(tpl))
+	for i := 0; i < 4; i++ {
+		frame = append(frame, tpl...)
+	}
+	const floor, lead = 1e-6, 512
+	scale := complex(math.Sqrt(floor*dsp.FromDB(12)/frame.Power()), 0)
+	noise := dsp.NewNoiseSource(floor, 77)
+	buf := make(dsp.Samples, 4096)
+	copy(buf[lead:], frame)
+	for i := range buf {
+		buf[i] = buf[i]*scale + noise.Sample()
+	}
+	return buf
+}
+
+// benchJammer is the personality the core benchmarks engage with: a 10 µs
+// WGN burst per trigger.
+var benchJammer = host.Personality{Waveform: jammer.WaveformWGN, Uptime: 10 * time.Microsecond, Gain: 1}
+
 // BenchmarkCorePerSample measures the raw datapath throughput of the DSP
-// core (engineering metric, not a paper figure).
+// core through the framework (engineering metric, not a paper figure), one
+// engagement per block.
 func BenchmarkCorePerSample(b *testing.B) {
 	f := New()
 	if err := f.DetectWiFiShortPreamble(0.1); err != nil {
 		b.Fatal(err)
 	}
-	buf := make([]complex128, 4096)
-	for i := range buf {
-		buf[i] = complex(float64(i%7)*0.01, 0)
+	if _, err := f.SetPersonality(Personality{Waveform: WGN, Uptime: benchJammer.Uptime, Gain: 1}); err != nil {
+		b.Fatal(err)
+	}
+	buf := engagementBlock()
+	if _, err := f.Process(buf); err != nil {
+		b.Fatal(err)
+	}
+	if f.Stats().JamTriggers == 0 {
+		b.Fatal("the warm-up block fired no trigger")
 	}
 	b.ResetTimer()
 	n := 0
@@ -65,30 +109,40 @@ func BenchmarkCorePerSample(b *testing.B) {
 // front end: the legacy per-sample call and the block fast path that hoists
 // quantization, recorder dispatch and counter updates out of the loop. The
 // block path runs with both detectors armed and with one of them, where it
-// skips the detector that cannot fire.
+// skips the detector that cannot fire. Every block holds one engagement:
+// detection, trigger and a jam burst.
 func BenchmarkCoreDatapath(b *testing.B) {
-	build := func(b *testing.B, xcorr, energy bool) *core.Core {
-		r := radio.New()
-		h := host.New(r.Core())
+	buf := engagementBlock()
+	// build arms a core through host.Arm, so the trigger follows the armed
+	// detectors, and fails unless a warm-up block fires it.
+	build := func(xcorr, energy bool) (*core.Core, error) {
+		var d host.Detector
 		if xcorr {
-			if _, err := h.ProgramCorrelator(host.WiFiShortTemplate(), 0.1); err != nil {
-				b.Fatal(err)
-			}
+			d.Template, d.FATargetPerSec = host.WiFiShortTemplate(), 0.1
 		}
 		if energy {
-			if _, err := h.ProgramEnergy(10, 0); err != nil {
-				b.Fatal(err)
-			}
+			d.EnergyThresholdDB = host.EnergyRiseDB
 		}
-		r.Start()
-		return r.Core()
-	}
-	buf := make([]complex128, 4096)
-	for i := range buf {
-		buf[i] = complex(float64(i%7)*0.01, 0)
+		c := core.New()
+		h := host.New(c)
+		if err := h.Arm(d); err != nil {
+			return nil, err
+		}
+		if _, err := h.ProgramJammer(benchJammer); err != nil {
+			return nil, err
+		}
+		c.ResetDatapath()
+		c.ProcessBlock(buf, make([]complex128, len(buf)))
+		if c.Stats().JamTriggers == 0 {
+			return nil, fmt.Errorf("xcorr=%v energy=%v: the warm-up block fired no trigger", xcorr, energy)
+		}
+		return c, nil
 	}
 	b.Run("per-sample", func(b *testing.B) {
-		c := build(b, true, true)
+		c, err := build(true, true)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		n := 0
@@ -105,7 +159,10 @@ func BenchmarkCoreDatapath(b *testing.B) {
 		xcorr, energy bool
 	}{{"block", true, true}, {"block-xcorr-only", true, false}, {"block-energy-only", false, true}} {
 		b.Run(arm.name, func(b *testing.B) {
-			c := build(b, arm.xcorr, arm.energy)
+			c, err := build(arm.xcorr, arm.energy)
+			if err != nil {
+				b.Fatal(err)
+			}
 			tx := make([]complex128, len(buf))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -125,7 +182,11 @@ func BenchmarkCoreDatapath(b *testing.B) {
 		var n int64
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
-			c := build(b, true, true)
+			c, err := build(true, true)
+			if err != nil {
+				b.Error(err) // Fatal must not run on a RunParallel goroutine
+				return
+			}
 			tx := make([]complex128, len(buf))
 			local := 0
 			for pb.Next() {

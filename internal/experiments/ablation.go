@@ -351,24 +351,25 @@ func AblationImpairments(frames int, snrDB float64, seed int64) ([]ImpairmentRow
 			PhaseNoiseRadRMS: 0.01, ClockOffsetPPM: 20, Seed: seed,
 		}},
 	}
-	out := make([]ImpairmentRow, len(cases))
-	err := forEach(len(cases), func(oi int) error {
-		c := cases[oi]
-		cfg := DetectionConfig{
-			Detector:       host.Detector{Template: host.WiFiLongTemplate(), FATargetPerSec: 0.52},
-			Kind:           FullFrame,
-			FramesPerPoint: frames,
-			Seed:           seed,
-			Impairments:    c.cfg,
-		}
-		p, err := detectionPoint(cfg, snrDB, nil, nil)
-		out[oi] = ImpairmentRow{Label: c.label, Pd: p.Pd}
-		return err
-	})
-	if err != nil {
-		return nil, err
+	cfg := DetectionConfig{
+		Detector:       host.Detector{Template: host.WiFiLongTemplate(), FATargetPerSec: 0.52},
+		Kind:           FullFrame,
+		FramesPerPoint: frames,
+		Seed:           seed,
 	}
-	return out, nil
+	hits := make([]tally, len(cases))
+	ss := make([]*stream, len(cases))
+	for i, c := range cases {
+		cfg.Impairments = c.cfg
+		ss[i] = pointStream(cfg, snrDB, detectorProbe(cfg.Detector, &hits[i]))
+	}
+	return measure(ss, func() []ImpairmentRow {
+		out := make([]ImpairmentRow, len(cases))
+		for i, c := range cases {
+			out[i] = ImpairmentRow{Label: c.label, Pd: hits[i].pd(frames)}
+		}
+		return out
+	}, nil)
 }
 
 // SoftDecisionRow compares hard and soft receivers under a jam burst of

@@ -2,19 +2,17 @@
 // characterization of §3 (Figs. 6-8), the testbed characterization of §4.1
 // (Table 1), the WiFi jamming sweeps of §4.3 (Figs. 10-11), the WiMAX
 // validation of §5 (Fig. 12), and the timeline/resource/reconfigurability
-// analyses. Each experiment returns plain data that cmd/experiments prints
-// and bench_test.go reports as benchmark metrics.
+// analyses. Each experiment returns plain data; Figures lists the seeded
+// sections that cmd/experiments prints, testdata/figures.golden pins and
+// the root BenchmarkFigures times.
 package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dsp"
 	"repro/internal/host"
 	"repro/internal/impair"
-	"repro/internal/radio"
-	"repro/internal/telemetry"
 	"repro/internal/trigger"
 	"repro/internal/wifi"
 )
@@ -135,177 +133,110 @@ func (s *frameSource) framed(seq, gap int) (dsp.Samples, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	n := len(wave) + 2*gap
-	if cap(s.buf) < n {
-		s.buf = make(dsp.Samples, n)
-	}
-	buf := s.buf[:n]
-	clear(buf[:gap])
-	copy(buf[gap:], wave)
-	clear(buf[gap+len(wave):])
-	return buf, wave.Power(), nil
+	s.buf = pad(s.buf, wave, gap)
+	return s.buf, wave.Power(), nil
 }
 
 // faChunk is the block size in which the noise-only calibration streams
 // through the radio.
 const faChunk = 1 << 14
 
-// processNoise streams n samples from noise through r in faChunk blocks
-// from one reused buffer: the §3.2 terminated input.
-func processNoise(r *radio.N210, noise *dsp.NoiseSource, n int) error {
+// faSamples is the length of the false-alarm calibration at 20 MSPS: 2M
+// samples (2.5M at the core), about 0.1 s; cmd/experiments -full raises it
+// via SetFACalibrationScale.
+func faSamples() int { return 2_000_000 * faCalibrationScale }
+
+func faSeconds() float64 { return float64(faSamples()) / wifi.SampleRate }
+
+// faStream is the false-alarm calibration of §3.2: noise only, the
+// terminated input, seeded from seed alone.
+func faStream(seed int64, probes ...probe) *stream {
+	noise := dsp.NewNoiseSource(noiseFloorPower, seed+9999)
+	n := faSamples()
 	chunk := make(dsp.Samples, min(n, faChunk))
-	for done := 0; done < n; done += len(chunk) {
-		chunk = chunk[:min(len(chunk), n-done)]
-		for i := range chunk {
-			chunk[i] = noise.Sample()
-		}
-		if _, err := r.Process(chunk); err != nil {
-			return err
-		}
-	}
-	return nil
+	return &stream{sourceHz: wifi.SampleRate, blocks: (n + faChunk - 1) / faChunk, probes: probes,
+		block: func(i int) (dsp.Samples, error) {
+			c := chunk[:min(len(chunk), n-i*faChunk)]
+			for j := range c {
+				c[j] = noise.Sample()
+			}
+			return c, nil
+		}}
 }
 
-// buildDetector assembles a jammer radio with the requested detection
-// configuration; the returned counter function reports the counted event's
-// edge count, and the returned event is that event.
-func buildDetector(cfg DetectionConfig) (*radio.N210, func() uint64, trigger.Event, error) {
-	if cfg.Event != trigger.EventNone {
-		return nil, nil, trigger.EventNone,
-			fmt.Errorf("experiments: DetectionConfig.Event must be unset: the armed detector decides it")
+// pointStream is one SNR point of cfg: FramesPerPoint frames of cfg's kind
+// at snrDB over the noise floor, through cfg's impairments, every seed
+// derived from (cfg.Seed, snrDB). The paper sends 130 frames/s; the
+// inter-frame gap only needs to re-arm the detectors.
+func pointStream(cfg DetectionConfig, snrDB float64, probes ...probe) *stream {
+	frame := newFrameSource(cfg.Kind, cfg.Seed).frame
+	return &stream{sourceHz: wifi.SampleRate, blocks: cfg.FramesPerPoint, probes: probes,
+		block: overNoise(frame, snrDB, cfg.Impairments, cfg.Seed+int64(snrDB*100))}
+}
+
+// check rejects a configuration that cannot be characterized.
+func (cfg DetectionConfig) check() error {
+	switch {
+	case cfg.FramesPerPoint <= 0:
+		return fmt.Errorf("experiments: FramesPerPoint must be positive")
+	case len(cfg.SNRsDB) == 0:
+		return fmt.Errorf("experiments: no SNR points")
+	case cfg.Event != trigger.EventNone:
+		return fmt.Errorf("experiments: DetectionConfig.Event must be unset: the armed detector decides it")
 	}
-	r := radio.New()
-	if err := r.SetSourceRate(wifi.SampleRate); err != nil {
-		return nil, nil, trigger.EventNone, err
-	}
-	h := host.New(r.Core())
-	if err := h.Arm(cfg.Detector); err != nil {
-		return nil, nil, trigger.EventNone, err
-	}
-	ev := trigger.EventEnergyHigh
-	if len(cfg.Template) > 0 {
-		ev = trigger.EventXCorr
-	}
-	// The jammer must stay silent during characterization: minimum burst,
-	// zero gain.
-	if _, err := h.ProgramJammer(host.Personality{Gain: 0.001}); err != nil {
-		return nil, nil, ev, err
-	}
-	r.Start()
-	counter := func() uint64 {
-		st := r.Core().Stats()
-		if ev == trigger.EventXCorr {
-			return st.XCorrDetections
-		}
-		return st.EnergyHighDetections
-	}
-	return r, counter, ev, nil
+	return nil
 }
 
 // CharacterizeDetection runs the §3.2 methodology: measure the false-alarm
 // rate on a terminated input, then sweep SNR sending FramesPerPoint frames
 // per point and counting per-frame detections.
 func CharacterizeDetection(cfg DetectionConfig) (*DetectionResult, error) {
-	if cfg.FramesPerPoint <= 0 {
-		return nil, fmt.Errorf("experiments: FramesPerPoint must be positive")
-	}
-	if len(cfg.SNRsDB) == 0 {
-		return nil, fmt.Errorf("experiments: no SNR points")
-	}
-	faCount, faSec, _, err := falseAlarms(cfg, nil)
+	res, err := measure(detectionStreams([]DetectionConfig{cfg}))
 	if err != nil {
 		return nil, err
 	}
-	result := &DetectionResult{
-		FalseAlarmsPerSec: float64(faCount) / faSec,
-		FACalibrationSec:  faSec,
-	}
-	// One worker-pool item per SNR point. Each point builds its own radio
-	// stack and derives every seed from (cfg.Seed, snr), so the sweep is
-	// bit-identical at any pool width.
-	result.Points = make([]DetectionPoint, len(cfg.SNRsDB))
-	err = forEach(len(cfg.SNRsDB), func(pi int) error {
-		p, err := detectionPoint(cfg, cfg.SNRsDB[pi], nil, nil)
-		result.Points[pi] = p
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return result, nil
+	return res[0], nil
 }
 
-// falseAlarms is the false-alarm calibration: noise only, the terminated
-// input of §3.2, through a fresh detector with live (when non-nil) as its
-// recorder. It returns the detection count, the calibration window in
-// seconds and the resolved detection event.
-func falseAlarms(cfg DetectionConfig, live *telemetry.Live) (uint64, float64, trigger.Event, error) {
-	r, count, ev, err := buildDetector(cfg)
-	if err != nil {
-		return 0, 0, ev, err
-	}
-	if live != nil {
-		r.Core().SetRecorder(live)
-	}
-	noise := dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+9999)
-	// 2M samples at 20 MSPS input (2.5M at the core) ≈ 0.1 s. Kept modest;
-	// cmd/experiments -full raises it via FACalibrationScale.
-	n := 2_000_000 * faCalibrationScale
-	if err := processNoise(r, noise, n); err != nil {
-		return 0, 0, ev, err
-	}
-	return count(), float64(n) / wifi.SampleRate, ev, nil
-}
-
-// detectionPoint measures one SNR point: FramesPerPoint frames through a
-// fresh detector with live (when non-nil) as its recorder, counting
-// per-frame detections. A non-nil onFrame receives each frame's clock
-// window [start, end) in cycles.
-func detectionPoint(cfg DetectionConfig, snr float64, live *telemetry.Live, onFrame func(start, end uint64)) (DetectionPoint, error) {
-	r, count, _, err := buildDetector(cfg)
-	if err != nil {
-		return DetectionPoint{}, err
-	}
-	if live != nil {
-		r.Core().SetRecorder(live)
-	}
-	clock := r.Core().Clock()
-	front := impair.New(cfg.Impairments)
-	noise := dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+int64(snr*100))
-	amp := math.Sqrt(noiseFloorPower * dsp.FromDB(snr))
-	src := newFrameSource(cfg.Kind, cfg.Seed)
-	framesDetected := 0
-	var detections uint64
-	for f := 0; f < cfg.FramesPerPoint; f++ {
-		// Scale the unit-power frame to the target SNR over noise and
-		// surround it with idle gap (the paper sends 130 frames/s; the
-		// inter-frame gap only needs to re-arm the detectors).
-		buf, power, err := src.framed(f, interFrameGap)
-		if err != nil {
-			return DetectionPoint{}, err
+// detectionStreams plans the characterization of cfgs: one false-alarm
+// stream per seed, dispatched first, then one stream per SNR point of each
+// frame kind, seed, impairments and frame count. Each stream arms a
+// detector for every configuration that shares it.
+func detectionStreams(cfgs []DetectionConfig) ([]*stream, func() []*DetectionResult, error) {
+	var ss []*stream
+	shared := map[any]*stream{}
+	share := func(key any, p probe, open func() *stream) {
+		s := shared[key]
+		if s == nil {
+			s = open()
+			shared[key], ss = s, append(ss, s)
 		}
-		scale := amp / math.Sqrt(power)
-		for i := range buf {
-			buf[i] = front.ProcessSample(buf[i]*complex(scale, 0)) + noise.Sample()
-		}
-		before := count()
-		start := clock.Cycle()
-		if _, err := r.Process(buf); err != nil {
-			return DetectionPoint{}, err
-		}
-		if onFrame != nil {
-			onFrame(start, clock.Cycle())
-		}
-		d := count() - before
-		if d > 0 {
-			framesDetected++
-		}
-		detections += d
+		s.probes = append(s.probes, p)
 	}
-	return DetectionPoint{
-		SNRdB:              snr,
-		Pd:                 float64(framesDetected) / float64(cfg.FramesPerPoint),
-		DetectionsPerFrame: float64(detections) / float64(cfg.FramesPerPoint),
+	fa := make([]tally, len(cfgs))
+	for ci, cfg := range cfgs {
+		if err := cfg.check(); err != nil {
+			return nil, nil, err
+		}
+		share(cfg.Seed, detectorProbe(cfg.Detector, &fa[ci]), func() *stream { return faStream(cfg.Seed) })
+	}
+	points := make([][]tally, len(cfgs))
+	for ci, cfg := range cfgs {
+		points[ci] = make([]tally, len(cfg.SNRsDB))
+		for pi, snr := range cfg.SNRsDB {
+			share([...]any{cfg.Kind, cfg.Seed, cfg.Impairments, cfg.FramesPerPoint, snr},
+				detectorProbe(cfg.Detector, &points[ci][pi]), func() *stream { return pointStream(cfg, snr) })
+		}
+	}
+	return ss, func() []*DetectionResult {
+		out := make([]*DetectionResult, len(cfgs))
+		for ci, cfg := range cfgs {
+			out[ci] = &DetectionResult{FalseAlarmsPerSec: float64(fa[ci].edges) / faSeconds(), FACalibrationSec: faSeconds()}
+			for pi, snr := range cfg.SNRsDB {
+				out[ci].Points = append(out[ci].Points, points[ci][pi].point(snr, cfg.FramesPerPoint))
+			}
+		}
+		return out
 	}, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/channel"
+	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/host"
 	"repro/internal/jammer"
@@ -36,46 +37,6 @@ type Fig12Result struct {
 	OneToOne bool
 }
 
-// wimaxDetector builds a jammer radio configured for the Airspan downlink.
-func wimaxDetector(cfg wimax.Config, combined bool, jamGain float64) (*radio.N210, error) {
-	r := radio.New()
-	if err := r.Tune(2.608e9); err != nil {
-		return nil, err
-	}
-	if err := r.SetSourceRate(wimax.ActualSampleRate); err != nil {
-		return nil, err
-	}
-	h := host.New(r.Core())
-	tpl, err := host.WiMAXTemplate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// The 64-sample window captures only the first 2.56 µs of the 25 µs
-	// preamble code, and the template is built for the 11.4 MHz rate the
-	// Airspan reports while the true 802.16e sampling factor for 10 MHz is
-	// 11.2 MSPS (28/25): the residual slip plus over-the-air fading leaves
-	// a thin margin. The threshold (host.WiMAXThresholdFrac of the matched
-	// peak) is calibrated so the xcorr-only configuration lands at the
-	// paper's reported operating point of ~2/3 misdetection; see
-	// EXPERIMENTS.md.
-	d := host.Detector{Template: tpl, ThresholdFrac: host.WiMAXThresholdFrac}
-	if combined {
-		d.EnergyThresholdDB = host.EnergyRiseDB
-	}
-	if err := h.Arm(d); err != nil {
-		return nil, err
-	}
-	if _, err := h.ProgramJammer(host.Personality{
-		Waveform: jammer.WaveformWGN,
-		Uptime:   500 * time.Microsecond,
-		Gain:     jamGain,
-	}); err != nil {
-		return nil, err
-	}
-	r.Start()
-	return r, nil
-}
-
 // Fig12SNRdB is the modeled over-the-air SNR of the base-station downlink
 // at the jammer's receive antenna (§5 is a broadcast experiment, not a
 // cabled one).
@@ -89,32 +50,55 @@ const Fig12SNRdB = 12
 // fractional resampling phase (random idle padding at the 11.4 MSPS
 // source rate).
 func Fig12WiMAX(frames int, seed int64) (*Fig12Result, error) {
+	return measure(fig12Streams(frames, seed))
+}
+
+// fig12Streams plans Fig. 12 as one stream of downlink frames, judged by
+// the cross-correlator alone with the jammer muted and by the correlator
+// fused with the energy differentiator, jamming for the scope capture.
+func fig12Streams(frames int, seed int64) ([]*stream, func() *Fig12Result, error) {
 	if frames <= 0 {
-		return nil, fmt.Errorf("experiments: frame count must be positive")
+		return nil, nil, fmt.Errorf("experiments: frame count must be positive")
 	}
 	cfg := wimax.Config{CellID: 1, Segment: 0}
-	res := &Fig12Result{Frames: frames}
+	tpl, err := host.WiMAXTemplate(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The 64-sample window captures only the first 2.56 µs of the 25 µs
+	// preamble code, and the template is built for the 11.4 MHz rate the
+	// Airspan reports while the true 802.16e sampling factor for 10 MHz is
+	// 11.2 MSPS (28/25): the residual slip plus over-the-air fading leaves
+	// a thin margin. The threshold (host.WiMAXThresholdFrac of the matched
+	// peak) is calibrated so the xcorr-only configuration lands at the
+	// paper's reported operating point of ~2/3 misdetection; see
+	// EXPERIMENTS.md.
+	xcorrOnly := host.Detector{Template: tpl, ThresholdFrac: host.WiMAXThresholdFrac}
+	combined := xcorrOnly
+	combined.EnergyThresholdDB = host.EnergyRiseDB
+	wgn := func(gain float64) host.Personality {
+		return host.Personality{Waveform: jammer.WaveformWGN, Uptime: 500 * time.Microsecond, Gain: gain}
+	}
+	triggers := func(s core.Stats) uint64 { return s.JamTriggers }
 
-	run := func(combined bool, jamGain float64) (int, dsp.Samples, error) {
-		r, err := wimaxDetector(cfg, combined, jamGain)
-		if err != nil {
-			return 0, nil, err
-		}
-		rng := rand.New(rand.NewSource(seed))
-		noise := dsp.NewNoiseSource(noiseFloorPower, seed+1)
-		sigAmp := math.Sqrt(noiseFloorPower * dsp.FromDB(Fig12SNRdB))
-		detected := 0
-		var jamTX dsp.Samples
-		for f := 0; f < frames; f++ {
+	rng := rand.New(rand.NewSource(seed))
+	noise := dsp.NewNoiseSource(noiseFloorPower, seed+1)
+	sigAmp := math.Sqrt(noiseFloorPower * dsp.FromDB(Fig12SNRdB))
+	var dx, dc tally
+	var jamTX dsp.Samples
+	s := &stream{
+		sourceHz: wimax.ActualSampleRate,
+		blocks:   frames,
+		block: func(f int) (dsp.Samples, error) {
 			frame, err := wimax.DownlinkFrame(cfg, 24, seed+int64(f))
 			if err != nil {
-				return 0, nil, err
+				return nil, err
 			}
 			// Clock drift: random source-side padding shifts the polyphase
 			// phase of the 125/57 resampler frame to frame.
-			pad := rng.Intn(wimax.SymbolLen)
-			buf := make(dsp.Samples, pad+len(frame))
-			copy(buf[pad:], frame)
+			idle := rng.Intn(wimax.SymbolLen)
+			buf := make(dsp.Samples, idle+len(frame))
+			copy(buf[idle:], frame)
 			// Truncate the trailing silence to keep runs quick; keep enough
 			// for the energy fall and detector re-arm.
 			burst := 26 * wimax.SymbolLen
@@ -125,45 +109,22 @@ func Fig12WiMAX(frames int, seed int64) (*Fig12Result, error) {
 			buf = fading.Apply(buf)
 			buf.Scale(sigAmp / math.Sqrt(52.0/64))
 			noise.AddTo(buf)
-			stBefore := r.Core().Stats().JamTriggers
-			tx, err := r.Process(buf)
-			if err != nil {
-				return 0, nil, err
-			}
-			jamTX = append(jamTX, tx...)
-			if r.Core().Stats().JamTriggers > stBefore {
-				detected++
-			}
-		}
-		return detected, jamTX, nil
+			return buf, nil
+		},
+		probes: []probe{
+			// Cross-correlator alone, jammer muted.
+			{det: xcorrOnly, jam: wgn(0.001), count: triggers, out: &dx},
+			// Combined detection with active jamming for the scope capture.
+			{det: combined, jam: wgn(1), count: triggers, out: &dc},
+		},
+		after: func(_ []*radio.N210, tx []dsp.Samples) { jamTX = append(jamTX, tx[1]...) },
 	}
-
-	// Cross-correlator alone, jammer muted.
-	dx, _, err := run(false, 0.001)
-	if err != nil {
-		return nil, err
-	}
-	res.XCorrOnlyPd = float64(dx) / float64(frames)
-
-	// Combined detection with active jamming for the scope capture.
-	dc, jamTX, err := run(true, 1)
-	if err != nil {
-		return nil, err
-	}
-	res.CombinedPd = float64(dc) / float64(frames)
-
-	// Scope: one burst per downlink frame (Fig. 12's lower trace).
-	bursts := scope.BurstIntervals(jamTX, 0.1, 64, 2048)
-	res.JamBursts = len(bursts)
-	// Allow one stray burst per 20 frames (spurious mid-frame re-triggers).
-	slack := max(1, frames/20)
-	res.OneToOne = dc == frames && abs(res.JamBursts-frames) <= slack
-	return res, nil
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return []*stream{s}, func() *Fig12Result {
+		// Scope: one burst per downlink frame (Fig. 12's lower trace).
+		bursts := len(scope.BurstIntervals(jamTX, 0.1, 64, 2048))
+		// Allow one stray burst per 20 frames (spurious mid-frame re-triggers).
+		slack := max(1, frames/20)
+		return &Fig12Result{Frames: frames, XCorrOnlyPd: dx.pd(frames), CombinedPd: dc.pd(frames),
+			JamBursts: bursts, OneToOne: dc.hits == frames && max(bursts-frames, frames-bursts) <= slack}
+	}, nil
 }

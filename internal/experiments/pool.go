@@ -9,9 +9,9 @@ import (
 	"repro/internal/telemetry/fleet"
 )
 
-// The experiment harness fans independent work items — SNR points, sweep
-// attenuations, selectivity cells, ablation rows — across a bounded worker
-// pool. Every item builds its own radio/core stack and derives its RNG
+// The experiment harness fans independent work items — detection streams
+// (stream.go), sweep attenuations, ablation rows — across a bounded worker
+// pool. Every item builds its own front end and cores and derives its RNG
 // seeds purely from the experiment config and the item's own parameters
 // (e.g. cfg.Seed+int64(snr*100)), so the results are bit-identical to a
 // sequential run at any pool width; only wall-clock time changes.

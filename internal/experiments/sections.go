@@ -40,15 +40,20 @@ type Figure struct {
 	Run     func(*Records, Budget) error
 }
 
-func detectionRecords(r *Records, name string, cfg DetectionConfig) error {
-	res, err := CharacterizeDetection(cfg)
+// detectionRecords characterizes cfgs together, so that configurations
+// sharing an input share its streams, and writes each one's records under
+// its name.
+func detectionRecords(r *Records, names []string, cfgs ...DetectionConfig) error {
+	res, err := measure(detectionStreams(cfgs))
 	if err != nil {
 		return err
 	}
-	r.put("%s_fa_per_sec", name, res.FalseAlarmsPerSec)
-	for _, p := range res.Points {
-		r.put("%s_pd_%+gdB", name, p.SNRdB, p.Pd)
-		r.put("%s_detections_per_frame_%+gdB", name, p.SNRdB, p.DetectionsPerFrame)
+	for i, name := range names {
+		r.put("%s_fa_per_sec", name, res[i].FalseAlarmsPerSec)
+		for _, p := range res[i].Points {
+			r.put("%s_pd_%+gdB", name, p.SNRdB, p.Pd)
+			r.put("%s_detections_per_frame_%+gdB", name, p.SNRdB, p.DetectionsPerFrame)
+		}
 	}
 	return nil
 }
@@ -72,29 +77,20 @@ func Figures() []Figure {
 		{"fig6", "cross-correlator detection, WiFi long preamble (paper Fig. 6): single long\n" +
 			"preambles and full frames, FA targets 0.52/s (loose) and 0.083/s (tight)",
 			func(r *Records, b Budget) error {
-				for _, c := range []struct {
-					name  string
-					kind  FrameKind
-					tight bool
-				}{
-					{"fig6_single_loose", SingleLongPreamble, false},
-					{"fig6_single_tight", SingleLongPreamble, true},
-					{"fig6_full_loose", FullFrame, false},
-					{"fig6_full_tight", FullFrame, true},
-				} {
-					if err := detectionRecords(r, c.name, Fig6Config(c.kind, c.tight, b.Frames)); err != nil {
-						return err
-					}
-				}
-				return nil
+				// Loose and tight share each frame kind's streams, and all
+				// four share the false-alarm stream.
+				return detectionRecords(r,
+					[]string{"fig6_single_loose", "fig6_single_tight", "fig6_full_loose", "fig6_full_tight"},
+					Fig6Config(SingleLongPreamble, false, b.Frames), Fig6Config(SingleLongPreamble, true, b.Frames),
+					Fig6Config(FullFrame, false, b.Frames), Fig6Config(FullFrame, true, b.Frames))
 			}},
 		{"fig7", "cross-correlator detection, WiFi short preamble, full frames\n" +
 			"(paper Fig. 7: >90% at -3 dB, >99% above 3 dB, FA 0.059/s)",
-			func(r *Records, b Budget) error { return detectionRecords(r, "fig7", Fig7Config(b.Frames)) }},
+			func(r *Records, b Budget) error { return detectionRecords(r, []string{"fig7"}, Fig7Config(b.Frames)) }},
 		{"fig8", "energy differentiator detection, full WiFi frames, 10 dB threshold\n" +
 			"(paper Fig. 8: none below -3 dB, excessive detections in the\n" +
 			"transition band, exactly one per frame at high SNR)",
-			func(r *Records, b Budget) error { return detectionRecords(r, "fig8", Fig8Config(b.Frames)) }},
+			func(r *Records, b Budget) error { return detectionRecords(r, []string{"fig8"}, Fig8Config(b.Frames)) }},
 		{"table1", "5-port network insertion losses (paper Table 1, dB; NaN: not measured)",
 			func(r *Records, _ Budget) error {
 				for i, row := range Table1() {
@@ -222,8 +218,8 @@ func Figures() []Figure {
 // RunFigures runs figs at budget b and hands each one's records and wall
 // time to emit in list order, as soon as it and every figure before it have
 // finished. Each figure writes its own records, so they run concurrently:
-// one after the other they would leave a core idle through Fig. 12 and the
-// false-alarm calibrations, which run on one goroutine. At Parallelism 1
+// one after the other they would leave a core idle through Fig. 12, which
+// is one stream on one goroutine. At Parallelism 1
 // they run one after the other. The first error, from a figure or from
 // emit, stops the emitting and returns once every figure has finished.
 func RunFigures(figs []Figure, b Budget, emit func(f Figure, rec string, wall time.Duration) error) error {

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dsp"
 	"repro/internal/host"
+	"repro/internal/impair"
 	"repro/internal/wifi"
 	"repro/internal/wifib"
 	"repro/internal/wimax"
@@ -56,149 +56,81 @@ type SelectivityResult struct {
 	Frames int
 }
 
-// sourceRate returns the native sample rate of each standard's waveform.
-func sourceRate(s Standard) int {
+// standard returns what the matrix needs of s: its native sample rate, its
+// detector template, and its frame seq at that rate.
+func standard(s Standard) (int, []complex128, func(seq int) (dsp.Samples, error), error) {
 	switch s {
 	case Std80211g:
-		return wifi.SampleRate
+		return wifi.SampleRate, host.WiFiShortTemplate(), func(seq int) (dsp.Samples, error) {
+			psdu := wifi.AppendFCS(make([]byte, 64))
+			return wifi.Modulate(psdu, wifi.TxConfig{Rate: wifi.Rate24, ScramblerSeed: uint8(seq%126) + 1})
+		}, nil
 	case Std80211b:
-		return wifib.SampleRate
-	default:
-		return wimax.ActualSampleRate
+		return wifib.SampleRate, host.WiFiBTemplate(), func(seq int) (dsp.Samples, error) {
+			return wifib.Modulate(make([]byte, 32), wifib.Rate11, uint8(seq%126)+1)
+		}, nil
 	}
-}
-
-// template returns the detector template for a standard.
-func template(s Standard) ([]complex128, error) {
-	switch s {
-	case Std80211g:
-		return host.WiFiShortTemplate(), nil
-	case Std80211b:
-		return host.WiFiBTemplate(), nil
-	default:
-		return host.WiMAXTemplate(wimax.Config{CellID: 1, Segment: 0})
-	}
-}
-
-// standardFrame generates one frame of the standard at its native rate.
-func standardFrame(s Standard, seq int) (dsp.Samples, error) {
-	switch s {
-	case Std80211g:
-		psdu := wifi.AppendFCS(make([]byte, 64))
-		return wifi.Modulate(psdu, wifi.TxConfig{
-			Rate: wifi.Rate24, ScramblerSeed: uint8(seq%126) + 1,
-		})
-	case Std80211b:
-		return wifib.Modulate(make([]byte, 32), wifib.Rate11, uint8(seq%126)+1)
-	default:
-		frame, err := wimax.DownlinkFrame(wimax.Config{CellID: 1, Segment: 0}, 4, int64(seq))
+	cfg := wimax.Config{CellID: 1, Segment: 0}
+	tpl, err := host.WiMAXTemplate(cfg)
+	return wimax.ActualSampleRate, tpl, func(seq int) (dsp.Samples, error) {
+		frame, err := wimax.DownlinkFrame(cfg, 4, int64(seq))
 		if err != nil {
 			return nil, err
 		}
 		return frame[:8*wimax.SymbolLen], nil
-	}
+	}, err
 }
 
 // Selectivity measures the full matrix at the given SNR with frames per
-// cell. All matrix cells (template × signal, plus the energy-only row) run
-// across the experiment worker pool; every cell is seeded independently,
-// so the matrix is identical at any pool width.
+// cell. Each transmitted standard is one stream, judged by the three
+// template detectors and the energy detector at once; the three streams
+// run across the experiment worker pool, each seeded from its standard, so
+// the matrix is identical at any pool width.
 func Selectivity(frames int, snrDB float64, seed int64) (*SelectivityResult, error) {
-	if frames <= 0 {
-		return nil, fmt.Errorf("experiments: frames must be positive")
-	}
-	res := &SelectivityResult{Frames: frames}
+	return measure(selectivityStreams(frames, snrDB, seed))
+}
 
-	// The templates are generated once, sequentially, and shared read-only
-	// by the cells.
-	type cell struct {
-		ti, si   int // ti == -1 marks the energy-only row
-		tpl      []complex128
-		frac     float64
-		energyDB float64
+// selectivityStreams plans the matrix: one stream per transmitted
+// standard, with one probe per template and a last one for the energy
+// detector.
+func selectivityStreams(frames int, snrDB float64, seed int64) ([]*stream, func() *SelectivityResult, error) {
+	if frames <= 0 {
+		return nil, nil, fmt.Errorf("experiments: frames must be positive")
 	}
-	var cells []cell
-	for ti, tplStd := range AllStandards {
-		tpl, err := template(tplStd)
+	var dets []host.Detector
+	ss := make([]*stream, len(AllStandards))
+	for si, std := range AllStandards {
+		rate, tpl, frame, err := standard(std)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// The 802.11b SYNC template is purely real (BPSK), so its metric
 		// floor against unrelated wideband signals is higher (the Q rail
 		// contributes an unrejected noise term); its threshold sits
 		// correspondingly higher.
 		frac := 0.55
-		if tplStd == Std80211b {
+		if std == Std80211b {
 			frac = 0.72
 		}
+		dets = append(dets, host.Detector{Template: tpl, ThresholdFrac: frac})
+		ss[si] = &stream{sourceHz: rate, blocks: frames,
+			block: overNoise(frame, snrDB, impair.Config{}, seed+int64(std)*37)}
+	}
+	dets = append(dets, host.Detector{EnergyThresholdDB: host.EnergyRiseDB})
+	hits := make([][3]tally, len(dets)) // [detector][transmitted standard]
+	for si, s := range ss {
+		for di, d := range dets {
+			s.probes = append(s.probes, detectorProbe(d, &hits[di][si]))
+		}
+	}
+	return ss, func() *SelectivityResult {
+		res := &SelectivityResult{Frames: frames}
 		for si := range AllStandards {
-			cells = append(cells, cell{ti: ti, si: si, tpl: tpl, frac: frac})
+			for ti := range AllStandards {
+				res.Pd[ti][si] = hits[ti][si].pd(frames)
+			}
+			res.EnergyPd[si] = hits[len(AllStandards)][si].pd(frames)
 		}
-	}
-	for si := range AllStandards {
-		cells = append(cells, cell{ti: -1, si: si, energyDB: host.EnergyRiseDB})
-	}
-
-	err := forEach(len(cells), func(i int) error {
-		c := cells[i]
-		pd, err := selectivityCell(c.tpl, c.frac, c.energyDB, AllStandards[c.si],
-			frames, snrDB, seed)
-		if err != nil {
-			return err
-		}
-		if c.ti < 0 {
-			res.EnergyPd[c.si] = pd
-		} else {
-			res.Pd[c.ti][c.si] = pd
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// selectivityCell measures one (template, signal) trigger rate. A nil
-// template with energyDB > 0 measures the energy-only baseline.
-func selectivityCell(tpl []complex128, thresholdFrac, energyDB float64, sig Standard,
-	frames int, snrDB float64, seed int64) (float64, error) {
-	cfg := DetectionConfig{
-		Detector: host.Detector{
-			Template: tpl, ThresholdFrac: thresholdFrac, EnergyThresholdDB: energyDB,
-		},
-		FramesPerPoint: frames,
-		SNRsDB:         []float64{snrDB},
-		Seed:           seed,
-	}
-	r, counter, _, err := buildDetector(cfg)
-	if err != nil {
-		return 0, err
-	}
-	if err := r.SetSourceRate(sourceRate(sig)); err != nil {
-		return 0, err
-	}
-	noise := dsp.NewNoiseSource(noiseFloorPower, seed+int64(sig)*37)
-	amp := math.Sqrt(noiseFloorPower * dsp.FromDB(snrDB))
-	hits := 0
-	for f := 0; f < frames; f++ {
-		wave, err := standardFrame(sig, f)
-		if err != nil {
-			return 0, err
-		}
-		buf := make(dsp.Samples, len(wave)+2*interFrameGap)
-		copy(buf[interFrameGap:], wave)
-		scale := amp / math.Sqrt(wave.Power())
-		for i := range buf {
-			buf[i] = buf[i]*complex(scale, 0) + noise.Sample()
-		}
-		before := counter()
-		if _, err := r.Process(buf); err != nil {
-			return 0, err
-		}
-		if counter() > before {
-			hits++
-		}
-	}
-	return float64(hits) / float64(frames), nil
+		return res
+	}, nil
 }

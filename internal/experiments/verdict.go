@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/dsp"
+	"repro/internal/radio"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/span"
 	"repro/internal/trigger"
@@ -51,59 +53,57 @@ type VerdictOutcome struct {
 	Reconciled bool
 }
 
-// detectionKind maps a trigger event to the telemetry edge kind its counter
-// counts.
-func detectionKind(ev trigger.Event) telemetry.EventKind {
-	if ev == trigger.EventXCorr {
-		return telemetry.EvXCorrEdge
-	}
-	return telemetry.EvEnergyHighEdge
-}
-
 // RunVerdictLedger runs the instrumented single-point characterization of
 // d, which must hold exactly one SNR point, and returns the reconciled
 // ledger. The run fails if a journal of telemetry.DefaultJournalDepth
 // events drops any, since a truncated journal cannot reconcile.
 func RunVerdictLedger(d DetectionConfig) (*VerdictOutcome, error) {
-	if d.FramesPerPoint <= 0 {
-		return nil, fmt.Errorf("experiments: FramesPerPoint must be positive")
+	if err := d.check(); err != nil {
+		return nil, err
 	}
 	if len(d.SNRsDB) != 1 {
 		return nil, fmt.Errorf("experiments: verdict ledger runs exactly one SNR point, got %d", len(d.SNRsDB))
 	}
 	snr := d.SNRsDB[0]
+	// The counted event, and the journal's edge kind for it.
+	ev, kind := trigger.EventEnergyHigh, telemetry.EvEnergyHighEdge
+	if len(d.Template) > 0 {
+		ev, kind = trigger.EventXCorr, telemetry.EvXCorrEdge
+	}
 
-	// Phase 1: the noise-only false-alarm calibration, on its own radio
-	// and journal.
+	// The noise-only false-alarm calibration and the Pd point, each on its
+	// own core and journal; each frame's clock window is journaled
+	// alongside the per-frame counter deltas. A started core's clock reads
+	// 0, and each frame's window starts where the last one ended.
 	faLive := telemetry.NewLive(telemetry.DefaultJournalDepth)
-	counterFA, faSec, ev, err := falseAlarms(d, faLive)
-	if err != nil {
+	live := telemetry.NewLive(telemetry.DefaultJournalDepth)
+	var fa, pt tally
+	faProbe, ptProbe := detectorProbe(d.Detector, &fa), detectorProbe(d.Detector, &pt)
+	faProbe.rec, ptProbe.rec = faLive, live
+	points := pointStream(d, snr, ptProbe)
+	packets := make([]verdict.Packet, 0, d.FramesPerPoint)
+	points.after = func(radios []*radio.N210, _ []dsp.Samples) {
+		start := uint64(0)
+		if len(packets) > 0 {
+			start = packets[len(packets)-1].End
+		}
+		packets = append(packets, verdict.Packet{Index: len(packets), Start: start, End: radios[0].Core().Clock().Cycle()})
+	}
+	ss := []*stream{faStream(d.Seed, faProbe), points}
+	if err := forEach(len(ss), func(i int) error { return ss[i].run() }); err != nil {
 		return nil, err
 	}
-	if dropped := faLive.Dropped(); dropped != 0 {
-		return nil, fmt.Errorf("experiments: FA journal dropped %d events", dropped)
+	for _, l := range []*telemetry.Live{faLive, live} {
+		if dropped := l.Dropped(); dropped != 0 {
+			return nil, fmt.Errorf("experiments: journal dropped %d events", dropped)
+		}
 	}
-	kind := detectionKind(ev)
 	// With no ground-truth packets, every engagement is a false positive and
 	// every configured-kind edge a false alarm.
 	faResult, err := verdict.Classify(nil, span.Build(faLive.Events()),
 		verdict.Options{Kinds: []telemetry.EventKind{kind}})
 	if err != nil {
 		return nil, err
-	}
-
-	// Phase 2: the Pd point on a fresh radio, each frame's clock window
-	// journaled alongside the per-frame counter deltas.
-	live := telemetry.NewLive(telemetry.DefaultJournalDepth)
-	packets := make([]verdict.Packet, 0, d.FramesPerPoint)
-	pt, err := detectionPoint(d, snr, live, func(start, end uint64) {
-		packets = append(packets, verdict.Packet{Index: len(packets), Start: start, End: end})
-	})
-	if err != nil {
-		return nil, err
-	}
-	if dropped := live.Dropped(); dropped != 0 {
-		return nil, fmt.Errorf("experiments: journal dropped %d events", dropped)
 	}
 
 	engs := span.Build(live.Events())
@@ -123,6 +123,8 @@ func RunVerdictLedger(d DetectionConfig) (*VerdictOutcome, error) {
 	ledger.Summary.FPEngagements += faResult.Summary.FPEngagements
 	ledger.Summary.FalseAlarmEdges += faResult.Summary.FalseAlarmEdges
 
+	point := pt.point(snr, d.FramesPerPoint)
+	faSec := faSeconds()
 	out := &VerdictOutcome{
 		SNRdB:       snr,
 		Event:       ev,
@@ -130,13 +132,13 @@ func RunVerdictLedger(d DetectionConfig) (*VerdictOutcome, error) {
 		Engagements: engs,
 		Ledger:      ledger,
 
-		CounterPd:                 pt.Pd,
-		CounterDetectionsPerFrame: pt.DetectionsPerFrame,
-		CounterFalseAlarms:        counterFA,
+		CounterPd:                 point.Pd,
+		CounterDetectionsPerFrame: point.DetectionsPerFrame,
+		CounterFalseAlarms:        fa.edges,
 		LedgerPd:                  ledger.Summary.Pd,
 		LedgerDetectionsPerFrame:  float64(ledger.Summary.DetectionEdges) / float64(d.FramesPerPoint),
 		LedgerFalseAlarms:         ledger.Summary.FalseAlarmEdges,
-		FalseAlarmsPerSec:         float64(counterFA) / faSec,
+		FalseAlarmsPerSec:         float64(fa.edges) / faSec,
 		FACalibrationSec:          faSec,
 	}
 	out.Reconciled = out.CounterPd == out.LedgerPd &&

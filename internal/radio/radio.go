@@ -66,20 +66,28 @@ func (r *N210) Start() {
 }
 
 // SetSourceRate installs a DDC resampler for input delivered at a rate
-// other than 25 MSPS; the rational ratio 25 MSPS / sourceHz is reduced
-// internally. Pass fpga.SampleRateHz to disable resampling.
+// other than 25 MSPS (see NewDDC). Pass fpga.SampleRateHz to disable
+// resampling.
 func (r *N210) SetSourceRate(sourceHz int) error {
-	if sourceHz <= 0 {
-		return fmt.Errorf("radio: invalid source rate %d", sourceHz)
+	ddc, err := NewDDC(sourceHz)
+	if err != nil {
+		return err
 	}
-	r.sourceHz = sourceHz
-	if sourceHz == fpga.SampleRateHz {
-		r.ddc = nil
-		return nil
-	}
-	g := gcd(fpga.SampleRateHz, sourceHz)
-	r.ddc = dsp.NewResampler(fpga.SampleRateHz/g, sourceHz/g, 8)
+	r.sourceHz, r.ddc = sourceHz, ddc
 	return nil
+}
+
+// NewDDC returns the DDC resampler that carries input delivered at sourceHz
+// to the core's 25 MSPS by the rational ratio 25 MSPS / sourceHz; nil when
+// sourceHz is 25 MSPS.
+func NewDDC(sourceHz int) (*dsp.Resampler, error) {
+	if sourceHz <= 0 {
+		return nil, fmt.Errorf("radio: invalid source rate %d", sourceHz)
+	}
+	if sourceHz == fpga.SampleRateHz {
+		return nil, nil
+	}
+	return dsp.NewResampler(fpga.SampleRateHz, sourceHz, 8), nil
 }
 
 // GroupDelayCycles returns the receive front end's group delay in hardware
@@ -131,11 +139,4 @@ func (r *N210) Process(rx dsp.Samples) (dsp.Samples, error) {
 	out := r.tx[:len(in)]
 	r.core.ProcessBlock(in, out)
 	return out, nil
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

@@ -20,7 +20,10 @@
 # throughput, the calibration-loop time (cal_ms), alloc_B_per_unit and
 # setup_s from results.jsonl, and per side the address of the benchmark's main.calLoop:
 # code layout can move that loop's speed, and with it every calibrated
-# number, while wall-clock throughput stays put. Results files stay under
+# number, while wall-clock throughput stays put. Next to it, per side, the
+# address and 64-byte offset of the datapath's hot functions (the core's
+# block loop, the correlator, the quantizer and the DDC resampler): a shift
+# of these alone has moved a workload by 6% or more. Results files stay under
 # the temporary directory and are removed with it; nothing under bench/ is
 # written.
 #
@@ -88,10 +91,18 @@ done
 for side in parent change; do
 	dir=$root
 	[[ $side == parent ]] && dir=$tmp/parent
-	addr=$(go tool nm "$dir/.bench_build/reactivejam-bench" | awk '$3 == "main.calLoop" { print "0x" $1 }')
+	syms=$(go tool nm "$dir/.bench_build/reactivejam-bench")
+	addr=$(awk '$3 == "main.calLoop" { print "0x" $1 }' <<<"$syms")
+	hot=
+	for f in 'core.(*Core).ProcessBlock' 'xcorr.(*Correlator).ProcessPacked' 'fixed.QuantizeFused' 'dsp.(*Resampler).Process'; do
+		a=$(awk -v s="repro/internal/$f" '$2 == "T" && $3 == s { print $1 }' <<<"$syms")
+		hot+="${hot:+; }$f "
+		if [[ -n $a ]]; then hot+="at 0x$a (+$((16#$a % 64)) in its 64-byte line)"; else hot+="missing"; fi
+	done
 	median() { awk -v c="$1" '$1 == s { print $c }' s="$side" "$tmp/runs" | sort -g |
 		awk '{ v[NR] = $1 } END { print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; }
 	echo "$side: main.calLoop at $addr; median throughput $(median 2) units/cal-s, wall $(median 3), cal_ms $(median 4), alloc_B_per_unit $(median 5), setup_s $(median 6)"
+	echo "$side layout: $hot"
 done
 # A pair is won when the change beats the parent on that throughput; ties
 # count for neither side. Quartiles interpolate linearly between ranks.
