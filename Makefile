@@ -60,11 +60,13 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 ## bench-smoke: compile-and-run sanity for the benchmark harness — one
-## iteration of the core datapath benchmarks, of the victim receiver's
-## hard and soft benchmarks and of the channel-noise and resampler kernels
-## every figure shares, no timing claims.
+## iteration of the core datapath benchmarks, of the correlator's block
+## kernel on each of its loops, of the victim receiver's hard and soft
+## benchmarks and of the channel-noise and resampler kernels every figure
+## shares, no timing claims.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='CorePerSample|CoreDatapath' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^BenchmarkProcessPacked$$' -benchtime=1x ./internal/xcorr
 	$(GO) test -run='^$$' -bench='RxFrame|Demodulate' -benchtime=1x ./internal/wifi
 	$(GO) test -run='^$$' -bench='^(BenchmarkResampler|BenchmarkNoiseAddTo)$$' -benchtime=1x ./internal/dsp
 

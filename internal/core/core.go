@@ -368,10 +368,16 @@ func (s *blockScratch) grow(n int) {
 // decisions and detector state — are bit-identical to calling ProcessSample
 // once per sample.
 //
-// The pipeline is fused and structure-of-arrays: one sweep quantizes the
-// input into separate int16 I/Q planes and packs the sign bits 64 per word
-// (fixed.QuantizeFused); the energy differentiator and the packed
-// correlator then turn those planes into per-sample trigger-level bitmaps.
+// The pipeline is structure-of-arrays and computes only what its consumers
+// read. The packed correlator reads every sample's sign bits, 64 per word;
+// the energy differentiator, while it can fire, reads every sample's int16
+// I/Q planes. So while the differentiator can fire one sweep quantizes the
+// input into both (fixed.QuantizeFused), and otherwise only the sign bits
+// are packed (fixed.SignBits) and the differentiator quantizes the tail it
+// keeps (energy.SkipBlock). Each sample the datapath steps one at a time is
+// quantized on its own (fixed.Quantize). The replay capture copies raw
+// receive samples and the replay waveform quantizes what it plays. The two
+// detectors then turn their inputs into per-sample trigger-level bitmaps.
 //
 // A detector runs only while it can fire, judged once per block at its
 // start, so a register write takes effect at the next block: the energy
@@ -381,8 +387,9 @@ func (s *blockScratch) grow(n int) {
 // cannot fire has an all-zero level bitmap, so its kernel is skipped and
 // only the history a later arming reads is kept: the correlator takes the
 // block's last 64 sign bits from the packed words and its warm-up fill in
-// O(1), the energy differentiator runs its ring-and-sum update, without
-// comparisons, over the block's last WindowLength+CompareDelay samples.
+// O(1), the energy differentiator quantizes the block's last
+// WindowLength+CompareDelay samples and runs its ring-and-sum update,
+// without comparisons, over them.
 // Either way its first levels after arming equal an always-on detector's,
 // and ProcessSample, which always runs both, is the reference.
 //
@@ -414,11 +421,12 @@ func (c *Core) ProcessBlock(rx []complex128, tx []complex128) {
 
 	c.scratch.grow(n)
 	sc := &c.scratch
-	fixed.QuantizeFused(rx, sc.iPlane, sc.qPlane, sc.signI, sc.signQ)
 	if c.en.CanFire() {
+		fixed.QuantizeFused(rx, sc.iPlane, sc.qPlane, sc.signI, sc.signQ)
 		c.en.ProcessBits(sc.iPlane, sc.qPlane, sc.lvlH, sc.lvlL)
 	} else {
-		c.en.SkipBits(sc.iPlane, sc.qPlane)
+		fixed.SignBits(rx, sc.signI, sc.signQ)
+		c.en.SkipBlock(rx)
 		clear(sc.lvlH)
 		clear(sc.lvlL)
 	}
@@ -446,7 +454,7 @@ func (c *Core) ProcessBlock(rx []complex128, tx []complex128) {
 				if c.fusion != FusionAny {
 					c.sm.AdvanceQuiet(span)
 				}
-				jamSamples += c.jam.ProcessQuietSpan(sc.iPlane[i:j], sc.qPlane[i:j], tx[i:j])
+				jamSamples += c.jam.ProcessQuietSpan(rx[i:j], tx[i:j])
 				i = j
 				continue
 			}
@@ -455,8 +463,7 @@ func (c *Core) ProcessBlock(rx []complex128, tx []complex128) {
 			c.clock.AdvanceSamples(1)
 		}
 		w, b := i>>6, uint(i&63)
-		out := c.stepLevels(
-			fixed.IQ{I: sc.iPlane[i], Q: sc.qPlane[i]},
+		out := c.stepLevels(fixed.Quantize(rx[i]),
 			sc.lvlX[w]>>b&1 != 0,
 			sc.lvlH[w]>>b&1 != 0,
 			sc.lvlL[w]>>b&1 != 0)

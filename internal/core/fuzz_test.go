@@ -7,15 +7,18 @@ import (
 	"testing"
 
 	"repro/internal/fixed"
+	"repro/internal/jammer"
 	"repro/internal/telemetry"
 	"repro/internal/trigger"
 	"repro/internal/xcorr"
 )
 
-// Detectors a fuzz configuration arms.
+// Options of a fuzz configuration: the detectors it arms, and jamReplay,
+// which jams with the replay waveform instead of WGN.
 const (
 	armXCorr = 1 << iota
 	armEnergy
+	jamReplay
 )
 
 // Correlator thresholds of the fuzz configurations: one fuzzed input
@@ -29,9 +32,10 @@ const (
 // fuzzProgram programs a core with a fixed synthetic configuration through
 // the register bus: the detectors armed names switched on (the others
 // programmed but unable to fire), FusionAny trigger on xcorr and
-// energy-high, short jamming bursts. The thresholds are low enough that
-// fuzzed input actually drives the trigger and jammer paths rather than
-// idling through the comparators.
+// energy-high, short WGN jamming bursts, or with jamReplay replay bursts
+// longer than the 512-sample capture ring, so each plays the ring around
+// once. The thresholds are low enough that fuzzed input actually drives the
+// trigger and jammer paths rather than idling through the comparators.
 func fuzzProgram(tb testing.TB, c *Core, armed int) {
 	tb.Helper()
 	write := func(addr uint8, v uint32) {
@@ -68,7 +72,12 @@ func fuzzProgram(tb testing.TB, c *Core, armed int) {
 		uint32(trigger.EventXCorr&0xF)|
 			uint32(trigger.EventEnergyHigh&0xF)<<4|
 			2<<12|1<<14)
-	write(RegJammerUptime, 24)
+	if armed&jamReplay != 0 {
+		write(RegJammerWaveform, uint32(jammer.WaveformReplay))
+		write(RegJammerUptime, 600)
+	} else {
+		write(RegJammerUptime, 24)
+	}
 	write(RegJammerGainAnt, 1000)
 }
 
@@ -116,7 +125,10 @@ func fuzzBurstBytes() []byte {
 // skips a detector that cannot fire and must keep its history exactly. The
 // per-sample core gets the same writes at the same sample index. Those runs
 // go once bare and once with a telemetry.Live on each core, whose journals
-// must agree too.
+// must agree too. Last, two runs jam with the replay waveform, the
+// correlator armed and the energy differentiator disarmed (the block path
+// then quantizes only sign bits, and the capture ring holds raw samples)
+// and armed (the planes are built in full).
 func FuzzProcessBlock(f *testing.F) {
 	f.Add([]byte("reactive jamming block parity seed: preamble-ish bytes....."), uint16(1))
 	f.Add([]byte{0xFF, 0x7F, 0xFF, 0x7F, 0x00, 0x80, 0x00, 0x80, 1, 2, 3, 4}, uint16(313))
@@ -128,6 +140,11 @@ func FuzzProcessBlock(f *testing.F) {
 	for _, sizeSeed := range []uint16{7, 0x8000 + 64, 0x8000 + 96, 0x8000 + 400} {
 		f.Add(bursts, sizeSeed)
 	}
+	// Block lengths around the replay ring's 512 samples: a whole block
+	// refills the ring, and one a sample shorter leaves one old sample.
+	for _, sizeSeed := range []uint16{0x8000 + 510, 0x8000 + 511} {
+		f.Add(bursts, sizeSeed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, sizeSeed uint16) {
 		samples := fuzzSamples(data)
@@ -136,6 +153,9 @@ func FuzzProcessBlock(f *testing.F) {
 			for _, live := range []bool{false, true} {
 				fuzzParity(t, samples, sizeSeed, armed, true, live)
 			}
+		}
+		for _, armed := range []int{armXCorr, armXCorr | armEnergy} {
+			fuzzParity(t, samples, sizeSeed, armed|jamReplay, false, false)
 		}
 	})
 }

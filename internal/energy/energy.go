@@ -235,23 +235,25 @@ func (d *Differentiator) ProcessBits(iPlane, qPlane []int16, high, low []uint64)
 // CanFire reports whether either trigger edge is enabled.
 func (d *Differentiator) CanFire() bool { return d.highEnabled || d.lowEnabled }
 
-// SkipBits consumes the block ProcessBits would, without comparisons: the
-// block datapath calls it while CanFire is false. Only the last
-// WindowLength+CompareDelay samples can reach the state a later block reads
-// (the window ring, the Z⁻⁶⁴ sum history and the running sum), so the ring
-// positions jump over the rest and the ring-and-sum update runs on that
-// tail alone. sum is always the exact integer sum of window, so after
-// WindowLength tail samples both hold the newest readings whatever the ring
-// held before, and the last CompareDelay samples rewrite every sums slot.
-func (d *Differentiator) SkipBits(iPlane, qPlane []int16) {
-	n := len(iPlane)
+// SkipBlock consumes the receive block ProcessBits would read quantized,
+// without comparisons: the block datapath calls it while CanFire is false.
+// Only the last WindowLength+CompareDelay samples can reach the state a
+// later block reads (the window ring, the Z⁻⁶⁴ sum history and the running
+// sum), so the ring positions jump over the rest and only that tail is
+// quantized and run through the ring-and-sum update. sum is always the
+// exact integer sum of window, so after WindowLength tail samples both hold
+// the newest readings whatever the ring held before, and the last
+// CompareDelay samples rewrite every sums slot.
+func (d *Differentiator) SkipBlock(rx []complex128) {
+	n := len(rx)
 	tail := min(n, WindowLength+CompareDelay)
 	skip := n - tail
 	d.wpos = (d.wpos + skip) & (WindowLength - 1)
 	d.spos = (d.spos + skip) & (CompareDelay - 1)
 	sum, wpos, spos := d.sum, d.wpos, d.spos
-	for k := skip; k < n; k++ {
-		vi, vq := int64(iPlane[k]), int64(qPlane[k])
+	for _, x := range rx[skip:] {
+		q := fixed.Quantize(x)
+		vi, vq := int64(q.I), int64(q.Q)
 		e := uint64(vi*vi + vq*vq)
 		sum += e - d.window[wpos]
 		d.window[wpos] = e

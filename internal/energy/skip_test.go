@@ -6,14 +6,19 @@ import (
 )
 
 // A differentiator with both edges disabled skips its comparisons
-// (SkipBits) and must keep the history a later arming reads: after k
+// (SkipBlock) and must keep the history a later arming reads: after k
 // skipped blocks and an arming, its levels and state equal those of a
 // differentiator that ran every block. The block lengths straddle a sign
-// word (63–65) and the 96-sample tail SkipBits replays (95–97).
+// word (63–65) and the 96-sample tail SkipBlock replays (95–97).
 func TestSkipThenArmMatchesAlwaysOn(t *testing.T) {
 	const highDB, lowDB = 10, 10
 	stream := burstStream(rand.New(rand.NewSource(0x5C1B)), 3200)
 	iPlane, qPlane := splitPlanes(stream)
+	// Quantize(q.Complex()) == q, so SkipBlock reads the codes of the planes.
+	rx := make([]complex128, len(stream))
+	for k, q := range stream {
+		rx[k] = q.Complex()
+	}
 	for _, blockLen := range []int{1, 63, 64, 65, 95, 96, 97, 150, 500} {
 		for _, skipped := range []int{0, 1, 2, 5} {
 			ref, blk := New(), New()
@@ -31,7 +36,7 @@ func TestSkipThenArmMatchesAlwaysOn(t *testing.T) {
 					configure(t, blk, highDB, lowDB)
 				}
 				if b < skipped {
-					blk.SkipBits(iPlane[pos:end], qPlane[pos:end])
+					blk.SkipBlock(rx[pos:end])
 				} else {
 					gotH, gotL := make([]uint64, words), make([]uint64, words)
 					blk.ProcessBits(iPlane[pos:end], qPlane[pos:end], gotH, gotL)

@@ -37,9 +37,10 @@ func Quantize(x complex128) IQ {
 //
 // iPlane and qPlane must be at least len(src) long; signI and signQ must
 // hold at least ⌈len(src)/64⌉ words. Unused bits of the last sign word are
-// left zero. The fusion exists so the block datapath touches the input
-// exactly once: every downstream kernel (energy differentiator, packed
-// correlator, replay capture) reads the planes this sweep produces.
+// left zero. The fusion exists so that a block whose energy differentiator
+// can fire touches the input once: the differentiator reads the planes and
+// the packed correlator the sign words this sweep produces. A block that
+// needs only the sign words runs SignBits instead.
 func QuantizeFused(src []complex128, iPlane, qPlane []int16, signI, signQ []uint64) {
 	n := len(src)
 	if n == 0 {
@@ -90,6 +91,44 @@ func QuantizeFused(src []complex128, iPlane, qPlane []int16, signI, signQ []uint
 		signI[w] = sI
 		signQ[w] = sQ
 	}
+}
+
+// SignBits packs the I/Q sign bits of src 64 per uint64 word exactly as
+// QuantizeFused does, without producing the int16 planes: bit k of
+// signI[w] is set ⟺ Quantize(x).I is negative for x = src[w·64+k], which
+// holds ⟺ real(x)·FullScale ≤ −0.5 (rounding half away from zero sends
+// −0.5 to −1, saturation keeps the sign, and NaN compares false and
+// quantizes to 0).
+// signI and signQ must hold at least ⌈len(src)/64⌉ words; unused bits of
+// the last word are left zero. It is the block datapath's quantizer while
+// only the correlator reads every sample.
+func SignBits(src []complex128, signI, signQ []uint64) {
+	n := len(src)
+	words := (n + 63) / 64
+	_ = signI[:words]
+	_ = signQ[:words]
+	for w := 0; w < words; w++ {
+		blk := src[w*64 : min(n, w*64+64)]
+		// Last sample first, each shifted in at the bottom, so sample k
+		// ends at bit k with no variable shift count.
+		var sI, sQ uint64
+		for k := len(blk) - 1; k >= 0; k-- {
+			sI = sI<<1 | negative(real(blk[k]))
+			sQ = sQ<<1 | negative(imag(blk[k]))
+		}
+		signI[w], signQ[w] = sI, sQ
+	}
+}
+
+// negative is 1 when x quantizes to a negative code and 0 otherwise,
+// written so the compiler emits a flag set instead of a branch: the sign of
+// noise is a coin flip no predictor can learn.
+func negative(x float64) uint64 {
+	var b uint64
+	if x*FullScale <= -0.5 {
+		b = 1
+	}
+	return b
 }
 
 // Complex converts the sample back to floating point in ±1.0 range.

@@ -18,6 +18,18 @@ func TestQuantizeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQuantizeCodeFixedPoint pins Quantize(q.Complex()) == q for every
+// int16 code: the replay ring may hold a raw receive sample or its
+// quantized value and play the same code either way.
+func TestQuantizeCodeFixedPoint(t *testing.T) {
+	for v := math.MinInt16; v <= math.MaxInt16; v++ {
+		q := IQ{I: int16(v), Q: int16(-1 - v)}
+		if got := Quantize(q.Complex()); got != q {
+			t.Fatalf("Quantize(%+v.Complex()) = %+v", q, got)
+		}
+	}
+}
+
 func TestQuantizeSaturates(t *testing.T) {
 	q := Quantize(complex(10, -10))
 	if q.I != 32767 || q.Q != -32768 {

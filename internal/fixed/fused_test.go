@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// Differential tests for the fused block quantizer: QuantizeFused must
-// produce I/Q planes and packed sign words bit-identical to Quantize +
-// SignBit per sample, for every input the scalar path accepts — including
-// the rounding boundaries its branch-reduced round is built around and
-// non-finite values.
+// Differential tests for the block quantizers: QuantizeFused must produce
+// I/Q planes and packed sign words bit-identical to Quantize + SignBit per
+// sample, and the sign-only SignBits the same sign words, for every input
+// the scalar path accepts — including the rounding boundaries its
+// branch-reduced round is built around and non-finite values.
 
 func checkFused(t *testing.T, src []complex128) {
 	t.Helper()
@@ -44,6 +44,21 @@ func checkFused(t *testing.T, src []complex128) {
 		if signI[words-1]&mask != 0 || signQ[words-1]&mask != 0 {
 			t.Fatalf("unused bits of last sign words not zero: %x %x",
 				signI[words-1]&mask, signQ[words-1]&mask)
+		}
+	}
+
+	// The sign-only kernel must write the same words, overwriting whatever
+	// the buffers held.
+	onlyI := make([]uint64, words)
+	onlyQ := make([]uint64, words)
+	for w := range onlyI {
+		onlyI[w], onlyQ[w] = ^uint64(0), ^uint64(0)
+	}
+	SignBits(src, onlyI, onlyQ)
+	for w := range onlyI {
+		if onlyI[w] != signI[w] || onlyQ[w] != signQ[w] {
+			t.Fatalf("word %d: SignBits (%x,%x) != QuantizeFused (%x,%x)",
+				w, onlyI[w], onlyQ[w], signI[w], signQ[w])
 		}
 	}
 }
@@ -110,10 +125,13 @@ func TestQuantizeFusedRandomFullRange(t *testing.T) {
 }
 
 func TestQuantizeFusedNaN(t *testing.T) {
-	nan := math.NaN()
+	// NaN quantizes to 0 whatever its sign bit, so neither NaN is negative.
+	nan, negNaN := math.NaN(), math.Copysign(math.NaN(), -1)
 	src := []complex128{
 		complex(nan, 0), complex(0, nan), complex(nan, nan),
 		complex(nan, 1), complex(-1, nan),
+		complex(negNaN, 0), complex(0, negNaN), complex(negNaN, negNaN),
+		complex(negNaN, -1), complex(-1, negNaN), complex(negNaN, nan),
 	}
 	checkFused(t, src)
 }

@@ -47,9 +47,9 @@ func BenchmarkProcessJamming(b *testing.B) {
 }
 
 // burstSpan returns a controller inside a WGN burst far longer than any
-// benchmark runs, with quiet receive planes and a transmit buffer of n
+// benchmark runs, with quiet receive samples and a transmit buffer of n
 // samples, so ProcessQuietSpan stays on the bulk burst path.
-func burstSpan(tb testing.TB, n int) (c *Controller, iPlane, qPlane []int16, tx []complex128) {
+func burstSpan(tb testing.TB, n int) (c *Controller, rx, tx []complex128) {
 	tb.Helper()
 	c = benchController(tb)
 	if err := c.SetUptimeSamples(1 << 32); err != nil {
@@ -59,17 +59,17 @@ func burstSpan(tb testing.TB, n int) (c *Controller, iPlane, qPlane []int16, tx 
 	for c.st != PhaseJamming {
 		c.Process(fixed.IQ{}, false)
 	}
-	return c, make([]int16, n), make([]int16, n), make([]complex128, n)
+	return c, make([]complex128, n), make([]complex128, n)
 }
 
 // BenchmarkProcessQuietSpanJamming measures the bulk burst path the block
 // datapath takes between triggers while the WGN preset is on the air.
 func BenchmarkProcessQuietSpanJamming(b *testing.B) {
-	c, iPlane, qPlane, tx := burstSpan(b, 4096)
+	c, rx, tx := burstSpan(b, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.ProcessQuietSpan(iPlane, qPlane, tx)
+		c.ProcessQuietSpan(rx, tx)
 	}
 	b.ReportMetric(float64(b.N*len(tx))/b.Elapsed().Seconds()/1e6, "Msamples/s")
 }
@@ -77,9 +77,9 @@ func BenchmarkProcessQuietSpanJamming(b *testing.B) {
 // TestProcessQuietSpanJammingZeroAllocs pins the WGN burst span at zero
 // allocations.
 func TestProcessQuietSpanJammingZeroAllocs(t *testing.T) {
-	c, iPlane, qPlane, tx := burstSpan(t, 1024)
+	c, rx, tx := burstSpan(t, 1024)
 	allocs := testing.AllocsPerRun(10, func() {
-		c.ProcessQuietSpan(iPlane, qPlane, tx)
+		c.ProcessQuietSpan(rx, tx)
 	})
 	if allocs != 0 {
 		t.Errorf("ProcessQuietSpan (WGN burst): %.1f allocs per 1024 samples, want 0", allocs)

@@ -119,6 +119,9 @@ type Controller struct {
 
 	wgn lfsrGaussian
 
+	// replay holds receive samples as they arrived; the replay waveform
+	// quantizes each one when it plays it, so a ring filled with raw
+	// samples and one filled with their quantized values play alike.
 	replay    [ReplayDepth]complex128
 	replayPos int
 	replayLen int
@@ -269,30 +272,29 @@ func (c *Controller) Process(rx fixed.IQ, trigger bool) complex128 {
 }
 
 // ProcessQuietSpan advances the controller through len(tx) sample ticks
-// that carry no trigger, bit-identically to calling Process(rx, false) once
-// per tick. The receive samples arrive as the SoA int16 planes the block
-// datapath stages (iPlane/qPlane must be at least len(tx) long); tx receives
-// the transmit output. It returns the number of nonzero transmit samples
+// that carry no trigger, bit-identically to calling
+// Process(fixed.Quantize(rx[k]), false) once per tick. The receive samples
+// arrive unquantized (rx must be at least len(tx) long); tx receives the
+// transmit output. It returns the number of nonzero transmit samples
 // emitted, which is what the core's JamSamples counter accumulates.
 //
 // The whole point is bulk handling of the overwhelmingly common phases: an
-// idle span only refreshes the replay capture ring (at most ReplayDepth
-// sample conversions no matter how long the span is, since earlier writes
+// idle span only refreshes the replay capture ring (a copy of at most
+// ReplayDepth samples no matter how long the span is, since earlier writes
 // would be overwritten anyway), delay/init countdowns are consumed in one
 // subtraction, and an active burst runs the waveform generator in a tight
 // loop (block-generated for WGN, see lfsrGaussian.fill). Phase-transition
 // callbacks fire exactly as they would per sample.
-func (c *Controller) ProcessQuietSpan(iPlane, qPlane []int16, tx []complex128) (jamSamples uint64) {
+func (c *Controller) ProcessQuietSpan(rx, tx []complex128) (jamSamples uint64) {
 	n := len(tx)
-	_ = iPlane[:n]
-	_ = qPlane[:n]
+	rx = rx[:n]
 	i := 0
 	for i < n {
 		switch c.st {
 		case PhaseIdle:
 			// With no trigger arriving, idle absorbs the rest of the span:
 			// capture the tail into the replay ring and emit silence.
-			c.captureSpan(iPlane[i:n], qPlane[i:n])
+			c.captureSpan(rx[i:n])
 			clear(tx[i:n])
 			return jamSamples
 		case PhaseDelay, PhaseInit:
@@ -302,7 +304,7 @@ func (c *Controller) ProcessQuietSpan(iPlane, qPlane []int16, tx []complex128) (
 			}
 			m := int(span)
 			// The replay capture keeps running until RF turns on.
-			c.captureSpan(iPlane[i:i+m], qPlane[i:i+m])
+			c.captureSpan(rx[i : i+m])
 			clear(tx[i : i+m])
 			c.remaining -= span
 			i += m
@@ -356,21 +358,17 @@ func (c *Controller) ProcessQuietSpan(iPlane, qPlane []int16, tx []complex128) (
 // captureSpan feeds m quiet receive samples into the replay ring with the
 // same final state m individual captures would leave: only the last
 // ReplayDepth samples of the span can survive, so earlier ones just advance
-// the write position without converting or storing anything.
-func (c *Controller) captureSpan(iPlane, qPlane []int16) {
-	m := len(iPlane)
-	if m == 0 {
-		return
-	}
-	start := 0
+// the write position without storing anything, and the rest are copied in
+// at most two pieces around the ring's end.
+func (c *Controller) captureSpan(rx []complex128) {
+	m := len(rx)
 	if m > ReplayDepth {
-		start = m - ReplayDepth
-		c.replayPos = (c.replayPos + start) % ReplayDepth
+		c.replayPos = (c.replayPos + m - ReplayDepth) % ReplayDepth
+		rx = rx[m-ReplayDepth:]
 	}
-	for k := start; k < m; k++ {
-		c.replay[c.replayPos] = fixed.IQ{I: iPlane[k], Q: qPlane[k]}.Complex()
-		c.replayPos = (c.replayPos + 1) % ReplayDepth
-	}
+	k := copy(c.replay[c.replayPos:], rx)
+	copy(c.replay[:], rx[k:])
+	c.replayPos = (c.replayPos + len(rx)) % ReplayDepth
 	c.replayLen += m
 	if c.replayLen > ReplayDepth {
 		c.replayLen = ReplayDepth
@@ -389,7 +387,7 @@ func (c *Controller) waveformSample() complex128 {
 		// Play the capture buffer oldest-first, cycling repetitively.
 		idx := (c.replayPos + c.playPos) % c.replayLen
 		c.playPos = (c.playPos + 1) % c.replayLen
-		return g * c.replay[idx]
+		return g * fixed.Quantize(c.replay[idx]).Complex()
 	case WaveformHostStream:
 		if len(c.hostBuf) == 0 {
 			return 0

@@ -10,34 +10,31 @@ import (
 
 // Differential tests for the block datapath's bulk span entry point:
 // ProcessQuietSpan must march the controller through trigger-free ticks
-// bit-identically to per-sample Process(rx, false) calls — same transmit
-// samples, same phase-transition sequence, same jam-sample count, and the same
-// replay-ring contents no matter how the stream is chopped into spans.
+// bit-identically to per-sample Process(fixed.Quantize(rx), false) calls —
+// same transmit samples, same phase-transition sequence, same jam-sample
+// count, and a replay ring that quantizes to the same codes no matter how
+// the stream is chopped into spans. The bulk ring keeps raw receive
+// samples and the per-sample ring their quantized values.
 
-// quietStream builds a quantized receive stream with varying content so the
-// replay capture is observable.
-func quietStream(rng *rand.Rand, n int) []fixed.IQ {
-	out := make([]fixed.IQ, n)
+// quietStream builds a receive stream with varying content so the replay
+// capture is observable: every rail lies off the quantizer's grid, between
+// two codes or past full scale, so a capture that stored a raw sample where
+// the replay must play its quantized value shows in the transmit samples.
+func quietStream(rng *rand.Rand, n int) []complex128 {
+	rail := func() float64 {
+		return (float64(rng.Intn(1<<16)-1<<15) + rng.Float64() - 0.5) / fixed.FullScale
+	}
+	out := make([]complex128, n)
 	for k := range out {
-		out[k] = fixed.IQ{I: int16(rng.Intn(1 << 16)), Q: int16(rng.Intn(1 << 16))}
+		out[k] = complex(rail(), rail())
 	}
 	return out
-}
-
-func planes(samples []fixed.IQ) (iPlane, qPlane []int16) {
-	iPlane = make([]int16, len(samples))
-	qPlane = make([]int16, len(samples))
-	for k, s := range samples {
-		iPlane[k] = s.I
-		qPlane[k] = s.Q
-	}
-	return iPlane, qPlane
 }
 
 // runDifferential fires a trigger at index trig (or never, if trig < 0) and
 // compares a bulk-span controller against a per-sample one over the stream,
 // chopping the bulk side's quiet stretches into spans of blockLen.
-func runDifferential(t *testing.T, configure func(*Controller), samples []fixed.IQ, trig, blockLen int) {
+func runDifferential(t *testing.T, configure func(*Controller), rx []complex128, trig, blockLen int) {
 	t.Helper()
 	label := fmt.Sprintf("trig %d blockLen %d", trig, blockLen)
 
@@ -48,12 +45,11 @@ func runDifferential(t *testing.T, configure func(*Controller), samples []fixed.
 	bulk.OnPhase(func(from, to Phase) { bulkPhases = append(bulkPhases, from.String()+">"+to.String()) })
 	scalar.OnPhase(func(from, to Phase) { scalarPhases = append(scalarPhases, from.String()+">"+to.String()) })
 
-	iPlane, qPlane := planes(samples)
-	txB := make([]complex128, len(samples))
+	txB := make([]complex128, len(rx))
 	var bulkJam uint64
-	for pos := 0; pos < len(samples); {
+	for pos := 0; pos < len(rx); {
 		if pos == trig {
-			txB[pos] = bulk.Process(samples[pos], true)
+			txB[pos] = bulk.Process(fixed.Quantize(rx[pos]), true)
 			if txB[pos] != 0 {
 				bulkJam++
 			}
@@ -61,19 +57,19 @@ func runDifferential(t *testing.T, configure func(*Controller), samples []fixed.
 			continue
 		}
 		end := pos + blockLen
-		if end > len(samples) {
-			end = len(samples)
+		if end > len(rx) {
+			end = len(rx)
 		}
 		if trig > pos && trig < end {
 			end = trig
 		}
-		bulkJam += bulk.ProcessQuietSpan(iPlane[pos:end], qPlane[pos:end], txB[pos:end])
+		bulkJam += bulk.ProcessQuietSpan(rx[pos:end], txB[pos:end])
 		pos = end
 	}
 
 	var scalarJam uint64
-	for k, s := range samples {
-		out := scalar.Process(s, k == trig)
+	for k, s := range rx {
+		out := scalar.Process(fixed.Quantize(s), k == trig)
 		if out != 0 {
 			scalarJam++
 		}
@@ -92,9 +88,14 @@ func runDifferential(t *testing.T, configure func(*Controller), samples []fixed.
 		t.Fatalf("%s: end state {%v %d %v} != {%v %d %v}", label,
 			bulk.st, bulk.remaining, bulk.rfPending, scalar.st, scalar.remaining, scalar.rfPending)
 	}
-	if bulk.replay != scalar.replay || bulk.replayPos != scalar.replayPos || bulk.replayLen != scalar.replayLen {
+	if bulk.replayPos != scalar.replayPos || bulk.replayLen != scalar.replayLen {
 		t.Fatalf("%s: replay ring diverges (pos %d/%d len %d/%d)", label,
 			bulk.replayPos, scalar.replayPos, bulk.replayLen, scalar.replayLen)
+	}
+	for k := range bulk.replay {
+		if b, s := fixed.Quantize(bulk.replay[k]), fixed.Quantize(scalar.replay[k]); b != s {
+			t.Fatalf("%s: replay slot %d quantizes to %v, per-sample %v", label, k, b, s)
+		}
 	}
 }
 

@@ -30,9 +30,10 @@ func benchBanks(tb testing.TB) (iC, qC []fixed.Coeff3) {
 	return iC, qC
 }
 
-// BenchmarkProcessPacked measures the popcount bit-plane kernel — the hot
-// path of the whole datapath (one call per 25 MSPS sample).
-func BenchmarkProcessPacked(b *testing.B) {
+// BenchmarkProcess measures the per-sample popcount kernel, one call per
+// sample, the path ProcessSample and the reference figures take. Its banks
+// carry −4, so it runs 12 popcounts per sample.
+func BenchmarkProcess(b *testing.B) {
 	iC, qC := benchBanks(b)
 	c := New()
 	if err := c.SetCoefficients(iC, qC); err != nil {
@@ -46,6 +47,35 @@ func BenchmarkProcessPacked(b *testing.B) {
 		c.Process(in[i%len(in)])
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Msamples/s")
+}
+
+// BenchmarkProcessPacked measures the block kernel the datapath runs:
+// 4096-sample blocks of packed sign bits through template banks (|c| ≤ 3,
+// 8 popcounts per sample), warm, on the Go loop and, where popcntKernel
+// selected it, on the assembly loop.
+func BenchmarkProcessPacked(b *testing.B) {
+	const n = 4096
+	iC, qC := skipBanks()
+	signI, signQ := packSigns(benchStream(n))
+	level := make([]uint64, n/64)
+	defer func() { popcntKernel = hasKernel }()
+	for _, asm := range packedLoops() {
+		b.Run(loopName(asm), func(b *testing.B) {
+			popcntKernel = asm
+			c := New()
+			if err := c.SetCoefficients(iC, qC); err != nil {
+				b.Fatal(err)
+			}
+			c.SetThreshold(1 << 30)
+			c.ProcessPacked(signI, signQ, n, level) // warm up the delay line
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.ProcessPacked(signI, signQ, n, level)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sample")
+		})
+	}
 }
 
 // BenchmarkProcessReference measures the scalar specification loop the

@@ -11,7 +11,9 @@ import (
 // the identical (metric, trigger) pair as the scalar multiply-accumulate
 // specification (Reference) for every coefficient bank and sample stream,
 // including the warm < Length holdoff while the delay line fills, after
-// Reset, and across mid-stream coefficient swaps.
+// Reset, and across mid-stream coefficient swaps. Every stream also runs
+// through ProcessPacked on each of its loops, whose trigger levels must be
+// the reference's.
 
 // randBanks draws two coefficient banks spanning the full 3-bit signed
 // range [-4, 3].
@@ -21,6 +23,19 @@ func randBanks(rng *rand.Rand) (i, q []fixed.Coeff3) {
 	for k := range i {
 		i[k] = fixed.Coeff3(rng.Intn(8) - 4)
 		q[k] = fixed.Coeff3(rng.Intn(8) - 4)
+	}
+	return i, q
+}
+
+// randTemplateBanks draws two banks in [-3, 3], the range
+// CoefficientsFromTemplate produces: the weight-4 magnitude plane stays
+// empty, so ProcessPacked runs its 8-popcount loop.
+func randTemplateBanks(rng *rand.Rand) (i, q []fixed.Coeff3) {
+	i = make([]fixed.Coeff3, Length)
+	q = make([]fixed.Coeff3, Length)
+	for k := range i {
+		i[k] = fixed.Coeff3(rng.Intn(7) - 3)
+		q[k] = fixed.Coeff3(rng.Intn(7) - 3)
 	}
 	return i, q
 }
@@ -43,12 +58,46 @@ func pair(t *testing.T, i, q []fixed.Coeff3, threshold uint32) (*Correlator, *Re
 
 func checkStream(t *testing.T, p *Correlator, r *Reference, samples []fixed.IQ, label string) {
 	t.Helper()
+	start := *p
+	trig := make([]bool, len(samples))
 	for n, s := range samples {
 		mp, tp := p.Process(s)
 		mr, tr := r.Process(s)
 		if mp != mr || tp != tr {
 			t.Fatalf("%s: sample %d (%d,%d): packed (metric %d, trigger %v) != reference (metric %d, trigger %v)",
 				label, n, s.I, s.Q, mp, tp, mr, tr)
+		}
+		trig[n] = tr
+	}
+	checkBlockLoops(t, start, *p, samples, trig, label)
+}
+
+// checkBlockLoops replays samples through a copy of the correlator state
+// start on each ProcessPacked loop this machine has, as a block of one word
+// and a block of the rest (so a cold start warms up in the first and the
+// second runs warm), and requires the reference triggers trig and the end
+// state of the per-sample correlator.
+func checkBlockLoops(t *testing.T, start, end Correlator, samples []fixed.IQ, trig []bool, label string) {
+	t.Helper()
+	signI, signQ := packSigns(samples)
+	level := make([]uint64, len(signI))
+	defer func() { popcntKernel = hasKernel }()
+	for _, popcntKernel = range packedLoops() {
+		blk := start
+		head := min(Length, len(samples))
+		blk.ProcessPacked(signI, signQ, head, level)
+		if rest := len(samples) - head; rest > 0 {
+			blk.ProcessPacked(signI[1:], signQ[1:], rest, level[1:])
+		}
+		for n, want := range trig {
+			if got := level[n/64]>>(n%64)&1 != 0; got != want {
+				t.Fatalf("%s: ProcessPacked (popcntKernel %v) level at sample %d is %v, reference trigger %v",
+					label, popcntKernel, n, got, want)
+			}
+		}
+		if blk != end {
+			t.Fatalf("%s: ProcessPacked (popcntKernel %v) end state %+v, per-sample %+v",
+				label, popcntKernel, blk, end)
 		}
 	}
 }
@@ -68,6 +117,21 @@ func TestPackedMatchesReferenceRandom(t *testing.T) {
 			}
 		}
 		checkStream(t, p, r, stream, "random")
+	}
+}
+
+func TestPackedMatchesReferenceTemplateBanks(t *testing.T) {
+	// Banks in [−3, 3], as CoefficientsFromTemplate makes them, run the
+	// 8-popcount loop; the random test's banks almost always carry a −4.
+	rng := rand.New(rand.NewSource(0x7E4B))
+	for trial := 0; trial < 100; trial++ {
+		i, q := randTemplateBanks(rng)
+		p, r := pair(t, i, q, uint32(rng.Intn(MaxMetric/16)))
+		stream := make([]fixed.IQ, 5*Length+9)
+		for n := range stream {
+			stream[n] = fixed.IQ{I: int16(rng.Intn(1 << 16)), Q: int16(rng.Intn(1 << 16))}
+		}
+		checkStream(t, p, r, stream, "template")
 	}
 }
 

@@ -12,7 +12,40 @@ import (
 // end-of-block state bit-identical to calling Process once per sample —
 // including partial last words, the warm-up holdoff straddling a word
 // boundary, and the register-bus-only −4 coefficients that populate the
-// weight-4 magnitude plane and select the 12-popcount kernel.
+// weight-4 magnitude plane and select the 12-popcount kernel. Each test runs
+// once per loop this machine has for template banks (withLoops).
+
+// hasKernel is popcntKernel as package init set it, before any test
+// changes it.
+var hasKernel = popcntKernel
+
+// packedLoops lists the popcntKernel values that select each ProcessPacked
+// loop this machine has: the Go loop, and the assembly loop where CPUID
+// selected it. Callers restore popcntKernel to hasKernel when done.
+func packedLoops() []bool {
+	if hasKernel {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// loopName names the loop a popcntKernel value selects.
+func loopName(asm bool) string {
+	if asm {
+		return "asm"
+	}
+	return "go"
+}
+
+// withLoops runs f once per ProcessPacked loop this machine has.
+func withLoops(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	defer func() { popcntKernel = hasKernel }()
+	for _, asm := range packedLoops() {
+		popcntKernel = asm
+		t.Run(loopName(asm), f)
+	}
+}
 
 // packSigns packs a sample stream's sign bits into the SoA word layout that
 // fixed.QuantizeFused produces.
@@ -76,15 +109,40 @@ func checkPackedBlocks(t *testing.T, i, q []fixed.Coeff3, threshold uint32, samp
 }
 
 func TestProcessPackedBoundaryLengths(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xB10C))
-	stream := make([]fixed.IQ, 4*Length+5)
-	for n := range stream {
-		stream[n] = fixed.IQ{I: int16(rng.Intn(1 << 16)), Q: int16(rng.Intn(1 << 16))}
-	}
-	i, q := randBanks(rng)
-	for _, blockLen := range []int{1, 63, 64, 65, 128, 129, len(stream)} {
-		checkPackedBlocks(t, i, q, uint32(rng.Intn(MaxMetric/4)), stream, blockLen)
-	}
+	withLoops(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(0xB10C))
+		stream := make([]fixed.IQ, 4*Length+5)
+		for n := range stream {
+			stream[n] = fixed.IQ{I: int16(rng.Intn(1 << 16)), Q: int16(rng.Intn(1 << 16))}
+		}
+		i, q := randBanks(rng)
+		for _, blockLen := range []int{1, 63, 64, 65, 128, 129, len(stream)} {
+			checkPackedBlocks(t, i, q, uint32(rng.Intn(MaxMetric/4)), stream, blockLen)
+		}
+	})
+}
+
+func TestProcessPackedTemplateBanks(t *testing.T) {
+	// Banks in [−3, 3] leave the weight-4 plane empty and run the
+	// 8-popcount loop, in assembly where the CPU has POPCNT. Threshold 0
+	// fires on every warm sample; the low random thresholds cross often.
+	withLoops(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(0x7E3B))
+		stream := make([]fixed.IQ, 9*Length+5)
+		for trial := 0; trial < 20; trial++ {
+			for n := range stream {
+				stream[n] = fixed.IQ{I: int16(rng.Intn(1 << 16)), Q: int16(rng.Intn(1 << 16))}
+			}
+			i, q := randTemplateBanks(rng)
+			threshold := uint32(rng.Intn(MaxMetric / 16))
+			if trial == 0 {
+				threshold = 0
+			}
+			for _, blockLen := range []int{1, 64, 65, 128, 200, len(stream)} {
+				checkPackedBlocks(t, i, q, threshold, stream, blockLen)
+			}
+		}
+	})
 }
 
 func TestProcessPackedThreePlaneBanks(t *testing.T) {
@@ -99,9 +157,11 @@ func TestProcessPackedThreePlaneBanks(t *testing.T) {
 	for n := range stream {
 		stream[n] = fixed.IQ{I: int16(rng.Intn(1 << 16)), Q: int16(rng.Intn(1 << 16))}
 	}
-	for _, blockLen := range []int{1, 63, 64, 65, len(stream)} {
-		checkPackedBlocks(t, allMin, allMin, 1000, stream, blockLen)
-	}
+	withLoops(t, func(t *testing.T) {
+		for _, blockLen := range []int{1, 63, 64, 65, len(stream)} {
+			checkPackedBlocks(t, allMin, allMin, 1000, stream, blockLen)
+		}
+	})
 }
 
 func TestProcessPackedWarmupAcrossBlocks(t *testing.T) {
@@ -113,9 +173,11 @@ func TestProcessPackedWarmupAcrossBlocks(t *testing.T) {
 	for n := range stream {
 		stream[n] = fixed.IQ{I: int16(rng.Intn(1 << 16)), Q: int16(rng.Intn(1 << 16))}
 	}
-	for _, blockLen := range []int{1, 3, 63, 64, 65} {
-		checkPackedBlocks(t, i, q, 0, stream, blockLen)
-	}
+	withLoops(t, func(t *testing.T) {
+		for _, blockLen := range []int{1, 3, 63, 64, 65} {
+			checkPackedBlocks(t, i, q, 0, stream, blockLen)
+		}
+	})
 }
 
 func TestProcessPackedResumesPerSample(t *testing.T) {

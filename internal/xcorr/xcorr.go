@@ -203,7 +203,26 @@ func (c *Correlator) Process(s fixed.IQ) (metric uint32, trigger bool) {
 // warm-up fill) are bit-identical to calling Process once per sample — the
 // differential and fuzz suites pin this against both the per-sample kernel
 // and the scalar Reference.
+//
+// Whole warm words of a template bank (|c| ≤ 3) go to the assembly loop
+// where popcntKernel selects it; the Go loop below runs the rest.
 func (c *Correlator) ProcessPacked(signI, signQ []uint64, n int, level []uint64) {
+	if full := n >> 6; full > 0 && popcntKernel && c.warm == Length &&
+		c.bankI.mag[2]|c.bankQ.mag[2] == 0 {
+		b := popcntBanks{
+			negI: c.bankI.neg, negQ: c.bankQ.neg,
+			mi0: c.bankI.mag[0], mi1: c.bankI.mag[1],
+			mq0: c.bankQ.mag[0], mq1: c.bankQ.mag[1],
+			diff: int64(c.bankI.base - c.bankQ.base),
+			sum:  int64(c.bankI.base + c.bankQ.base),
+			thr:  uint64(c.threshold),
+		}
+		popcntWords(signI[:full], signQ[:full], level[:full], c.signI, c.signQ, &b)
+		// After a whole word the 64-sample history is that word.
+		c.signI, c.signQ = signI[full-1], signQ[full-1]
+		signI, signQ, level = signI[full:], signQ[full:], level[full:]
+		n -= full << 6
+	}
 	if n == 0 {
 		return
 	}
@@ -308,6 +327,18 @@ func (c *Correlator) ProcessPacked(signI, signQ []uint64, n int, level []uint64)
 		carryI, carryQ = wordI, wordQ
 	}
 	c.signI, c.signQ = histI, histQ
+}
+
+// popcntBanks is what the assembly template-bank loop reads for every
+// sample, in the layout popcnt_amd64.s addresses: the banks' sign masks and
+// their weight-1 and weight-2 magnitude planes, the differences and sums of
+// their Σ|coeff| bases and the threshold.
+type popcntBanks struct {
+	negI, negQ uint64
+	mi0, mi1   uint64
+	mq0, mq1   uint64
+	diff, sum  int64
+	thr        uint64
 }
 
 // CanFire reports whether the comparator can trigger at all: whether the

@@ -22,7 +22,8 @@
 # code layout can move that loop's speed, and with it every calibrated
 # number, while wall-clock throughput stays put. Next to it, per side, the
 # address and 64-byte offset of the datapath's hot functions (the core's
-# block loop, the correlator, the quantizer and the DDC resampler): a shift
+# block loop, the correlator and its assembly template-bank loop, the
+# quantizer and the sign-only quantizer, and the DDC resampler): a shift
 # of these alone has moved a workload by 6% or more. Results files stay under
 # the temporary directory and are removed with it; nothing under bench/ is
 # written.
@@ -94,7 +95,7 @@ for side in parent change; do
 	syms=$(go tool nm "$dir/.bench_build/reactivejam-bench")
 	addr=$(awk '$3 == "main.calLoop" { print "0x" $1 }' <<<"$syms")
 	hot=
-	for f in 'core.(*Core).ProcessBlock' 'xcorr.(*Correlator).ProcessPacked' 'fixed.QuantizeFused' 'dsp.(*Resampler).Process'; do
+	for f in 'core.(*Core).ProcessBlock' 'xcorr.(*Correlator).ProcessPacked' 'xcorr.popcntWords.abi0' 'fixed.QuantizeFused' 'fixed.SignBits' 'dsp.(*Resampler).Process'; do
 		a=$(awk -v s="repro/internal/$f" '$2 == "T" && $3 == s { print $1 }' <<<"$syms")
 		hot+="${hot:+; }$f "
 		if [[ -n $a ]]; then hot+="at 0x$a (+$((16#$a % 64)) in its 64-byte line)"; else hot+="missing"; fi
