@@ -6,7 +6,7 @@ GO ?= go
 ## build must not fetch dependencies).
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci build vet test race bench-test bench bench-smoke bench-pairs overhead slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke unlinked
+.PHONY: ci build vet test race fuzz-smoke bench-test bench bench-smoke bench-pairs overhead slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke unlinked
 
 ## ci: the full tier-1 verify path — vet, build, tests, then the race
 ## detector over every package (the register bus, clock and telemetry
@@ -14,7 +14,7 @@ STATICCHECK_VERSION ?= 2025.1
 ## of the core throughput benchmark so datapath regressions that only
 ## break under -bench are caught here. The slo target gates the paper's
 ## reaction-latency and false-alarm budgets, and overhead bounds the cost
-## of live telemetry on the block datapath. Every seeded figure is pinned
+## of live telemetry on quiet blocks. Every seeded figure is pinned
 ## by the golden in `go test ./...` (internal/experiments/testdata/
 ## figures.golden). Throughput across commits is judged by the benchmark
 ## in bench/. examples-smoke keeps the executable documentation honest,
@@ -23,8 +23,9 @@ STATICCHECK_VERSION ?= 2025.1
 ## on journal drops, a reconciliation mismatch, or a malformed /
 ## over-budget metrics scrape.
 ## bench-test runs the benchmark module's own tests, which `go test ./...`
-## cannot reach. unlinked fails on a function no binary links.
-ci: vet staticcheck build test race bench-test bench-smoke slo overhead fleetobs-smoke examples-smoke cover unlinked
+## cannot reach. unlinked fails on a function no binary links. fuzz-smoke
+## fuzzes the block datapath against its per-sample references briefly.
+ci: vet staticcheck build test race fuzz-smoke bench-test bench-smoke slo overhead fleetobs-smoke examples-smoke cover unlinked
 
 ## staticcheck: zero-findings lint gate, pinned to $(STATICCHECK_VERSION).
 ## Skips with a note when the binary is absent (no network fetches in CI).
@@ -47,6 +48,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## fuzz-smoke: 5 s of fuzzing on each differential target of the block
+## datapath: the correlator's packed kernel, per sample and as two blocks
+## at a fuzzed split, against the scalar Reference (FuzzPackedVsReference),
+## and the core's block path against its per-sample path
+## (FuzzProcessBlock). An input that breaks one is written to the package's
+## testdata/fuzz and fails the run.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzPackedVsReference$$' -fuzztime=5s ./internal/xcorr
+	$(GO) test -run='^$$' -fuzz='^FuzzProcessBlock$$' -fuzztime=5s ./internal/core
 
 ## bench-test: the tests of the benchmark in bench/, a Go module of its
 ## own: its statistics, a short run of every workload and, through
@@ -94,6 +105,8 @@ unlinked:
 ## overhead: the telemetry-overhead gate — the block datapath with the
 ## live recorder attached and the fleet plane snapshotting against a bare
 ## core, 5 interleaved pairs of 300 ms windows; a median above 3% exits 1.
+## Its input detects and triggers nothing: it times the quiet-span path,
+## not an engagement.
 overhead:
 	$(GO) run ./cmd/experiments -run overhead
 

@@ -10,7 +10,6 @@ package reactivejam
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -61,14 +60,8 @@ func engagementBlock() []complex128 {
 		frame = append(frame, tpl...)
 	}
 	const floor, lead = 1e-6, 512
-	scale := complex(math.Sqrt(floor*dsp.FromDB(12)/frame.Power()), 0)
-	noise := dsp.NewNoiseSource(floor, 77)
-	buf := make(dsp.Samples, 4096)
-	copy(buf[lead:], frame)
-	for i := range buf {
-		buf[i] = buf[i]*scale + noise.Sample()
-	}
-	return buf
+	buf := dsp.Frame(nil, frame, lead, 4096-lead-len(frame), 12, floor)
+	return dsp.NewNoiseSource(floor, 77).AddTo(buf)
 }
 
 // benchJammer is the personality the core benchmarks engage with: a 10 µs

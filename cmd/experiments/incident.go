@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"os"
 	"time"
 
@@ -53,16 +52,11 @@ func incidentRun(quiet bool) (*flight.Dump, error) {
 	for i := 0; i < 4; i++ {
 		frame = append(frame, tpl...)
 	}
-	amp := math.Sqrt(incidentFloor * dsp.FromDB(12))
-	scale := complex(amp/math.Sqrt(frame.Power()), 0)
 	noise := dsp.NewNoiseSource(incidentFloor, incidentSeed+77)
 	const lead, tail = 512, 1536
+	var buf dsp.Samples
 	for f := 0; f < incidentFrames; f++ {
-		buf := make(dsp.Samples, lead+len(frame)+tail)
-		copy(buf[lead:], frame)
-		for i := range buf {
-			buf[i] = buf[i]*scale + noise.Sample()
-		}
+		buf = noise.AddTo(dsp.Frame(buf, frame, lead, tail, 12, incidentFloor))
 		r.MarkFrame(lead)
 		fr.RecordIQ(buf)
 		if _, err := r.Process(buf); err != nil {

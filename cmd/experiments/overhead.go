@@ -22,9 +22,10 @@ const (
 	overheadBoundPct = 3.0
 )
 
-// benchInput builds the 4096-sample buffer BenchmarkCorePerSample uses, so
-// the gate and the Go benchmark measure the same workload.
-func benchInput() []complex128 {
+// quietSpanInput is the gate's 4096-sample block: a small ramp neither armed
+// detector fires on, so the gate times the recorder on the quiet-span path,
+// not the per-sample steps of an engagement.
+func quietSpanInput() []complex128 {
 	buf := make([]complex128, 4096)
 	for i := range buf {
 		buf[i] = complex(float64(i%7)*0.01, 0)
@@ -32,15 +33,14 @@ func benchInput() []complex128 {
 	return buf
 }
 
-// benchCore assembles the short-preamble detection core behind a radio front
-// end, matching the benchmark configuration.
+// benchCore arms the detectors and trigger of BenchmarkCoreDatapath/block
+// behind a radio front end.
 func benchCore() (*core.Core, error) {
 	r := radio.New()
 	h := host.New(r.Core())
-	if _, err := h.ProgramCorrelator(host.WiFiShortTemplate(), 0.1); err != nil {
-		return nil, err
-	}
-	if _, err := h.ProgramEnergy(host.EnergyRiseDB, 0); err != nil {
+	if err := h.Arm(host.Detector{
+		Template: host.WiFiShortTemplate(), FATargetPerSec: 0.1, EnergyThresholdDB: host.EnergyRiseDB,
+	}); err != nil {
 		return nil, err
 	}
 	r.Start()
@@ -60,7 +60,7 @@ func benchCore() (*core.Core, error) {
 // one side only. The broadcaster runs through the bare blocks too: on one
 // core its (small) cost is split between the sides.
 func overheadSection(pairs int, window time.Duration) ([]float64, error) {
-	buf := benchInput()
+	buf := quietSpanInput()
 	tx := make([]complex128, len(buf))
 	bare, err := benchCore()
 	if err != nil {

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
@@ -183,11 +182,10 @@ func Run(cfg Config) (*Result, error) {
 	for i := 0; i < frameTiles; i++ {
 		frame = append(frame, tpl...)
 	}
-	amp := math.Sqrt(noiseFloorPower * dsp.FromDB(snrDB))
-	scale := complex(amp/math.Sqrt(frame.Power()), 0)
 	noise := dsp.NewNoiseSource(noiseFloorPower, plan.Seed+101)
 	pclock := pc.Clock()
 
+	var buf dsp.Samples
 	var txMM, xcMM, samples uint64
 	packets := make([]verdict.Packet, 0, cfg.Frames)
 	for f := 0; f < cfg.Frames; f++ {
@@ -225,11 +223,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 
-		buf := make(dsp.Samples, leadSamples+len(frame)+tailSamples)
-		copy(buf[leadSamples:], frame)
-		for i := range buf {
-			buf[i] = buf[i]*scale + noise.Sample()
-		}
+		buf = noise.AddTo(dsp.Frame(buf, frame, leadSamples, tailSamples, snrDB, noiseFloorPower))
 		if chain != nil {
 			chain.ProcessInto(buf, buf)
 		}

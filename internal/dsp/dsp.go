@@ -37,6 +37,26 @@ func (s Samples) Power() float64 {
 	return s.Energy() / float64(len(s))
 }
 
+// Frame lays wave out between lead and tail zero samples, scaled to snrDB
+// over a noise floor of power floor, and returns the lead+len(wave)+tail
+// samples, in dst's storage when it has room. Every sample of wave is
+// multiplied by √(floor·10^(snrDB/10))/√P, P being wave's (nonzero) power;
+// the floor's noise is the caller's to add (NoiseSource.AddTo).
+func Frame(dst, wave Samples, lead, tail int, snrDB, floor float64) Samples {
+	n := lead + len(wave) + tail
+	if cap(dst) < n {
+		dst = make(Samples, n)
+	}
+	dst = dst[:n]
+	clear(dst[:lead])
+	scale := complex(math.Sqrt(floor*FromDB(snrDB))/math.Sqrt(wave.Power()), 0)
+	for i, v := range wave {
+		dst[lead+i] = v * scale
+	}
+	clear(dst[lead+len(wave):])
+	return dst
+}
+
 // Scale multiplies every sample by the real gain g in place and returns s.
 func (s Samples) Scale(g float64) Samples {
 	for i := range s {

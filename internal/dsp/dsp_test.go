@@ -136,3 +136,38 @@ func TestAddAndClone(t *testing.T) {
 		t.Error("Clone must not alias")
 	}
 }
+
+// TestFrame checks the layout, the scale the hand-written loops it replaced
+// computed (√(floor·10^(snr/10))/√P, to the bit, at several SNRs), the
+// reuse of dst's storage and that a warm call allocates nothing.
+func TestFrame(t *testing.T) {
+	wave := randSamples(rand.New(rand.NewSource(1)), 80)
+	const lead, tail, floor = 7, 13, 1e-6
+	dst := make(Samples, 3, 200)
+	for _, snr := range []float64{-3, 0, 6, 10.3, 11, 12, 25.5} {
+		dst[0] = 1 // stale contents must not survive
+		out := Frame(dst, wave, lead, tail, snr, floor)
+		if len(out) != lead+len(wave)+tail || &out[0] != &dst[:1][0] {
+			t.Fatalf("%d samples in new storage: want %d in dst's", len(out), lead+len(wave)+tail)
+		}
+		scale := complex(math.Sqrt(floor*FromDB(snr))/math.Sqrt(wave.Power()), 0)
+		for i, v := range out {
+			want := complex128(0)
+			if i >= lead && i < lead+len(wave) {
+				want = wave[i-lead] * scale
+			}
+			if v != want {
+				t.Fatalf("%g dB, sample %d: %v, want %v", snr, i, v, want)
+			}
+		}
+		if got := out[lead:][:len(wave)].Power(); math.Abs(got/(floor*FromDB(snr))-1) > 1e-12 {
+			t.Errorf("%g dB: framed power %g, want %g", snr, got, floor*FromDB(snr))
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { dst = Frame(dst, wave, lead, tail, 11, floor) }); n != 0 {
+		t.Errorf("a warm Frame allocates %v times", n)
+	}
+	if grown := Frame(make(Samples, 0, 4), wave, lead, tail, 11, floor); len(grown) != lead+len(wave)+tail {
+		t.Errorf("from a short buffer: %d samples, want %d", len(grown), lead+len(wave)+tail)
+	}
+}

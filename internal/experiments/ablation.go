@@ -85,15 +85,13 @@ func AblationCorrelators(snrsDB []float64, frames int, seed int64) ([]Correlator
 	}
 	tpl64 := host.WiFiLongTemplate()
 	tplRaw := host.WiFiLongTemplateRawRate()
-	// 128-tap template: the resampled LTS repeated (the real long preamble
-	// transmits the symbol twice, so a 128-tap window is physically
-	// available at higher resource cost — the §5 limitation discussion).
+	// The frame is the real preamble's two LTS copies, and its first 128
+	// samples the 128-tap template (physically available at higher resource
+	// cost — the §5 limitation discussion); the 64-tap detectors see one.
 	lts := wifi.LongTrainingSymbol()
-	both := append(lts.Clone(), lts...)
-	tpl128 := dsp.Resample(both, 5, 4)
-	if len(tpl128) > 128 {
-		tpl128 = tpl128[:128]
-	}
+	wave := dsp.Resample(append(lts.Clone(), lts...), 5, 4)
+	tpl128 := wave[:min(len(wave), 128)]
+	frame := func(int) (dsp.Samples, error) { return wave, nil }
 
 	iC, qC := xcorr.CoefficientsFromTemplate(tpl64)
 	hwThresh := xcorr.ThresholdForFARate(iC, qC, 0.52)
@@ -109,25 +107,16 @@ func AblationCorrelators(snrsDB []float64, frames int, seed int64) ([]Correlator
 	out := make([]CorrelatorComparison, len(snrsDB))
 	err := forEach(len(snrsDB), func(oi int) error {
 		snr := snrsDB[oi]
-		noise := dsp.NewNoiseSource(noiseFloorPower, seed+int64(snr*10))
-		amp := math.Sqrt(noiseFloorPower * dsp.FromDB(snr))
-
+		next := overNoise(frame, interFrameGap, snr, impair.Config{}, seed+int64(snr*10))
 		row := CorrelatorComparison{
 			SNRdB: snr, HardwareThreshold: hwThresh, SoftThresholdFactor: softFactor,
 		}
 		var hwHits, fpHits, fp128Hits, rawHits int
 		for f := 0; f < frames; f++ {
-			// The real preamble transmits two LTS copies; the 64-tap
-			// detectors see a single copy per §3.2's pseudo-frames, while
-			// the 128-tap variant needs both.
-			wave := dsp.Resample(append(lts.Clone(), lts...), 5, 4)
-			buf := make(dsp.Samples, len(wave)+2*interFrameGap)
-			copy(buf[interFrameGap:], wave)
-			scale := amp / math.Sqrt(wave.Power())
-			for i := range buf {
-				buf[i] = buf[i]*complex(scale, 0) + noise.Sample()
+			buf, err := next(f)
+			if err != nil {
+				return err
 			}
-
 			hw := xcorr.New()
 			if err := hw.SetCoefficients(iC, qC); err != nil {
 				return err
@@ -199,6 +188,10 @@ func AblationEnergyWindow(windows []int, bursts int, seed int64) ([]EnergyWindow
 	if bursts <= 0 {
 		return nil, fmt.Errorf("experiments: bursts must be positive")
 	}
+	burst := make(dsp.Samples, 400) // a constant tone, 12 dB over the floor
+	for i := range burst {
+		burst[i] = 1
+	}
 	out := make([]EnergyWindowPoint, len(windows))
 	err := forEach(len(windows), func(oi int) error {
 		w := windows[oi]
@@ -206,14 +199,10 @@ func AblationEnergyWindow(windows []int, bursts int, seed int64) ([]EnergyWindow
 			return fmt.Errorf("experiments: window %d invalid", w)
 		}
 		noise := dsp.NewNoiseSource(noiseFloorPower, seed+int64(w))
-		amp := math.Sqrt(noiseFloorPower * dsp.FromDB(12))
 		hits := 0
+		var buf dsp.Samples
 		for b := 0; b < bursts; b++ {
-			buf := make(dsp.Samples, 1024)
-			for i := 400; i < 800; i++ {
-				buf[i] = complex(amp, 0)
-			}
-			noise.AddTo(buf)
+			buf = noise.AddTo(dsp.Frame(buf, burst, 400, 224, 12, noiseFloorPower))
 			if softEnergyDetect(buf, w, 10) {
 				hits++
 			}

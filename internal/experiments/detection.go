@@ -92,7 +92,6 @@ type frameSource struct {
 	body [64]byte // a full frame's MPDU, before the FCS
 	psdu []byte
 	wave dsp.Samples // the pseudo-frame, or the last full frame
-	buf  dsp.Samples // the last framed waveform
 }
 
 func newFrameSource(kind FrameKind, seed int64) *frameSource {
@@ -124,17 +123,6 @@ func (s *frameSource) frame(seq int) (dsp.Samples, error) {
 	}
 	s.wave = wave
 	return wave, nil
-}
-
-// framed returns frame seq's waveform between gap zero samples on either
-// side, and the waveform's power. The buffer is valid until the next call.
-func (s *frameSource) framed(seq, gap int) (dsp.Samples, float64, error) {
-	wave, err := s.frame(seq)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.buf = pad(s.buf, wave, gap)
-	return s.buf, wave.Power(), nil
 }
 
 // faChunk is the block size in which the noise-only calibration streams
@@ -170,8 +158,8 @@ func faStream(seed int64, probes ...probe) *stream {
 // inter-frame gap only needs to re-arm the detectors.
 func pointStream(cfg DetectionConfig, snrDB float64, probes ...probe) *stream {
 	frame := newFrameSource(cfg.Kind, cfg.Seed).frame
-	return &stream{sourceHz: wifi.SampleRate, blocks: cfg.FramesPerPoint, probes: probes,
-		block: overNoise(frame, snrDB, cfg.Impairments, cfg.Seed+int64(snrDB*100))}
+	return &stream{sourceHz: wifi.SampleRate, blocks: cfg.FramesPerPoint, lead: interFrameGap, probes: probes,
+		block: overNoise(frame, interFrameGap, snrDB, cfg.Impairments, cfg.Seed+int64(snrDB*100))}
 }
 
 // check rejects a configuration that cannot be characterized.

@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"repro/internal/dsp"
 	"repro/internal/host"
+	"repro/internal/impair"
 	"repro/internal/jammer"
 	"repro/internal/radio"
 	"repro/internal/telemetry"
@@ -79,40 +78,15 @@ func MeasureReactionLatency(cfg ReactionConfig) (*ReactionResult, error) {
 		cfg.SNRdB = 11
 	}
 
-	r := radio.New()
-	if err := r.SetSourceRate(wifi.SampleRate); err != nil {
-		return nil, err
-	}
-	h := host.New(r.Core())
-	if err := h.Arm(host.Detector{EnergyThresholdDB: host.EnergyRiseDB}); err != nil {
-		return nil, err
-	}
-	if _, err := h.ProgramJammer(host.Personality{
-		Waveform: jammer.WaveformWGN, Uptime: reactionUptime, Gain: 1,
-	}); err != nil {
-		return nil, err
-	}
 	live := telemetry.NewLive(telemetry.DefaultJournalDepth)
-	r.Core().SetRecorder(live)
-	r.Start()
-
-	noise := dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+77)
-	amp := math.Sqrt(noiseFloorPower * dsp.FromDB(cfg.SNRdB))
-	const lead = 512 // quiet samples before the frame (re-arms the detector)
-	src := newFrameSource(FullFrame, cfg.Seed)
-	for f := 0; f < cfg.Frames; f++ {
-		buf, power, err := src.framed(f, lead)
-		if err != nil {
-			return nil, err
-		}
-		scale := amp / math.Sqrt(power)
-		for i := range buf {
-			buf[i] = buf[i]*complex(scale, 0) + noise.Sample()
-		}
-		r.MarkFrame(lead)
-		if _, err := r.Process(buf); err != nil {
-			return nil, err
-		}
+	p := detectorProbe(host.Detector{EnergyThresholdDB: host.EnergyRiseDB}, new(tally))
+	p.jam, p.rec = host.Personality{Waveform: jammer.WaveformWGN, Uptime: reactionUptime, Gain: 1}, live
+	const gap = 512 // quiet samples on either side of a frame (re-arm the detector)
+	frame := newFrameSource(FullFrame, cfg.Seed).frame
+	s := &stream{sourceHz: wifi.SampleRate, blocks: cfg.Frames, lead: gap, probes: []probe{p},
+		block: overNoise(frame, gap, cfg.SNRdB, impair.Config{}, cfg.Seed+77)}
+	if err := s.run(); err != nil {
+		return nil, err
 	}
 
 	snap := live.Snapshot()

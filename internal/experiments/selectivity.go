@@ -113,8 +113,8 @@ func selectivityStreams(frames int, snrDB float64, seed int64) ([]*stream, func(
 			frac = 0.72
 		}
 		dets = append(dets, host.Detector{Template: tpl, ThresholdFrac: frac})
-		ss[si] = &stream{sourceHz: rate, blocks: frames,
-			block: overNoise(frame, snrDB, impair.Config{}, seed+int64(std)*37)}
+		ss[si] = &stream{sourceHz: rate, blocks: frames, lead: interFrameGap,
+			block: overNoise(frame, interFrameGap, snrDB, impair.Config{}, seed+int64(std)*37)}
 	}
 	dets = append(dets, host.Detector{EnergyThresholdDB: host.EnergyRiseDB})
 	hits := make([][3]tally, len(dets)) // [detector][transmitted standard]

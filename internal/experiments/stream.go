@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/dsp"
+	"repro/internal/fpga"
 	"repro/internal/host"
 	"repro/internal/impair"
 	"repro/internal/radio"
@@ -60,7 +59,11 @@ type stream struct {
 	sourceHz, blocks int
 	// block returns block i of the input; run calls it once for each i in
 	// order and is done with the block before the next call.
-	block  func(i int) (dsp.Samples, error)
+	block func(i int) (dsp.Samples, error)
+	// lead is the number of quiet samples at sourceHz before the frame in
+	// each block; zero when the blocks carry no frames. Every block of
+	// frames marks the frame's start in each probe's recorder.
+	lead   int
 	probes []probe
 	// after, when set, sees each probe's radio and transmit output after
 	// every block.
@@ -90,6 +93,9 @@ func (s *stream) run() error {
 			radios[k].Core().SetRecorder(p.rec)
 		}
 	}
+	// The frame start in core samples, converted through the DDC ratio as
+	// radio.MarkFrame converts it.
+	mark := s.lead * fpga.SampleRateHz / s.sourceHz
 	tx := make([]dsp.Samples, len(radios))
 	for i := 0; i < s.blocks; i++ {
 		in, err := s.block(i)
@@ -101,6 +107,9 @@ func (s *stream) run() error {
 		}
 		for k, r := range radios {
 			p := s.probes[k]
+			if s.lead > 0 {
+				r.MarkFrame(mark)
+			}
 			before := p.count(r.Core().Stats())
 			if tx[k], err = r.Process(in); err != nil {
 				return err
@@ -132,38 +141,25 @@ func measure[R any](ss []*stream, result func() R, err error) (R, error) {
 }
 
 // overNoise returns the block function of frames at snrDB over the noise
-// floor: frame seq between interFrameGap zero samples on either side,
-// scaled to the SNR, through a front end with impairments imp, plus noise
-// drawn from noiseSeed.
-func overNoise(frame func(seq int) (dsp.Samples, error), snrDB float64, imp impair.Config, noiseSeed int64) func(int) (dsp.Samples, error) {
-	front := impair.New(imp)
+// floor: frame seq between gap zero samples on either side, scaled to the
+// SNR, through a front end with impairments imp when imp is not ideal,
+// plus noise drawn from noiseSeed.
+func overNoise(frame func(seq int) (dsp.Samples, error), gap int, snrDB float64, imp impair.Config, noiseSeed int64) func(int) (dsp.Samples, error) {
+	var front *impair.Chain
+	if imp != (impair.Config{}) {
+		front = impair.New(imp)
+	}
 	noise := dsp.NewNoiseSource(noiseFloorPower, noiseSeed)
-	amp := math.Sqrt(noiseFloorPower * dsp.FromDB(snrDB))
 	var buf dsp.Samples
 	return func(seq int) (dsp.Samples, error) {
 		wave, err := frame(seq)
 		if err != nil {
 			return nil, err
 		}
-		buf = pad(buf, wave, interFrameGap)
-		scale := amp / math.Sqrt(wave.Power())
-		for i := range buf {
-			buf[i] = front.ProcessSample(buf[i]*complex(scale, 0)) + noise.Sample()
+		buf = dsp.Frame(buf, wave, gap, gap, snrDB, noiseFloorPower)
+		if front != nil {
+			front.ProcessInto(buf, buf)
 		}
-		return buf, nil
+		return noise.AddTo(buf), nil
 	}
-}
-
-// pad returns wave between gap zero samples on either side, in dst's
-// storage when it has room.
-func pad(dst, wave dsp.Samples, gap int) dsp.Samples {
-	n := len(wave) + 2*gap
-	if cap(dst) < n {
-		dst = make(dsp.Samples, n)
-	}
-	dst = dst[:n]
-	clear(dst[:gap])
-	copy(dst[gap:], wave)
-	clear(dst[gap+len(wave):])
-	return dst
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/impair"
 	"repro/internal/jammer"
 	"repro/internal/radio"
+	"repro/internal/telemetry"
 	"repro/internal/wifi"
 	"repro/internal/wifib"
 	"repro/internal/wimax"
@@ -20,7 +21,9 @@ import (
 // TestStreamMatchesRadios pins the shared front end against the harness it
 // replaced: k probes of one stream, behind one DDC, end every block with
 // the Stats and transmit output of k radios of their own, each with its
-// own DDC, fed the same blocks.
+// own DDC, fed the same blocks. Every other probe carries a recorder, and
+// its journal, frame markers included, equals that of its radio marking
+// each frame with radio.MarkFrame.
 func TestStreamMatchesRadios(t *testing.T) {
 	wgn := host.Personality{Waveform: jammer.WaveformWGN, Uptime: 10 * time.Microsecond, Gain: 1}
 	dets := []host.Detector{
@@ -32,7 +35,7 @@ func TestStreamMatchesRadios(t *testing.T) {
 	// Full frames at 12 dB over the floor, each block a frame between
 	// gaps, so the blocks vary in length and the detectors fire.
 	var blocks []dsp.Samples
-	next := overNoise(newFrameSource(FullFrame, 3).frame, 12, impair.Config{}, 3)
+	next := overNoise(newFrameSource(FullFrame, 3).frame, interFrameGap, 12, impair.Config{}, 3)
 	for f := 0; f < 6; f++ {
 		b, err := next(f)
 		if err != nil {
@@ -46,9 +49,14 @@ func TestStreamMatchesRadios(t *testing.T) {
 			outs := make([]tally, k)
 			probes := make([]probe, k)
 			want := make([]*radio.N210, k)
+			recs := make([][2]*telemetry.Live, k) // the probe's and its radio's
 			for i := range probes {
 				probes[i] = probe{det: dets[i], jam: wgn, count: triggers, out: &outs[i]}
 				want[i] = radio.New()
+				if i%2 == 0 {
+					recs[i] = [2]*telemetry.Live{telemetry.NewLive(1 << 10), telemetry.NewLive(1 << 10)}
+					probes[i].rec = recs[i][0]
+				}
 				if err := want[i].SetSourceRate(rate); err != nil {
 					t.Fatal(err)
 				}
@@ -60,12 +68,16 @@ func TestStreamMatchesRadios(t *testing.T) {
 					t.Fatal(err)
 				}
 				want[i].Start()
+				if rec := recs[i][1]; rec != nil {
+					want[i].Core().SetRecorder(rec)
+				}
 			}
-			s := &stream{sourceHz: rate, blocks: len(blocks), probes: probes,
+			s := &stream{sourceHz: rate, blocks: len(blocks), lead: interFrameGap, probes: probes,
 				block: func(i int) (dsp.Samples, error) { return blocks[i], nil }}
 			block := 0
 			s.after = func(radios []*radio.N210, tx []dsp.Samples) {
 				for i, r := range want {
+					r.MarkFrame(interFrameGap)
 					wantTX, err := r.Process(blocks[block])
 					if err != nil {
 						t.Fatal(err)
@@ -84,6 +96,24 @@ func TestStreamMatchesRadios(t *testing.T) {
 			}
 			if block != len(blocks) {
 				t.Fatalf("%d Hz: %d blocks ran, want %d", rate, block, len(blocks))
+			}
+			for i, rec := range recs {
+				if rec[0] == nil {
+					continue
+				}
+				got, w := rec[0].Events(), rec[1].Events()
+				if !reflect.DeepEqual(got, w) {
+					t.Fatalf("%d Hz, %d cores: core %d journals %v, want %v", rate, k, i, got, w)
+				}
+				var marks []uint64
+				for _, e := range got {
+					if e.Kind == telemetry.EvFrameStart {
+						marks = append(marks, e.Cycle)
+					}
+				}
+				if len(marks) != len(blocks) || marks[1] <= marks[0] {
+					t.Fatalf("%d Hz: frame markers at cycles %v, want one per block", rate, marks)
+				}
 			}
 			if st := want[0].Core().Stats(); st.JamTriggers == 0 || st.JamSamples == 0 {
 				t.Fatalf("%d Hz: the energy detector never fired a jam burst: %+v", rate, st)

@@ -210,26 +210,43 @@ func TestPackedMatchesReferenceResetAndSwap(t *testing.T) {
 
 // FuzzPackedVsReference drives both implementations from one fuzzed byte
 // string: the first 128 bytes select the two coefficient banks, the next 4
-// the threshold, and the remainder becomes the I/Q sample stream. Run with
+// the threshold, the next 2 a block split, and the remainder becomes the
+// I/Q sample stream. Process runs sample by sample against Reference; then,
+// on each ProcessPacked loop, the stream's sign bits run from the same
+// start state as two blocks split at the fuzzed sample index (modulo the
+// stream length plus one), whose trigger bits must be the reference's and
+// whose end state must be Process's. Run with
 //
 //	go test -fuzz=FuzzPackedVsReference ./internal/xcorr
 //
 // to search for divergence beyond the seeded corpus.
 func FuzzPackedVsReference(f *testing.F) {
-	seed := make([]byte, 128+4+6*4)
+	seed := make([]byte, 128+4+2+6*4)
 	for k := range seed {
 		seed[k] = byte(k * 37)
 	}
 	f.Add(seed)
-	f.Add(make([]byte, 128+4)) // zero banks, zero threshold, empty stream
-	long := make([]byte, 128+4+4*(2*Length+5))
+	f.Add(make([]byte, 128+4+2)) // zero banks, zero threshold, empty stream
+	long := make([]byte, 128+4+2+4*(2*Length+5))
 	for k := range long {
 		long[k] = byte(255 - k%251)
 	}
 	f.Add(long)
+	// Template-range banks ([−3, 3]), a low threshold and whole warm words
+	// after a split off the word grid: the assembly loop's input.
+	tpl := make([]byte, 128+4+2+4*(3*Length+9))
+	for k := range tpl {
+		tpl[k] = byte(1 + k*k%7)
+		if k >= 134 {
+			tpl[k] = byte(k * 97 % 251)
+		}
+	}
+	tpl[128], tpl[129], tpl[130], tpl[131] = 0, 1, 0, 0
+	tpl[132], tpl[133] = 70, 0
+	f.Add(tpl)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 128+4 {
+		if len(data) < 128+4+2 {
 			return
 		}
 		i := make([]fixed.Coeff3, Length)
@@ -240,26 +257,45 @@ func FuzzPackedVsReference(f *testing.F) {
 		}
 		threshold := uint32(data[128]) | uint32(data[129])<<8 |
 			uint32(data[130])<<16 | uint32(data[131])<<24
-		p, r := New(), NewReference()
-		if err := p.SetCoefficients(i, q); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.SetCoefficients(i, q); err != nil {
-			t.Fatal(err)
-		}
-		p.SetThreshold(threshold)
-		r.SetThreshold(threshold)
-		rest := data[132:]
-		for n := 0; n+4 <= len(rest); n += 4 {
-			s := fixed.IQ{
-				I: int16(uint16(rest[n]) | uint16(rest[n+1])<<8),
-				Q: int16(uint16(rest[n+2]) | uint16(rest[n+3])<<8),
+		p, r := pair(t, i, q, threshold)
+		rest := data[134:]
+		samples := make([]fixed.IQ, len(rest)/4)
+		for n := range samples {
+			samples[n] = fixed.IQ{
+				I: int16(uint16(rest[4*n]) | uint16(rest[4*n+1])<<8),
+				Q: int16(uint16(rest[4*n+2]) | uint16(rest[4*n+3])<<8),
 			}
+		}
+		split := (int(data[132]) | int(data[133])<<8) % (len(samples) + 1)
+
+		start := *p
+		trig := make([]bool, len(samples))
+		for n, s := range samples {
 			mp, tp := p.Process(s)
 			mr, tr := r.Process(s)
 			if mp != mr || tp != tr {
 				t.Fatalf("sample %d (%d,%d): packed (metric %d, trigger %v) != reference (metric %d, trigger %v)",
-					n/4, s.I, s.Q, mp, tp, mr, tr)
+					n, s.I, s.Q, mp, tp, mr, tr)
+			}
+			trig[n] = tr
+		}
+		defer func() { popcntKernel = hasKernel }()
+		for _, popcntKernel = range packedLoops() {
+			blk := start
+			for _, b := range [][2]int{{0, split}, {split, len(samples)}} {
+				signI, signQ := packSigns(samples[b[0]:b[1]])
+				level := make([]uint64, len(signI))
+				blk.ProcessPacked(signI, signQ, b[1]-b[0], level)
+				for n := b[0]; n < b[1]; n++ {
+					k := n - b[0]
+					if got := level[k/64]>>(k%64)&1 != 0; got != trig[n] {
+						t.Fatalf("%s loop, split at %d: level at sample %d is %v, reference trigger %v",
+							loopName(popcntKernel), split, n, got, trig[n])
+					}
+				}
+			}
+			if blk != *p {
+				t.Fatalf("%s loop, split at %d: end state %+v, per-sample %+v", loopName(popcntKernel), split, blk, *p)
 			}
 		}
 	})
