@@ -6,7 +6,7 @@ GO ?= go
 ## build must not fetch dependencies).
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci build vet test race fuzz-smoke bench-test bench bench-smoke bench-pairs overhead slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke unlinked
+.PHONY: ci build cross vet test race fuzz-smoke bench-test bench bench-smoke bench-pairs overhead slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke unlinked
 
 ## ci: the full tier-1 verify path — vet, build, tests, then the race
 ## detector over every package (the register bus, clock and telemetry
@@ -24,8 +24,9 @@ STATICCHECK_VERSION ?= 2025.1
 ## over-budget metrics scrape.
 ## bench-test runs the benchmark module's own tests, which `go test ./...`
 ## cannot reach. unlinked fails on a function no binary links. fuzz-smoke
-## fuzzes the block datapath against its per-sample references briefly.
-ci: vet staticcheck build test race fuzz-smoke bench-test bench-smoke slo overhead fleetobs-smoke examples-smoke cover unlinked
+## fuzzes the block datapath and the WGN generator against their per-sample
+## references briefly. cross builds and vets the other-architecture paths.
+ci: vet staticcheck build cross test race fuzz-smoke bench-test bench-smoke slo overhead fleetobs-smoke examples-smoke cover unlinked
 
 ## staticcheck: zero-findings lint gate, pinned to $(STATICCHECK_VERSION).
 ## Skips with a note when the binary is absent (no network fetches in CI).
@@ -40,6 +41,13 @@ staticcheck:
 build:
 	$(GO) build ./...
 
+## cross: build everything for arm64 and vet the two packages with amd64
+## assembly, so their Go fallbacks (popcnt_other.go, wgn_other.go) compile
+## and vet too. It needs no arm64 toolchain beyond the Go one.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/xcorr ./internal/jammer
+
 vet:
 	$(GO) vet ./...
 
@@ -52,12 +60,14 @@ race:
 ## fuzz-smoke: 5 s of fuzzing on each differential target of the block
 ## datapath: the correlator's packed kernel, per sample and as two blocks
 ## at a fuzzed split, against the scalar Reference (FuzzPackedVsReference),
-## and the core's block path against its per-sample path
-## (FuzzProcessBlock). An input that breaks one is written to the package's
-## testdata/fuzz and fails the run.
+## the core's block path against its per-sample path (FuzzProcessBlock),
+## and the WGN burst generator's fill, on each of its loops, against its
+## per-sample sample() (FuzzWGNFill). An input that breaks one is written to
+## the package's testdata/fuzz and fails the run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzPackedVsReference$$' -fuzztime=5s ./internal/xcorr
 	$(GO) test -run='^$$' -fuzz='^FuzzProcessBlock$$' -fuzztime=5s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzWGNFill$$' -fuzztime=5s ./internal/jammer
 
 ## bench-test: the tests of the benchmark in bench/, a Go module of its
 ## own: its statistics, a short run of every workload and, through

@@ -241,13 +241,24 @@ func BenchmarkTelemetryRecorder(b *testing.B) {
 
 // TestRecorderZeroAllocs pins the tentpole guarantee: the instrumented
 // sample loop performs zero heap allocations per sample — with no recorder
-// (the nil default) AND with a live recorder attached (ring journal and
-// histograms are preallocated).
+// (the nil default) AND with a live recorder attached (histograms are
+// fixed arrays, and a full journal ring writes in place; the warm-up fills
+// a small one, since its storage grows until then).
 func TestRecorderZeroAllocs(t *testing.T) {
 	for _, mode := range []string{"nil", "live"} {
 		c, buf := newTelemetryBenchCore(t)
 		if mode == "live" {
-			c.SetRecorder(telemetry.NewLive(1 << 12))
+			const depth = 64
+			live := telemetry.NewLive(depth)
+			c.SetRecorder(live)
+			for i := 0; live.Snapshot().Events < depth; i++ {
+				if i == 100 {
+					t.Fatalf("100 warm-up runs journaled %d events, want %d", live.Snapshot().Events, depth)
+				}
+				for _, s := range buf {
+					c.ProcessSample(s)
+				}
+			}
 		}
 		allocs := testing.AllocsPerRun(10, func() {
 			for _, s := range buf {

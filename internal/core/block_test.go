@@ -27,11 +27,20 @@ func TestProcessBlockZeroAllocNop(t *testing.T) {
 func TestProcessBlockZeroAllocLive(t *testing.T) {
 	c := New()
 	programEnergyHigh(t, c, 100)
-	live := telemetry.NewLive(telemetry.DefaultJournalDepth)
+	// The journal's storage grows until it holds its depth (see
+	// telemetry.Journal): the warm-up fills a small ring, so the measured
+	// calls see the steady state.
+	const depth = 64
+	live := telemetry.NewLive(depth)
 	c.SetRecorder(live)
 	input := parityInput() // engagement-bearing: bursts open and close
 	tx := make([]complex128, len(input))
-	c.ProcessBlock(input, tx)
+	for i := 0; live.Snapshot().Events < depth; i++ {
+		if i == 100 {
+			t.Fatalf("100 warm-up blocks journaled %d events, want %d", live.Snapshot().Events, depth)
+		}
+		c.ProcessBlock(input, tx)
+	}
 
 	if avg := testing.AllocsPerRun(20, func() {
 		c.ProcessBlock(input, tx)

@@ -77,16 +77,18 @@ func BenchmarkProcessQuietSpanJamming(b *testing.B) {
 // TestProcessQuietSpanJammingZeroAllocs pins the WGN burst span at zero
 // allocations.
 func TestProcessQuietSpanJammingZeroAllocs(t *testing.T) {
-	c, rx, tx := burstSpan(t, 1024)
-	allocs := testing.AllocsPerRun(10, func() {
-		c.ProcessQuietSpan(rx, tx)
+	withWGNLoops(t, func(t *testing.T) {
+		c, rx, tx := burstSpan(t, 1024)
+		allocs := testing.AllocsPerRun(10, func() {
+			c.ProcessQuietSpan(rx, tx)
+		})
+		if allocs != 0 {
+			t.Errorf("ProcessQuietSpan (WGN burst): %.1f allocs per 1024 samples, want 0", allocs)
+		}
+		if c.st != PhaseJamming {
+			t.Fatal("burst ended; the span did not stay on the burst path")
+		}
 	})
-	if allocs != 0 {
-		t.Errorf("ProcessQuietSpan (WGN burst): %.1f allocs per 1024 samples, want 0", allocs)
-	}
-	if c.st != PhaseJamming {
-		t.Fatal("burst ended; the span did not stay on the burst path")
-	}
 }
 
 // TestProcessZeroAllocs pins the controller's zero-allocation guarantee in

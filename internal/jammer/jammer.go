@@ -419,7 +419,8 @@ func (c *Controller) Resources() fpga.Resources {
 // multiple of 2⁻³² below 12, so it needs at most 36 significant bits.
 // sample draws one complex sample and is the reference; fill produces a
 // whole burst bit-identically, running wgnLanes samples' 24-step chains
-// interleaved from start states one jump24 lookup apart.
+// interleaved from start states one jump24 lookup apart, or on amd64
+// wgnKernelLanes of them in SSE2 (wgn_amd64.s).
 type lfsrGaussian struct {
 	reg uint32
 }
@@ -433,29 +434,31 @@ const wgnScale = 0.7071067811865476
 // jump24 is M²⁴ for the xorshift32 step matrix M over GF(2), split by
 // input byte: jump24[b][v] is M²⁴ applied to v<<(8b), so M²⁴·s is the XOR
 // of four lookups (see jump). 24 steps are one complex sample.
-var jump24 [4][256]uint32
+var jump24 = jumpTable(24)
 
-func init() {
-	// Column j of M²⁴ is the image of the unit vector 1<<j.
+// jumpTable returns M^steps in jump24's layout.
+func jumpTable(steps int) (t [4][256]uint32) {
+	// Column j of M^steps is the image of the unit vector 1<<j.
 	var col [32]uint32
 	for j := range col {
 		s := uint32(1) << j
-		for k := 0; k < 24; k++ {
+		for k := 0; k < steps; k++ {
 			s = xorshift(s)
 		}
 		col[j] = s
 	}
-	for b := range jump24 {
-		for v := range jump24[b] {
+	for b := range t {
+		for v := range t[b] {
 			var acc uint32
 			for bit := 0; bit < 8; bit++ {
 				if v>>bit&1 != 0 {
 					acc ^= col[8*b+bit]
 				}
 			}
-			jump24[b][v] = acc
+			t[b][v] = acc
 		}
 	}
+	return t
 }
 
 // jump returns the state 24 xorshift steps after s.
@@ -527,16 +530,21 @@ func (s *laneStates) railSums() (a0, a1, a2, a3 uint64) {
 
 // fill writes len(tx) gain-scaled samples, bit-identical to
 // tx[k] = complex(gain, 0) * l.sample() in order, and returns how many are
-// nonzero. Whole groups of wgnLanes samples run their chains interleaved,
-// so the out-of-order core overlaps them instead of waiting on one
-// serially dependent chain; the remainder goes through sample.
+// nonzero. Where wgnKernel selects it, whole groups of wgnKernelLanes
+// samples go to the SSE2 kernel (fillKernel). Then whole groups of
+// wgnLanes samples run their chains interleaved, so the out-of-order core
+// overlaps them instead of waiting on one serially dependent chain; the
+// remainder goes through sample.
 func (l *lfsrGaussian) fill(tx []complex128, gain float64) (nonzero int) {
 	g := complex(gain, 0)
+	k := 0
+	if wgnKernel && len(tx) >= wgnKernelLanes {
+		k, nonzero = l.fillKernel(tx, g)
+	}
 	s := laneStates{l.reg}
 	s[1] = jump(s[0])
 	s[2] = jump(s[1])
 	s[3] = jump(s[2])
-	k := 0
 	for ; k+wgnLanes <= len(tx); k += wgnLanes {
 		out := tx[k : k+wgnLanes : k+wgnLanes]
 		// The next group's start states depend only on s[3], so this
@@ -567,4 +575,55 @@ func (l *lfsrGaussian) fill(tx []complex128, gain float64) (nonzero int) {
 		tx[k] = out
 	}
 	return nonzero
+}
+
+// wgnKernelLanes is how many samples the kernel synthesizes side by side:
+// four SSE2 registers of four 32-bit lanes. Two registers ran at ~3/4 the
+// speed: a step is a chain of six dependent shifts and XORs, and two
+// chains left the vector units waiting on it.
+const wgnKernelLanes = 16
+
+// jumpGroup is M³⁸⁴, one group of wgnKernelLanes samples, in jump24's
+// layout.
+var jumpGroup = jumpTable(wgnKernelLanes * 24)
+
+// wgnBatch is how many groups fillKernel has the kernel sum per call: 256
+// samples, whose sums (4 KiB) stay in L1 until they are converted.
+const wgnBatch = 16
+
+// wgnGroup is the kernel's output for one group: the I rail's integer
+// sums lane by lane, then the Q rail's.
+type wgnGroup [2 * wgnKernelLanes]uint64
+
+// fillKernel is fill's kernel part: it writes the whole groups of
+// wgnKernelLanes samples at the start of tx and returns how many samples
+// that is and how many of them are nonzero. The kernel returns integer
+// rail sums only; the float steps stay here, in sample's expression, so
+// the output is == whatever floating-point instructions the compiler
+// chooses.
+func (l *lfsrGaussian) fillKernel(tx []complex128, g complex128) (k, nonzero int) {
+	var lanes [wgnKernelLanes]uint32
+	lanes[0] = l.reg
+	for j := 1; j < len(lanes); j++ {
+		lanes[j] = jump(lanes[j-1])
+	}
+	var sums [wgnBatch]wgnGroup
+	for k+wgnKernelLanes <= len(tx) {
+		groups := sums[:min(len(sums), (len(tx)-k)/wgnKernelLanes)]
+		wgnSums(&lanes, &jumpGroup, groups)
+		for i := range groups {
+			s := &groups[i]
+			out := tx[k : k+wgnKernelLanes : k+wgnKernelLanes]
+			for j := range out {
+				v := g * complex(railValue(s[j])*wgnScale, railValue(s[wgnKernelLanes+j])*wgnScale)
+				if v != 0 {
+					nonzero++
+				}
+				out[j] = v
+			}
+			k += wgnKernelLanes
+		}
+	}
+	l.reg = lanes[0]
+	return k, nonzero
 }

@@ -135,23 +135,26 @@ func TestQuietSpanBurstLifecycleAcrossSpans(t *testing.T) {
 }
 
 func TestQuietSpanWGNBurstLaneTails(t *testing.T) {
-	// WGN bursts are block-generated in groups of wgnLanes samples; uptimes
-	// and span edges that leave a partial group must fall back to the
-	// per-sample generator without shifting the noise sequence.
+	// WGN bursts are block-generated in groups of wgnKernelLanes samples
+	// on the kernel and of wgnLanes on the Go loop; uptimes and span edges
+	// that leave a partial group must fall back to the smaller groups and
+	// the per-sample generator without shifting the noise sequence.
 	rng := rand.New(rand.NewSource(0x3A11))
 	samples := quietStream(rng, 600)
-	for _, uptime := range []uint64{1, 2, 3, 5, 7, 101, 258} {
-		for _, gain := range []float64{1, -0.3, 0} {
-			for _, blockLen := range []int{1, 3, 5, 64, 65, len(samples)} {
-				runDifferential(t, func(c *Controller) {
-					if err := c.SetUptimeSamples(uptime); err != nil {
-						t.Fatal(err)
-					}
-					c.SetGain(gain)
-				}, samples, 30, blockLen)
+	withWGNLoops(t, func(t *testing.T) {
+		for _, uptime := range []uint64{1, 2, 3, 5, 7, 9, 17, 33, 101, 258} {
+			for _, gain := range []float64{1, -0.3, 0} {
+				for _, blockLen := range []int{1, 3, 5, 15, 64, 65, len(samples)} {
+					runDifferential(t, func(c *Controller) {
+						if err := c.SetUptimeSamples(uptime); err != nil {
+							t.Fatal(err)
+						}
+						c.SetGain(gain)
+					}, samples, 30, blockLen)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestQuietSpanReplayWaveformAfterCapture(t *testing.T) {

@@ -6,7 +6,30 @@ import (
 )
 
 // Differential, fuzz and statistics tests for the block WGN generator:
-// fill must reproduce the per-sample reference sample() bit for bit.
+// fill must reproduce the per-sample reference sample() bit for bit, on
+// each of its loops (withWGNLoops).
+
+// hasWGNKernel is wgnKernel as package init set it, before any test
+// changes it.
+var hasWGNKernel = wgnKernel
+
+// withWGNLoops runs f once per fill loop this machine has: the Go loop,
+// and the SSE2 kernel where there is one. It restores wgnKernel after.
+func withWGNLoops(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	defer func() { wgnKernel = hasWGNKernel }()
+	loops := []bool{false}
+	if hasWGNKernel {
+		loops = append(loops, true)
+	}
+	for _, wgnKernel = range loops {
+		name := "go"
+		if wgnKernel {
+			name = "kernel"
+		}
+		t.Run(name, f)
+	}
+}
 
 // checkFill runs fill over n samples from seed s and compares every rail's
 // bit pattern (so signed zeros count), the nonzero count and the final
@@ -43,20 +66,33 @@ func checkFill(t *testing.T, s uint32, n int, gain float64) {
 }
 
 func TestWGNFillMatchesSample(t *testing.T) {
-	// Seed 0 exercises the 0→1 escape from the absorbing state.
-	for _, s := range []uint32{0, 0xACE1, 0xFFFFFFFF} {
-		for _, n := range []int{0, 1, 3, 4, 5, 63, 64, 65, 2500, 4099} {
-			for _, gain := range []float64{1, 0.8, -0.3, 0} {
-				checkFill(t, s, n, gain)
+	// Seed 0 exercises the 0→1 escape from the absorbing state. The lengths
+	// end inside and on the edges of the Go loop's groups of wgnLanes, the
+	// kernel's groups of wgnKernelLanes and its batches of wgnBatch groups.
+	const batch = wgnBatch * wgnKernelLanes
+	withWGNLoops(t, func(t *testing.T) {
+		for _, s := range []uint32{0, 0xACE1, 0xFFFFFFFF} {
+			for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+				batch - 1, batch, batch + 1, 2500, 4099} {
+				for _, gain := range []float64{1, 0.8, -0.3, 0} {
+					checkFill(t, s, n, gain)
+				}
 			}
 		}
-	}
+	})
 }
 
-// FuzzWGNFill's seed corpus lives in testdata/fuzz/FuzzWGNFill.
+// FuzzWGNFill's seed corpus lives in testdata/fuzz/FuzzWGNFill. Each input
+// runs on every fill loop.
 func FuzzWGNFill(f *testing.F) {
+	defer func() { wgnKernel = hasWGNKernel }()
 	f.Fuzz(func(t *testing.T, seed uint32, n uint16, gain float64) {
+		wgnKernel = false
 		checkFill(t, seed, int(n%8192), gain)
+		if hasWGNKernel {
+			wgnKernel = true
+			checkFill(t, seed, int(n%8192), gain)
+		}
 	})
 }
 

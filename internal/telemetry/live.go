@@ -72,8 +72,9 @@ func (l *Live) BindCounters(c *Counters) {
 	l.mu.Unlock()
 }
 
-// Event records one datapath event; it never allocates (the journal ring is
-// preallocated and the histograms are fixed arrays).
+// Event records one datapath event. It allocates only while the journal's
+// storage grows toward its depth (see Journal); the histograms are fixed
+// arrays.
 func (l *Live) Event(kind EventKind, cycle uint64, arg uint64, eng uint32) {
 	l.mu.Lock()
 	l.journal.Append(Event{Cycle: cycle, Kind: kind, Arg: arg, Eng: eng})

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -216,5 +217,85 @@ func TestHistogramTable(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "reaction_cycles: n=1") {
 		t.Errorf("unexpected table output:\n%s", buf.String())
+	}
+}
+
+// eagerJournal is the ring the Journal kept before it grew its storage on
+// demand: all depth slots allocated up front. TestJournalMatchesEagerRing
+// holds the growing journal to it.
+type eagerJournal struct {
+	buf     []Event
+	next    int
+	full    bool
+	dropped uint64
+}
+
+func (j *eagerJournal) append(e Event) {
+	if j.full {
+		j.dropped++
+	}
+	j.buf[j.next] = e
+	j.next++
+	if j.next == len(j.buf) {
+		j.next = 0
+		j.full = true
+	}
+}
+
+func (j *eagerJournal) events() []Event {
+	out := make([]Event, 0, len(j.buf))
+	if j.full {
+		out = append(out, j.buf[j.next:]...)
+	}
+	return append(out, j.buf[:j.next]...)
+}
+
+func TestJournalMatchesEagerRing(t *testing.T) {
+	for _, depth := range []int{1, 3, journalFirstCap - 1, journalFirstCap, journalFirstCap + 1, 200} {
+		j := NewJournal(depth)
+		ref := &eagerJournal{buf: make([]Event, depth)}
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 3*depth+2; i++ {
+				if j.Len() != len(ref.events()) || j.Dropped() != ref.dropped {
+					t.Fatalf("depth %d round %d after %d appends: len %d dropped %d, eager ring %d and %d",
+						depth, round, i, j.Len(), j.Dropped(), len(ref.events()), ref.dropped)
+				}
+				if got, want := j.Events(), ref.events(); !slices.Equal(got, want) {
+					t.Fatalf("depth %d round %d after %d appends: events %v, eager ring %v", depth, round, i, got, want)
+				}
+				e := Event{Cycle: uint64(1000*round + i), Kind: EventKind(i % 5), Arg: uint64(i), Eng: uint32(round)}
+				j.Append(e)
+				ref.append(e)
+			}
+			if cap(j.buf) != depth {
+				t.Fatalf("depth %d: storage of %d events after wrapping", depth, cap(j.buf))
+			}
+			j.Reset()
+			ref = &eagerJournal{buf: make([]Event, depth)}
+		}
+	}
+}
+
+func TestJournalGrowsOnDemand(t *testing.T) {
+	j := NewJournal(DefaultJournalDepth)
+	if cap(j.buf) != 0 {
+		t.Fatalf("new journal holds storage for %d events, want none", cap(j.buf))
+	}
+	for i := 0; i < 42; i++ {
+		j.Append(Event{Cycle: uint64(i)})
+	}
+	if cap(j.buf) != journalFirstCap {
+		t.Fatalf("42 events: storage for %d, want %d", cap(j.buf), journalFirstCap)
+	}
+	full := NewJournal(1 << 10)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 4<<10; i++ {
+			full.Append(Event{Cycle: uint64(i)})
+		}
+	})
+	// 64, 128, ..., 1024 events: five allocations over the first run, none
+	// in the second (AllocsPerRun's warm-up run is the first).
+	if allocs != 0 {
+		t.Fatalf("appends to a full journal allocate %.0f times", allocs)
 	}
 }
