@@ -24,8 +24,8 @@ STATICCHECK_VERSION ?= 2025.1
 ## over-budget metrics scrape.
 ## bench-test runs the benchmark module's own tests, which `go test ./...`
 ## cannot reach. unlinked fails on a function no binary links. fuzz-smoke
-## fuzzes the block datapath and the WGN generator against their per-sample
-## references briefly. cross builds and vets the other-architecture paths.
+## fuzzes the block datapath, the WGN generator, the resampler and the
+## sign-bit slicer against their references briefly. cross builds and vets the other-architecture paths.
 ci: vet staticcheck build cross test race fuzz-smoke bench-test bench-smoke slo overhead fleetobs-smoke examples-smoke cover unlinked
 
 ## staticcheck: zero-findings lint gate, pinned to $(STATICCHECK_VERSION).
@@ -41,12 +41,13 @@ staticcheck:
 build:
 	$(GO) build ./...
 
-## cross: build everything for arm64 and vet the two packages with amd64
-## assembly, so their Go fallbacks (popcnt_other.go, wgn_other.go) compile
-## and vet too. It needs no arm64 toolchain beyond the Go one.
+## cross: build everything for arm64 and vet the four packages with amd64
+## assembly, so their Go fallbacks (popcnt_other.go, wgn_other.go,
+## resample_other.go, sign_other.go) compile and vet too. It needs no arm64
+## toolchain beyond the Go one.
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/xcorr ./internal/jammer
+	GOARCH=arm64 $(GO) vet ./internal/xcorr ./internal/jammer ./internal/dsp ./internal/fixed
 
 vet:
 	$(GO) vet ./...
@@ -62,12 +63,17 @@ race:
 ## at a fuzzed split, against the scalar Reference (FuzzPackedVsReference),
 ## the core's block path against its per-sample path (FuzzProcessBlock),
 ## and the WGN burst generator's fill, on each of its loops, against its
-## per-sample sample() (FuzzWGNFill). An input that breaks one is written to
+## per-sample sample() (FuzzWGNFill), and the receive front end's two
+## kernels on raw float bits: the resampler, each loop against the other and
+## the sliding reference (FuzzResampler), and the sign-bit slicer, each loop
+## against Quantize (FuzzSignBits). An input that breaks one is written to
 ## the package's testdata/fuzz and fails the run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzPackedVsReference$$' -fuzztime=5s ./internal/xcorr
 	$(GO) test -run='^$$' -fuzz='^FuzzProcessBlock$$' -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzWGNFill$$' -fuzztime=5s ./internal/jammer
+	$(GO) test -run='^$$' -fuzz='^FuzzResampler$$' -fuzztime=5s ./internal/dsp
+	$(GO) test -run='^$$' -fuzz='^FuzzSignBits$$' -fuzztime=5s ./internal/fixed
 
 ## bench-test: the tests of the benchmark in bench/, a Go module of its
 ## own: its statistics, a short run of every workload and, through
@@ -83,13 +89,14 @@ bench:
 ## bench-smoke: compile-and-run sanity for the benchmark harness — one
 ## iteration of the core datapath benchmarks, of the correlator's block
 ## kernel on each of its loops, of the victim receiver's hard and soft
-## benchmarks and of the channel-noise and resampler kernels every figure
-## shares, no timing claims.
+## benchmarks, of the channel-noise and resampler kernels every figure
+## shares and of the sign-bit slicer, no timing claims.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='CorePerSample|CoreDatapath' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkProcessPacked$$' -benchtime=1x ./internal/xcorr
 	$(GO) test -run='^$$' -bench='RxFrame|Demodulate' -benchtime=1x ./internal/wifi
 	$(GO) test -run='^$$' -bench='^(BenchmarkResampler|BenchmarkNoiseAddTo)$$' -benchtime=1x ./internal/dsp
+	$(GO) test -run='^$$' -bench='^BenchmarkSignBits$$' -benchtime=1x ./internal/fixed
 
 ## bench-pairs: judge a performance change with the repository benchmark
 ## in alternating pairs against a parent revision (scripts/benchpairs.sh):

@@ -10,15 +10,16 @@ import "fmt"
 // becomes L/M = 125/57.
 type Resampler struct {
 	l, m int
-	taps []float64
-	// phase holds the polyphase banks, oldest tap first:
-	// phase[p][tapsPerPhase-1-k] multiplies x[n-k].
-	phase [][]float64
-	// hist is a doubled ring of the last tapsPerPhase input samples: each
-	// sample is written at pos and pos+tapsPerPhase before pos advances, so
-	// hist[pos:pos+tapsPerPhase] is the window in stream order without
-	// wrapping. fill counts the samples seen up to tapsPerPhase, for the
-	// warm-up.
+	taps int // taps per phase
+	// banks holds the polyphase banks one after another, each oldest tap
+	// first: banks[p*taps+taps-1-k] multiplies x[n-k] for phase p. Each tap
+	// is stored twice, as the [c, c] pair the SSE2 kernel multiplies a
+	// [re, im] sample by.
+	banks [][2]float64
+	// hist is a doubled ring of the last taps input samples: each sample is
+	// written at pos and pos+taps before pos advances, so hist[pos:pos+taps]
+	// is the window in stream order without wrapping. fill counts the
+	// samples seen up to taps, for the warm-up.
 	hist Samples
 	pos  int
 	fill int
@@ -46,15 +47,15 @@ func NewResampler(l, m, tapsPerPhase int) *Resampler {
 	for i := range taps {
 		taps[i] *= float64(l)
 	}
-	phase := make([][]float64, l)
-	for p := range phase {
-		bank := make([]float64, tapsPerPhase)
+	banks := make([][2]float64, len(taps))
+	for p := 0; p < l; p++ {
+		bank := banks[p*tapsPerPhase : (p+1)*tapsPerPhase]
 		for k := range bank {
-			bank[tapsPerPhase-1-k] = taps[p+k*l]
+			c := taps[p+k*l]
+			bank[tapsPerPhase-1-k] = [2]float64{c, c}
 		}
-		phase[p] = bank
 	}
-	return &Resampler{l: l, m: m, taps: taps, phase: phase,
+	return &Resampler{l: l, m: m, taps: tapsPerPhase, banks: banks,
 		hist: make(Samples, 2*tapsPerPhase)}
 }
 
@@ -63,7 +64,7 @@ func NewResampler(l, m, tapsPerPhase int) *Resampler {
 // (numTaps-1)/2 positions of the virtual upsampled stream, which advances M
 // positions per output sample.
 func (r *Resampler) GroupDelayOutputSamples() float64 {
-	return float64(len(r.taps)-1) / float64(2*r.m)
+	return float64(r.l*r.taps-1) / float64(2*r.m)
 }
 
 // Reset clears filter state.
@@ -85,7 +86,7 @@ func (r *Resampler) Reset() {
 // until the next call to Process, which overwrites it. Callers that keep
 // output across calls must copy it.
 func (r *Resampler) Process(in Samples) Samples {
-	taps := len(r.phase[0])
+	taps := r.taps
 	if need := len(in)*r.l/r.m + 1; cap(r.out) < need {
 		// Doubling bounds the reallocations when block sizes creep up, as
 		// when a victim's rate fallback lengthens every frame.
@@ -107,7 +108,7 @@ func (r *Resampler) Process(in Samples) Samples {
 		// Each input sample advances the virtual upsampled stream by L
 		// positions; emit an output whenever the accumulator crosses M.
 		for acc < r.l {
-			out = append(out, dot(r.phase[acc][taps-fill:], win))
+			out = append(out, dot(r.bank(acc)[taps-fill:], win))
 			acc += r.m
 		}
 		acc -= r.l
@@ -123,45 +124,97 @@ func (r *Resampler) Process(in Samples) Samples {
 	return out
 }
 
-// linear emits the outputs of in[from:], from >= tapsPerPhase-1, reading
-// each window straight from in. An output whose whole window is zero is
-// written as 0 without the dot: its accumulators start at +0 and every
-// product is a signed zero, so the dot is exactly +0.
+// bank returns phase p's polyphase bank.
+func (r *Resampler) bank(p int) [][2]float64 {
+	return r.banks[p*r.taps : (p+1)*r.taps]
+}
+
+// linear emits the outputs of in[from:], from >= taps-1, reading each
+// window straight from in. It splits the input into dense stretches, whose
+// windows each hold a nonzero sample, and zero stretches, whose windows
+// are all zero. A zero stretch's outputs are written as 0 without the dot:
+// its accumulators start at +0 and every product is a signed zero, so the
+// dot is exactly +0.
 func (r *Resampler) linear(out, in Samples, from, acc int) (Samples, int) {
-	taps := len(r.phase[0])
-	zeros := 0 // length of the run of zero inputs ending at in[i]
-	for _, x := range in[:from] {
-		zeros++
-		if x != 0 {
-			zeros = 0
+	for i := from; i < len(in); {
+		j := zeroWindow(in, i, r.taps)
+		out, acc = r.dense(out, in, i, j, acc)
+		// The window ending at in[j] is all zero, and so is each later one
+		// up to the next nonzero sample.
+		for i = j; i < len(in) && in[i] == 0; i++ {
 		}
-	}
-	for i := from; i < len(in); i++ {
-		zeros++
-		if in[i] != 0 {
-			zeros = 0
-		}
-		for ; acc < r.l; acc += r.m {
-			if zeros >= taps {
-				out = append(out, 0)
-			} else {
-				out = append(out, dot(r.phase[acc], in[i+1-taps:i+1]))
-			}
-		}
-		acc -= r.l
+		n, next := r.outputs(i-j, acc)
+		o := len(out)
+		out = out[:o+n]
+		clear(out[o:])
+		acc = next
 	}
 	return out, acc
+}
+
+// zeroWindow returns the first e >= i, i >= taps-1, whose window
+// in[e+1-taps:e+1] is all zero, or len(in). It reads each candidate window
+// from its newest sample back: a nonzero sample at k rules out every
+// window ending before k+taps, so on dense input it reads one sample in
+// taps.
+func zeroWindow(in Samples, i, taps int) int {
+	for e := i; e < len(in); {
+		k := e
+		for k > e-taps && in[k] == 0 {
+			k--
+		}
+		if k == e-taps {
+			return e
+		}
+		e = k + taps
+	}
+	return len(in)
+}
+
+// outputs returns how many outputs n inputs emit from the phase
+// accumulator acc, and the accumulator after them. The outputs fall at
+// the positions acc, acc+M, … of the virtual upsampled stream below n·L.
+func (r *Resampler) outputs(n, acc int) (int, int) {
+	c := 0
+	if span := r.l*n - acc; span > 0 {
+		c = (span + r.m - 1) / r.m
+	}
+	return c, acc + c*r.m - r.l*n
+}
+
+// dense emits the outputs of the inputs in[a:b], a >= taps-1, with one dot
+// each. On amd64 the SSE2 kernel computes them four at a time, and the Go
+// loop the remainder.
+func (r *Resampler) dense(out, in Samples, a, b, acc int) (Samples, int) {
+	n, next := r.outputs(b-a, acc)
+	o := len(out)
+	out = out[:o+n]
+	// Output k falls at position acc + k·M: phase p of input i.
+	k, i, p := 0, a+acc/r.l, acc%r.l
+	if resampleKernel && n >= 4 {
+		k = n &^ 3
+		resampleDots(out[o:o+k], &in[i+1-r.taps], r.banks, p, r.taps, r.m/r.l, r.m%r.l)
+		q := p + k*r.m
+		i, p = i+q/r.l, q%r.l
+	}
+	for ; k < n; k++ {
+		out[o+k] = dot(r.bank(p), in[i+1-r.taps:i+1])
+		for p += r.m; p >= r.l; p -= r.l {
+			i++
+		}
+	}
+	return out, next
 }
 
 // dot is one polyphase output: a bank, stored oldest tap first, against
 // the window in stream order, summed from the newest sample back.
 // Multiplying by the real tap on each rail is bit-equal to the complex
 // product x*complex(c, 0) for finite x.
-func dot(bank []float64, w Samples) complex128 {
+func dot(bank [][2]float64, w Samples) complex128 {
 	bank = bank[:len(w)]
 	var re, im float64
 	for j := len(w) - 1; j >= 0; j-- {
-		x, c := w[j], bank[j]
+		x, c := w[j], bank[j][0]
 		re += real(x) * c
 		im += imag(x) * c
 	}

@@ -101,13 +101,20 @@ func QuantizeFused(src []complex128, iPlane, qPlane []int16, signI, signQ []uint
 // quantizes to 0).
 // signI and signQ must hold at least ⌈len(src)/64⌉ words; unused bits of
 // the last word are left zero. It is the block datapath's quantizer while
-// only the correlator reads every sample.
+// only the correlator reads every sample. On amd64 the whole words go
+// through an SSE2 loop (signWords), the last partial word through the Go
+// loop.
 func SignBits(src []complex128, signI, signQ []uint64) {
 	n := len(src)
 	words := (n + 63) / 64
 	_ = signI[:words]
 	_ = signQ[:words]
-	for w := 0; w < words; w++ {
+	w := 0
+	if signKernel {
+		w = n / 64
+		signWords(src[:w*64], signI[:w], signQ[:w])
+	}
+	for ; w < words; w++ {
 		blk := src[w*64 : min(n, w*64+64)]
 		// Last sample first, each shifted in at the bottom, so sample k
 		// ends at bit k with no variable shift count.

@@ -1,6 +1,7 @@
 package fixed
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,9 +9,33 @@ import (
 
 // Differential tests for the block quantizers: QuantizeFused must produce
 // I/Q planes and packed sign words bit-identical to Quantize + SignBit per
-// sample, and the sign-only SignBits the same sign words, for every input
-// the scalar path accepts — including the rounding boundaries its
-// branch-reduced round is built around and non-finite values.
+// sample, and the sign-only SignBits the same sign words on each of its
+// loops (withSignLoops), for every input the scalar path accepts —
+// including the rounding boundaries its branch-reduced round is built
+// around and non-finite values.
+
+// hasSignKernel is signKernel as package init set it, before any test
+// changes it.
+var hasSignKernel = signKernel
+
+// withSignLoops runs f once per SignBits loop this machine has: the Go
+// loop, and the SSE2 kernel where there is one. It restores signKernel
+// after.
+func withSignLoops(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	defer func() { signKernel = hasSignKernel }()
+	loops := []bool{false}
+	if hasSignKernel {
+		loops = append(loops, true)
+	}
+	for _, signKernel = range loops {
+		name := "go"
+		if signKernel {
+			name = "kernel"
+		}
+		t.Run(name, f)
+	}
+}
 
 func checkFused(t *testing.T, src []complex128) {
 	t.Helper()
@@ -99,7 +124,7 @@ func TestQuantizeFusedRoundingEdges(t *testing.T) {
 	for _, e := range edges {
 		src = append(src, complex(e, -e))
 	}
-	checkFused(t, src)
+	withSignLoops(t, func(t *testing.T) { checkFused(t, src) })
 }
 
 func TestQuantizeFusedRandomFullRange(t *testing.T) {
@@ -121,7 +146,7 @@ func TestQuantizeFusedRandomFullRange(t *testing.T) {
 			src[k] = complex(rng.NormFloat64()*40000, rng.NormFloat64()*40000)
 		}
 	}
-	checkFused(t, src)
+	withSignLoops(t, func(t *testing.T) { checkFused(t, src) })
 }
 
 func TestQuantizeFusedNaN(t *testing.T) {
@@ -133,16 +158,106 @@ func TestQuantizeFusedNaN(t *testing.T) {
 		complex(negNaN, 0), complex(0, negNaN), complex(negNaN, negNaN),
 		complex(negNaN, -1), complex(-1, negNaN), complex(negNaN, nan),
 	}
-	checkFused(t, src)
+	// Whole words too, so the kernel sees NaN in every position of a step.
+	for len(src) < 128 {
+		src = append(src, src[len(src)%11])
+	}
+	withSignLoops(t, func(t *testing.T) { checkFused(t, src) })
 }
 
 func TestQuantizeFusedBlockLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x1E45))
-	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
-		src := make([]complex128, n)
-		for k := range src {
-			src[k] = complex(rng.NormFloat64(), rng.NormFloat64())
+	withSignLoops(t, func(t *testing.T) {
+		for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 4097} {
+			src := make([]complex128, n)
+			for k := range src {
+				src[k] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			checkFused(t, src)
 		}
-		checkFused(t, src)
+	})
+}
+
+// FuzzSignBits feeds raw float bits, 16 bytes a sample, to SignBits on each
+// of its loops: the loops must write the same words, and each bit must be
+// Quantize(x).I < 0 (or .Q), with the last word's unused bits zero.
+func FuzzSignBits(f *testing.F) {
+	var seed []byte
+	for _, v := range roundEdgeValues() {
+		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+	}
+	nan := math.Float64bits(math.NaN())
+	seed = binary.LittleEndian.AppendUint64(seed, nan)
+	seed = binary.LittleEndian.AppendUint64(seed, nan|1<<63)
+	f.Add(seed)
+	f.Add(append(append(seed, seed...), seed[:40]...))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := make([]complex128, min(len(data)/16, 4097))
+		for i := range src {
+			src[i] = complex(math.Float64frombits(binary.LittleEndian.Uint64(data[16*i:])),
+				math.Float64frombits(binary.LittleEndian.Uint64(data[16*i+8:])))
+		}
+		words := (len(src) + 63) / 64
+		run := func(kernel bool) ([]uint64, []uint64) {
+			defer func() { signKernel = hasSignKernel }()
+			signKernel = kernel
+			sI, sQ := make([]uint64, words), make([]uint64, words)
+			for w := range sI {
+				sI[w], sQ[w] = ^uint64(0), ^uint64(0)
+			}
+			SignBits(src, sI, sQ)
+			return sI, sQ
+		}
+		wantI, wantQ := make([]uint64, words), make([]uint64, words)
+		for k, v := range src {
+			q := Quantize(v)
+			if q.I < 0 {
+				wantI[k/64] |= 1 << (k % 64)
+			}
+			if q.Q < 0 {
+				wantQ[k/64] |= 1 << (k % 64)
+			}
+		}
+		loops := []bool{false}
+		if hasSignKernel {
+			loops = append(loops, true)
+		}
+		for _, kernel := range loops {
+			gotI, gotQ := run(kernel)
+			for w := range wantI {
+				if gotI[w] != wantI[w] || gotQ[w] != wantQ[w] {
+					t.Fatalf("kernel=%v word %d: (%x,%x), Quantize signs (%x,%x)",
+						kernel, w, gotI[w], gotQ[w], wantI[w], wantQ[w])
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkSignBits packs one 4096-sample block of noise on each loop.
+func BenchmarkSignBits(b *testing.B) {
+	rng := rand.New(rand.NewSource(0x516))
+	src := make([]complex128, 4096)
+	for k := range src {
+		src[k] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	signI, signQ := make([]uint64, 64), make([]uint64, 64)
+	for _, kernel := range []bool{false, true} {
+		if kernel && !hasSignKernel {
+			continue
+		}
+		name := "go"
+		if kernel {
+			name = "kernel"
+		}
+		b.Run(name, func(b *testing.B) {
+			defer func() { signKernel = hasSignKernel }()
+			signKernel = kernel
+			b.SetBytes(int64(16 * len(src)))
+			for i := 0; i < b.N; i++ {
+				SignBits(src, signI, signQ)
+			}
+		})
 	}
 }
