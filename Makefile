@@ -6,7 +6,7 @@ GO ?= go
 ## build must not fetch dependencies).
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci build cross vet test race fuzz-smoke bench-test bench bench-smoke bench-pairs overhead slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke unlinked
+.PHONY: ci build cross vet test race fuzz-smoke bench-test bench bench-smoke bench-pairs full-check overhead slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke unlinked
 
 ## ci: the full tier-1 verify path — vet, build, tests, then the race
 ## detector over every package (the register bus, clock and telemetry
@@ -110,6 +110,15 @@ BENCH_WORKLOAD ?= link-reactive
 BENCH_SEED ?= 1
 bench-pairs:
 	bash scripts/benchpairs.sh $(BENCH_PARENT) $(BENCH_PAIRS) $(BENCH_WORKLOAD) $(BENCH_SEED)
+
+## full-check: the paper-scale figure check (scripts/fullcheck.sh), not
+## part of ci: each section of experiments.Figures() alone at -full
+## -parallel 1, the sha256 of its record lines against the digest committed
+## in cmd/experiments/testdata/full.sha256, with each section's wall-clock.
+## A mismatch exits 1; after an intended figure change, re-record the
+## digests with `bash scripts/fullcheck.sh -update`.
+full-check:
+	bash scripts/fullcheck.sh
 
 ## unlinked: the dead-code gate (scripts/unlinked.go): every main and
 ## bench/ built with inlining off, their text symbols diffed against the

@@ -7,8 +7,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // captureStdout runs f with os.Stdout redirected and returns what it printed
@@ -101,6 +104,29 @@ func TestFigureRecordsAreGoldenLines(t *testing.T) {
 		if !strings.HasPrefix(rec, name+"_") || !strings.Contains("\n"+string(golden), "\n"+rec) {
 			t.Errorf("%s records are not a run of golden lines:\n%s", name, rec)
 		}
+	}
+}
+
+// The paper-scale digests scripts/fullcheck.sh checks name every figure
+// section, in order, each with one sha256.
+func TestFullDigestsNameEveryFigure(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "full.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 || len(f[0]) != 2*sha256.Size {
+			t.Fatalf("digest line %q is not a sha256 and a section", line)
+		}
+		got = append(got, f[1])
+	}
+	for _, f := range experiments.Figures() {
+		want = append(want, f.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("digest sections %v, want experiments.Figures() %v", got, want)
 	}
 }
 

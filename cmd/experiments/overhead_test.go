@@ -5,8 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dsp"
-	"repro/internal/host"
+	"repro/internal/telemetry"
 )
 
 func TestOverheadPct(t *testing.T) {
@@ -30,25 +29,28 @@ func TestOverheadPct(t *testing.T) {
 	}
 }
 
-// A short measurement yields one finite overhead per pair; the bound itself
-// is judged by `make overhead` at full windows.
+// A short measurement yields one finite overhead per pair on each input;
+// the bound itself is judged by `make overhead` at full windows.
 func TestOverheadSectionShort(t *testing.T) {
-	pcts, err := overheadSection(2, 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pcts) != 2 {
-		t.Fatalf("got %d pairs, want 2", len(pcts))
-	}
-	for i, p := range pcts {
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			t.Errorf("pair %d overhead = %v, want finite", i, p)
+	for _, in := range overheadInputs {
+		pcts, err := overheadSection(in.build(), 2, 5*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pcts) != 2 {
+			t.Fatalf("%s: got %d pairs, want 2", in.name, len(pcts))
+		}
+		for i, p := range pcts {
+			if math.IsNaN(p) || math.IsInf(p, 0) {
+				t.Errorf("%s: pair %d overhead = %v, want finite", in.name, i, p)
+			}
 		}
 	}
 }
 
-// The gate's core is armed and fires on a preamble over the noise floor,
-// but its quiet-span input detects and triggers nothing.
+// The gate's core detects and triggers nothing on its quiet-span input, and
+// on every block of its engaged input both detectors and the trigger fire
+// and the engagement closes.
 func TestOverheadInputIsQuiet(t *testing.T) {
 	c, err := benchCore()
 	if err != nil {
@@ -62,11 +64,22 @@ func TestOverheadInputIsQuiet(t *testing.T) {
 	if s := c.Stats(); s.XCorrDetections+s.EnergyHighDetections+s.JamTriggers != 0 {
 		t.Fatalf("quiet-span input: %+v, want no detection and no trigger", s)
 	}
-	tpl := host.WiFiShortTemplate()
-	frame := append(append(dsp.Samples{}, tpl...), tpl...)
-	block := dsp.NewNoiseSource(1e-6, 1).AddTo(dsp.Frame(nil, frame, 512, 1024, 12, 1e-6))
-	c.ProcessBlock(block, make([]complex128, len(block)))
-	if s := c.Stats(); s.XCorrDetections == 0 || s.EnergyHighDetections == 0 || s.JamTriggers == 0 {
-		t.Fatalf("preamble at 12 dB: %+v, want both detectors and the trigger to fire", s)
+	block := engagedInput()
+	if len(block) != len(buf) {
+		t.Fatalf("engaged input has %d samples, the quiet one %d", len(block), len(buf))
+	}
+	live := telemetry.NewLive(telemetry.DefaultJournalDepth)
+	c.SetRecorder(live)
+	for i := 1; i <= 3; i++ {
+		prev := c.Stats()
+		c.ProcessBlock(block, tx)
+		s := c.Stats()
+		if s.XCorrDetections == prev.XCorrDetections || s.EnergyHighDetections == prev.EnergyHighDetections ||
+			s.JamTriggers == prev.JamTriggers {
+			t.Fatalf("engaged block %d: %+v, want both detectors and the trigger to fire", i, s)
+		}
+		if got := live.Snapshot().Engagements; got != uint64(i) {
+			t.Fatalf("engaged block %d: %d engagements closed, want %d", i, got, i)
+		}
 	}
 }

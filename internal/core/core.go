@@ -313,16 +313,21 @@ func (c *Core) stepLevels(q fixed.IQ, xcLevel, enHigh, enLow bool) complex128 {
 
 	tx := c.jam.Process(q, fire)
 
-	// Engagement close: once the jammer is idle again, let the engagement
-	// linger for the detector holdoff and then release it.
+	c.linger(1)
+	return tx
+}
+
+// linger counts an open engagement down by n ticks while the jammer is
+// idle, and closes it once the detector holdoff has passed: the engagement
+// lingers for the holdoff after the datapath goes quiescent.
+func (c *Core) linger(n uint64) {
 	if c.curEng != 0 && c.jam.Phase() == jammer.PhaseIdle {
-		c.engLinger--
+		c.engLinger -= n
 		if c.engLinger == 0 {
 			c.event(telemetry.EvHoldoffRelease, c.clock.Cycle(), 0, c.curEng)
 			c.curEng = 0
 		}
 	}
-	return tx
 }
 
 // blockScratch holds the reusable block-mode staging buffers: the SoA I/Q
@@ -398,15 +403,11 @@ func (s *blockScratch) grow(n int) {
 // the overwhelming majority of airtime — are handled in bulk (edge-detector
 // holdoffs and trigger windows burn down arithmetically, idle replay
 // capture and jam-burst fill run as tight loops, transmit silence is a
-// memclr), and the datapath only drops to cycle-accurate scalar stepping
-// for samples inside detection and engagement windows.
-//
-// With no recorder attached the hardware clock is advanced once per block
-// (nothing can observe mid-block cycle stamps when no event is journaled).
-// With a recorder attached the clock advances per quiet span and per scalar
-// sample, so every journaled event keeps the exact cycle stamp the
-// per-sample path would give it; while an engagement is open the whole path
-// stays scalar so holdoff-release timing is preserved.
+// memclr), and the datapath only steps one sample at a time where a
+// detector level is set. Each span also ends where an event can fire
+// (quietLimit), so the event lands on the span's last sample; the clock is
+// advanced before the span runs, and the event gets the cycle stamp the
+// per-sample path gives it.
 func (c *Core) ProcessBlock(rx []complex128, tx []complex128) {
 	n := len(rx)
 	if n == 0 {
@@ -414,10 +415,6 @@ func (c *Core) ProcessBlock(rx []complex128, tx []complex128) {
 	}
 	tx = tx[:n]
 	c.counters.Samples.Add(uint64(n))
-	off := c.rec == nil
-	if off {
-		c.clock.AdvanceSamples(uint64(n))
-	}
 
 	c.scratch.grow(n)
 	sc := &c.scratch
@@ -442,26 +439,28 @@ func (c *Core) ProcessBlock(rx []complex128, tx []complex128) {
 
 	var jamSamples uint64
 	for i := 0; i < n; {
-		if c.bulkEligible() {
-			if j := nextLevelBit(sc.lvlAny, i, n); j > i {
-				span := uint64(j - i)
-				if !off {
-					c.clock.AdvanceSamples(span)
-				}
-				c.edgeX.AdvanceQuiet(span)
-				c.edgeH.AdvanceQuiet(span)
-				c.edgeL.AdvanceQuiet(span)
-				if c.fusion != FusionAny {
-					c.sm.AdvanceQuiet(span)
-				}
-				jamSamples += c.jam.ProcessQuietSpan(rx[i:j], tx[i:j])
-				i = j
-				continue
+		if j := nextLevelBit(sc.lvlAny, i, n); j > i {
+			span := min(uint64(j-i), c.quietLimit())
+			j = i + int(span)
+			c.clock.AdvanceSamples(span)
+			c.edgeX.AdvanceQuiet(span)
+			c.edgeH.AdvanceQuiet(span)
+			c.edgeL.AdvanceQuiet(span)
+			if c.fusion != FusionAny {
+				c.sm.AdvanceQuiet(span)
 			}
+			idle := c.jam.Phase() == jammer.PhaseIdle
+			jamSamples += c.jam.ProcessQuietSpan(rx[i:j], tx[i:j])
+			if !idle {
+				// The jammer can only have gone idle on the span's last
+				// sample, the one tick of it the linger counts.
+				span = 1
+			}
+			c.linger(span)
+			i = j
+			continue
 		}
-		if !off {
-			c.clock.AdvanceSamples(1)
-		}
+		c.clock.AdvanceSamples(1)
 		w, b := i>>6, uint(i&63)
 		out := c.stepLevels(fixed.Quantize(rx[i]),
 			sc.lvlX[w]>>b&1 != 0,
@@ -478,21 +477,19 @@ func (c *Core) ProcessBlock(rx []complex128, tx []complex128) {
 	}
 }
 
-// bulkEligible reports whether the datapath may batch a detector-quiet span
-// right now. With no recorder attached every quiet span batches: the
-// batched state updates are bit-identical and no observer exists for
-// mid-span timing. With a recorder attached, batching is only safe while
-// nothing that journals cycle-stamped events can fire mid-span: the jammer
-// must be idle (phase transitions carry stamps), no engagement may be open
-// (the holdoff-release countdown is per-sample), and no trigger window may
-// be armed (its expiry journals an abandon transition).
-func (c *Core) bulkEligible() bool {
-	if c.rec == nil {
-		return true
+// quietLimit returns how many detector-quiet samples the next batched span
+// may cover so that every event it journals falls on its last sample: the
+// jammer's next phase event, the sequence trigger's window expiry and an
+// open engagement's holdoff release.
+func (c *Core) quietLimit() uint64 {
+	lim := c.jam.QuietLimit()
+	if c.fusion != FusionAny {
+		lim = min(lim, c.sm.QuietLimit())
 	}
-	return c.curEng == 0 &&
-		c.jam.Phase() == jammer.PhaseIdle &&
-		(c.fusion == FusionAny || !c.sm.Armed())
+	if c.curEng != 0 && c.jam.Phase() == jammer.PhaseIdle {
+		lim = min(lim, c.engLinger)
+	}
+	return lim
 }
 
 // nextLevelBit returns the index of the first sample at or after `from`

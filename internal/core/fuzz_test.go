@@ -13,12 +13,15 @@ import (
 	"repro/internal/xcorr"
 )
 
-// Options of a fuzz configuration: the detectors it arms, and jamReplay,
-// which jams with the replay waveform instead of WGN.
+// Options of a fuzz configuration: the detectors it arms, jamReplay,
+// which jams with the replay waveform instead of WGN, and armSequence,
+// which triggers on a windowed two-stage sequence and jams after a
+// surgical delay.
 const (
 	armXCorr = 1 << iota
 	armEnergy
 	jamReplay
+	armSequence
 )
 
 // Correlator thresholds of the fuzz configurations: one fuzzed input
@@ -29,13 +32,23 @@ const (
 	disarmedThreshold  = math.MaxUint32
 )
 
+// The armSequence configuration's window and surgical delay, in samples.
+const (
+	fuzzSequenceWindow = 40
+	fuzzDelay          = 100
+)
+
 // fuzzProgram programs a core with a fixed synthetic configuration through
 // the register bus: the detectors armed names switched on (the others
 // programmed but unable to fire), FusionAny trigger on xcorr and
 // energy-high, short WGN jamming bursts, or with jamReplay replay bursts
 // longer than the 512-sample capture ring, so each plays the ring around
-// once. The thresholds are low enough that fuzzed input actually drives the
-// trigger and jammer paths rather than idling through the comparators.
+// once. With armSequence the trigger is instead the sequence xcorr then
+// energy-high within fuzzSequenceWindow samples, and each burst starts
+// fuzzDelay samples after its trigger: the correlator arms the sequence
+// often and most windows expire. The thresholds are low enough that
+// fuzzed input actually drives the trigger and jammer paths rather than
+// idling through the comparators.
 func fuzzProgram(tb testing.TB, c *Core, armed int) {
 	tb.Helper()
 	write := func(addr uint8, v uint32) {
@@ -67,11 +80,20 @@ func fuzzProgram(tb testing.TB, c *Core, armed int) {
 		energyConfig = 1
 	}
 	write(RegEnergyConfig, energyConfig)
-	write(RegTriggerWindow, 0)
-	write(RegTriggerConfig,
-		uint32(trigger.EventXCorr&0xF)|
-			uint32(trigger.EventEnergyHigh&0xF)<<4|
-			2<<12|1<<14)
+	if armed&armSequence != 0 {
+		write(RegTriggerWindow, fuzzSequenceWindow)
+		write(RegTriggerConfig,
+			uint32(trigger.EventXCorr&0xF)|
+				uint32(trigger.EventEnergyHigh&0xF)<<4|
+				2<<12)
+		write(RegJammerDelay, fuzzDelay)
+	} else {
+		write(RegTriggerWindow, 0)
+		write(RegTriggerConfig,
+			uint32(trigger.EventXCorr&0xF)|
+				uint32(trigger.EventEnergyHigh&0xF)<<4|
+				2<<12|1<<14)
+	}
 	if armed&jamReplay != 0 {
 		write(RegJammerWaveform, uint32(jammer.WaveformReplay))
 		write(RegJammerUptime, 600)
@@ -125,10 +147,12 @@ func fuzzBurstBytes() []byte {
 // skips a detector that cannot fire and must keep its history exactly. The
 // per-sample core gets the same writes at the same sample index. Those runs
 // go once bare and once with a telemetry.Live on each core, whose journals
-// must agree too. Last, two runs jam with the replay waveform, the
+// must agree too. Then two runs jam with the replay waveform, the
 // correlator armed and the energy differentiator disarmed (the block path
 // then quantizes only sign bits, and the capture ring holds raw samples)
-// and armed (the planes are built in full).
+// and armed (the planes are built in full). Last, a live run with both
+// detectors armed triggers on a windowed sequence and jams after a delay,
+// so batched spans must end on window expiries and delayed phase events.
 func FuzzProcessBlock(f *testing.F) {
 	f.Add([]byte("reactive jamming block parity seed: preamble-ish bytes....."), uint16(1))
 	f.Add([]byte{0xFF, 0x7F, 0xFF, 0x7F, 0x00, 0x80, 0x00, 0x80, 1, 2, 3, 4}, uint16(313))
@@ -157,6 +181,7 @@ func FuzzProcessBlock(f *testing.F) {
 		for _, armed := range []int{armXCorr, armXCorr | armEnergy} {
 			fuzzParity(t, samples, sizeSeed, armed|jamReplay, false, false)
 		}
+		fuzzParity(t, samples, sizeSeed, armXCorr|armEnergy|armSequence, false, true)
 	})
 }
 

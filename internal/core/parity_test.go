@@ -2,9 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/jammer"
 	"repro/internal/telemetry"
+	"repro/internal/trigger"
 )
 
 // parityInput builds a deterministic capture with two distinct energy
@@ -26,17 +29,71 @@ func parityInput() []complex128 {
 	return buf
 }
 
+// parityConfigs are the register configurations of the journal parity
+// test, each written over programEnergyHigh's 100-sample WGN burst, and the
+// event kind the per-sample run must journal for the configuration to test
+// what it names. Each names an event a batched span must end on: the burst
+// and holdoff of an energy-high trigger, a sequence trigger's window expiry
+// (energy-high then energy-low within 100 samples; the 300-sample bursts
+// fall later, so the window abandons), a completing sequence, surgical
+// delays, and the replay waveform. The energy-high level stays set for
+// more than 60 samples of a burst's rise, and the datapath steps those
+// samples one at a time; only the 100-sample delay ends, and turns RF on,
+// inside a batched span.
+var parityConfigs = []struct {
+	name   string
+	writes map[uint8]uint32
+	want   telemetry.EventKind
+}{
+	{"energy-high", nil, telemetry.EvHoldoffRelease},
+	{"sequence-expires", sequenceWrites(100), telemetry.EvTriggerAbandon},
+	{"sequence-fires", sequenceWrites(400), telemetry.EvJamRFOff},
+	{"delay-3", map[uint8]uint32{RegJammerDelay: 3}, telemetry.EvJamDelay},
+	{"delay-7", map[uint8]uint32{RegJammerDelay: 7}, telemetry.EvJamDelay},
+	{"delay-33", map[uint8]uint32{RegJammerDelay: 33}, telemetry.EvJamDelay},
+	{"delay-100", map[uint8]uint32{RegJammerDelay: 100}, telemetry.EvJamDelay},
+	{"replay", map[uint8]uint32{
+		RegJammerWaveform: uint32(jammer.WaveformReplay),
+		RegJammerUptime:   600,
+	}, telemetry.EvJamRFOff},
+}
+
+// sequenceWrites programs a two-stage energy-high → energy-low sequence
+// with the given window.
+func sequenceWrites(window uint32) map[uint8]uint32 {
+	return map[uint8]uint32{
+		RegEnergyConfig:    3,
+		RegEnergyThreshLow: 1000,
+		RegTriggerConfig: uint32(trigger.EventEnergyHigh) |
+			uint32(trigger.EventEnergyLow)<<4 | 2<<12,
+		RegTriggerWindow: window,
+	}
+}
+
 // TestBlockModeTelemetryParity is the differential check behind the block
 // datapath: with a live recorder attached, ProcessBlock must produce the
 // exact event stream — kinds, clock stamps, args and engagement IDs — and
 // the exact TX output that the per-sample path produces, at every block
-// size including ones that straddle the burst boundaries.
+// size including ones that straddle the burst boundaries, for every
+// configuration of parityConfigs.
 func TestBlockModeTelemetryParity(t *testing.T) {
 	input := parityInput()
+	for _, cfg := range parityConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			checkTelemetryParity(t, input, cfg.writes, cfg.want)
+		})
+	}
+}
 
+func checkTelemetryParity(t *testing.T, input []complex128, writes map[uint8]uint32, want telemetry.EventKind) {
 	run := func(blockLens []int) ([]complex128, telemetry.Snapshot, []telemetry.Event) {
 		c := New()
 		programEnergyHigh(t, c, 100)
+		for a, v := range writes {
+			if err := c.Bus().Write(a, v); err != nil {
+				t.Fatal(err)
+			}
+		}
 		live := telemetry.NewLive(telemetry.DefaultJournalDepth)
 		c.SetRecorder(live)
 		tx := make([]complex128, 0, len(input))
@@ -61,8 +118,8 @@ func TestBlockModeTelemetryParity(t *testing.T) {
 	}
 
 	wantTx, wantSnap, wantEvents := run(nil)
-	if len(wantEvents) == 0 {
-		t.Fatal("per-sample reference run recorded no events")
+	if !slices.ContainsFunc(wantEvents, func(e telemetry.Event) bool { return e.Kind == want }) {
+		t.Fatalf("per-sample reference run journaled no %v event", want)
 	}
 	if wantSnap.Engagements == 0 {
 		t.Fatal("per-sample reference run closed no engagements")

@@ -1,6 +1,9 @@
 package dsp
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Resampler converts a sample stream between two rates by rational
 // interpolation L / decimation M with a polyphase anti-aliasing lowpass.
@@ -38,22 +41,29 @@ func NewResampler(l, m, tapsPerPhase int) *Resampler {
 	}
 	g := gcd(l, m)
 	l, m = l/g, m/g
+	// The anti-aliasing lowpass is a Hamming-windowed sinc of L·taps taps,
+	// cut off just below the narrower of the input and output Nyquist
+	// rates. Tap i belongs to phase i mod L, delay i/L, and is written
+	// straight into its bank. The taps are normalized to unit DC gain and
+	// then scaled by L, as the interpolator inserts L-1 zeros.
+	cutoff := 0.5 / float64(max(l, m)) * 0.9
 	numTaps := l * tapsPerPhase
-	// Cut off at the narrower of the input and output Nyquist rates.
-	cutoff := 0.5 / float64(max(l, m))
-	taps := LowpassTaps(numTaps, cutoff*0.9)
-	// The interpolator inserts L-1 zeros, so scale gain by L to preserve
-	// signal amplitude through the zero-stuffed lowpass.
-	for i := range taps {
-		taps[i] *= float64(l)
-	}
-	banks := make([][2]float64, len(taps))
-	for p := 0; p < l; p++ {
-		bank := banks[p*tapsPerPhase : (p+1)*tapsPerPhase]
-		for k := range bank {
-			c := taps[p+k*l]
-			bank[tapsPerPhase-1-k] = [2]float64{c, c}
+	mid := float64(numTaps-1) / 2
+	banks := make([][2]float64, numTaps)
+	var sum float64
+	for i := 0; i < numTaps; i++ {
+		n := float64(i) - mid
+		s := 2 * cutoff
+		if n != 0 {
+			s = math.Sin(2*math.Pi*cutoff*n) / (math.Pi * n)
 		}
+		c := s * (0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(numTaps-1)))
+		sum += c
+		banks[i%l*tapsPerPhase+tapsPerPhase-1-i/l][0] = c
+	}
+	for k := range banks {
+		c := banks[k][0] / sum * float64(l)
+		banks[k] = [2]float64{c, c}
 	}
 	return &Resampler{l: l, m: m, taps: tapsPerPhase, banks: banks,
 		hist: make(Samples, 2*tapsPerPhase)}

@@ -23,6 +23,7 @@ package jammer
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/fixed"
 	"repro/internal/fpga"
@@ -180,6 +181,21 @@ func (c *Controller) SetHostStream(buf []complex128) {
 
 // Phase returns the controller's current lifecycle phase.
 func (c *Controller) Phase() Phase { return c.st }
+
+// QuietLimit returns how many trigger-free ticks a ProcessQuietSpan call
+// may cover so that any phase notification it makes lands on its last tick:
+// the ticks left in a delay, init or burst, 1 while the RF-on notification
+// is owed, and no bound (math.MaxUint64) while idle.
+func (c *Controller) QuietLimit() uint64 {
+	switch {
+	case c.st == PhaseIdle:
+		return math.MaxUint64
+	case c.rfPending:
+		return 1
+	default:
+		return c.remaining
+	}
+}
 
 // OnPhase installs the phase-transition observer (nil to remove). The
 // transition into PhaseJamming is reported on the tick of the first sample

@@ -2,6 +2,7 @@ package jammer
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -191,5 +192,40 @@ func TestQuietSpanHostStreamWaveform(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, samples, 100, blockLen)
+	}
+}
+
+// From every state of a burst's lifecycle, a span of QuietLimit() ticks
+// ends on the next phase change or notification, and a shorter one does
+// not; an idle controller is unbounded.
+func TestQuietLimitEndsOnPhaseEvent(t *testing.T) {
+	rx := quietStream(rand.New(rand.NewSource(0x9A7E)), 64)
+	tx := make([]complex128, len(rx))
+	for _, delay := range []uint64{0, 1, 3, 33} {
+		for _, uptime := range []uint64{1, 2, 20} {
+			c := New()
+			c.SetDelaySamples(delay)
+			if err := c.SetUptimeSamples(uptime); err != nil {
+				t.Fatal(err)
+			}
+			notes := 0
+			c.OnPhase(func(Phase, Phase) { notes++ })
+			c.Process(fixed.IQ{}, true)
+			for c.Phase() != PhaseIdle {
+				lim := c.QuietLimit()
+				st, n0, rf := c.Phase(), notes, c.rfPending
+				c.ProcessQuietSpan(rx[:lim-1], tx[:lim-1])
+				if c.Phase() != st || notes != n0 || c.rfPending != rf {
+					t.Fatalf("delay %d uptime %d: %v changed before its limit of %d ticks", delay, uptime, st, lim)
+				}
+				c.ProcessQuietSpan(rx[:1], tx[:1])
+				if c.Phase() == st && notes == n0 && c.rfPending == rf {
+					t.Fatalf("delay %d uptime %d: %v unchanged on its limit's tick %d", delay, uptime, st, lim)
+				}
+			}
+			if got := c.QuietLimit(); got != math.MaxUint64 {
+				t.Fatalf("delay %d uptime %d: idle QuietLimit %d, want no bound", delay, uptime, got)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package trigger
 
 import (
+	"math"
 	"testing"
 )
 
@@ -86,5 +87,49 @@ func TestStateMachineAdvanceQuietMatchesScalar(t *testing.T) {
 				t.Fatalf("window %d span %d: post-span fire %v != %v", window, span, b, s)
 			}
 		}
+	}
+}
+
+// A span of QuietLimit() samples ends on the window expiry, and a shorter
+// one does not; idle machines and armed ones without a window are unbounded.
+func TestStateMachineQuietLimitEndsOnExpiry(t *testing.T) {
+	for _, window := range []uint64{1, 5, 64} {
+		for _, pre := range []uint64{0, 1, window / 2, window} {
+			sm := New(EventXCorr)
+			if err := sm.Configure([]Event{EventEnergyHigh, EventXCorr}, window); err != nil {
+				t.Fatal(err)
+			}
+			abandons := 0
+			sm.OnTransition(func(from, to int, fired bool) {
+				if !fired && to == 0 {
+					abandons++
+				}
+			})
+			sm.Process(Inputs{EnergyHigh: true})
+			sm.AdvanceQuiet(pre)
+			lim := sm.QuietLimit()
+			if lim != window-pre+1 {
+				t.Fatalf("window %d after %d: QuietLimit %d, want %d", window, pre, lim, window-pre+1)
+			}
+			sm.AdvanceQuiet(lim - 1)
+			if abandons != 0 || !sm.armed {
+				t.Fatalf("window %d after %d: expired before the limit", window, pre)
+			}
+			sm.AdvanceQuiet(1)
+			if abandons != 1 || sm.armed {
+				t.Fatalf("window %d after %d: no expiry on the limit's sample", window, pre)
+			}
+			if got := sm.QuietLimit(); got != math.MaxUint64 {
+				t.Fatalf("window %d: idle QuietLimit %d, want no bound", window, got)
+			}
+		}
+	}
+	sm := New(EventXCorr)
+	if err := sm.Configure([]Event{EventEnergyHigh, EventXCorr}, 0); err != nil {
+		t.Fatal(err)
+	}
+	sm.Process(Inputs{EnergyHigh: true})
+	if got := sm.QuietLimit(); !sm.armed || got != math.MaxUint64 {
+		t.Fatalf("armed without a window: QuietLimit %d, want no bound", got)
 	}
 }

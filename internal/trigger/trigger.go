@@ -7,6 +7,7 @@ package trigger
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -162,11 +163,16 @@ func (sm *StateMachine) Process(in Inputs) bool {
 	return false
 }
 
-// Armed reports whether a partial sequence is in progress (stage ≥ 1 and
-// the completion window ticking). The block datapath uses it to decide
-// whether a quiet span can be batched without losing cycle-accurate
-// abandon events.
-func (sm *StateMachine) Armed() bool { return sm.armed }
+// QuietLimit returns how many event-free samples an AdvanceQuiet call may
+// cover so that a window expiry it reports lands on its last sample:
+// window − elapsed + 1 while a partial sequence is armed with a window, and
+// no bound (math.MaxUint64) otherwise.
+func (sm *StateMachine) QuietLimit() uint64 {
+	if !sm.armed || sm.window == 0 {
+		return math.MaxUint64
+	}
+	return sm.window - sm.elapsed + 1
+}
 
 // AdvanceQuiet advances the state machine by n samples that carry no
 // detector events, bit-identically to n Process calls with zero Inputs:

@@ -29,7 +29,8 @@ func randBanks(rng *rand.Rand) (i, q []fixed.Coeff3) {
 
 // randTemplateBanks draws two banks in [-3, 3], the range
 // CoefficientsFromTemplate produces: the weight-4 magnitude plane stays
-// empty, so ProcessPacked runs its 8-popcount loop.
+// empty, so ProcessPacked runs whole warm words in assembly where the CPU
+// has POPCNT.
 func randTemplateBanks(rng *rand.Rand) (i, q []fixed.Coeff3) {
 	i = make([]fixed.Coeff3, Length)
 	q = make([]fixed.Coeff3, Length)
@@ -121,8 +122,8 @@ func TestPackedMatchesReferenceRandom(t *testing.T) {
 }
 
 func TestPackedMatchesReferenceTemplateBanks(t *testing.T) {
-	// Banks in [−3, 3], as CoefficientsFromTemplate makes them, run the
-	// 8-popcount loop; the random test's banks almost always carry a −4.
+	// Banks in [−3, 3], as CoefficientsFromTemplate makes them, leave the
+	// weight-4 plane empty; the random test's banks almost always carry a −4.
 	rng := rand.New(rand.NewSource(0x7E4B))
 	for trial := 0; trial < 100; trial++ {
 		i, q := randTemplateBanks(rng)

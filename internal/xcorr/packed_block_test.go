@@ -12,7 +12,7 @@ import (
 // end-of-block state bit-identical to calling Process once per sample —
 // including partial last words, the warm-up holdoff straddling a word
 // boundary, and the register-bus-only −4 coefficients that populate the
-// weight-4 magnitude plane and select the 12-popcount kernel. Each test runs
+// weight-4 magnitude plane and keep every word in the Go loop. Each test runs
 // once per loop this machine has for template banks (withLoops).
 
 // hasKernel is popcntKernel as package init set it, before any test
@@ -123,8 +123,8 @@ func TestProcessPackedBoundaryLengths(t *testing.T) {
 }
 
 func TestProcessPackedTemplateBanks(t *testing.T) {
-	// Banks in [−3, 3] leave the weight-4 plane empty and run the
-	// 8-popcount loop, in assembly where the CPU has POPCNT. Threshold 0
+	// Banks in [−3, 3] leave the weight-4 plane empty, and their whole warm
+	// words run in assembly where the CPU has POPCNT. Threshold 0
 	// fires on every warm sample; the low random thresholds cross often.
 	withLoops(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(0x7E3B))
@@ -146,8 +146,8 @@ func TestProcessPackedTemplateBanks(t *testing.T) {
 }
 
 func TestProcessPackedThreePlaneBanks(t *testing.T) {
-	// All-(−4) banks populate mag[2], forcing the full 12-popcount kernel
-	// that template-derived coefficients (|c| ≤ 3) never select.
+	// All-(−4) banks populate mag[2], which template-derived coefficients
+	// (|c| ≤ 3) never do, so every word runs in the Go loop.
 	allMin := make([]fixed.Coeff3, Length)
 	for k := range allMin {
 		allMin[k] = fixed.Coeff3Min

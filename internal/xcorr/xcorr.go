@@ -271,56 +271,30 @@ func (c *Correlator) ProcessPacked(signI, signQ []uint64, n int, level []uint64)
 		}
 		// Hot loop: full 64-tap windows, no masking, no per-sample branches
 		// beyond the comparator itself. Template-derived banks quantize to
-		// |c| ≤ 3 and never populate the weight-4 magnitude plane, so the
-		// common case runs an 8-popcount kernel; popcount issues on a single
-		// execution port, making the plane count the loop's critical
-		// resource. Banks loaded raw over the register bus can carry −4 and
-		// take the full 12-popcount path.
-		if mi2|mq2 == 0 {
-			for ; k < count; k++ {
-				histI = wordI<<(63-uint(k)) | carryI>>(uint(k)+1)
-				histQ = wordQ<<(63-uint(k)) | carryQ>>(uint(k)+1)
-				xII := histI ^ negI
-				xQQ := histQ ^ negQ
-				xQI := histQ ^ negI
-				xIQ := histI ^ negQ
-				sumII := bi - int32(2*(bits.OnesCount64(xII&mi0)+
-					2*bits.OnesCount64(xII&mi1)))
-				sumQQ := bq - int32(2*(bits.OnesCount64(xQQ&mq0)+
-					2*bits.OnesCount64(xQQ&mq1)))
-				sumQI := bi - int32(2*(bits.OnesCount64(xQI&mi0)+
-					2*bits.OnesCount64(xQI&mi1)))
-				sumIQ := bq - int32(2*(bits.OnesCount64(xIQ&mq0)+
-					2*bits.OnesCount64(xIQ&mq1)))
-				re := sumII - sumQQ
-				im := sumQI + sumIQ
-				m := uint32(re*re) + uint32(im*im)
-				if m >= thr {
-					lvl |= 1 << k
-				}
-			}
-		} else {
-			for ; k < count; k++ {
-				histI = wordI<<(63-uint(k)) | carryI>>(uint(k)+1)
-				histQ = wordQ<<(63-uint(k)) | carryQ>>(uint(k)+1)
-				xII := histI ^ negI
-				xQQ := histQ ^ negQ
-				xQI := histQ ^ negI
-				xIQ := histI ^ negQ
-				sumII := bi - int32(2*(bits.OnesCount64(xII&mi0)+
-					2*bits.OnesCount64(xII&mi1)+4*bits.OnesCount64(xII&mi2)))
-				sumQQ := bq - int32(2*(bits.OnesCount64(xQQ&mq0)+
-					2*bits.OnesCount64(xQQ&mq1)+4*bits.OnesCount64(xQQ&mq2)))
-				sumQI := bi - int32(2*(bits.OnesCount64(xQI&mi0)+
-					2*bits.OnesCount64(xQI&mi1)+4*bits.OnesCount64(xQI&mi2)))
-				sumIQ := bq - int32(2*(bits.OnesCount64(xIQ&mq0)+
-					2*bits.OnesCount64(xIQ&mq1)+4*bits.OnesCount64(xIQ&mq2)))
-				re := sumII - sumQQ
-				im := sumQI + sumIQ
-				m := uint32(re*re) + uint32(im*im)
-				if m >= thr {
-					lvl |= 1 << k
-				}
+		// |c| ≤ 3 and leave the weight-4 plane zero; on amd64 their whole
+		// warm words run in assembly above, so this loop serves tails, the
+		// warm-up's word, other architectures and banks loaded raw over the
+		// register bus, which can carry −4.
+		for ; k < count; k++ {
+			histI = wordI<<(63-uint(k)) | carryI>>(uint(k)+1)
+			histQ = wordQ<<(63-uint(k)) | carryQ>>(uint(k)+1)
+			xII := histI ^ negI
+			xQQ := histQ ^ negQ
+			xQI := histQ ^ negI
+			xIQ := histI ^ negQ
+			sumII := bi - int32(2*(bits.OnesCount64(xII&mi0)+
+				2*bits.OnesCount64(xII&mi1)+4*bits.OnesCount64(xII&mi2)))
+			sumQQ := bq - int32(2*(bits.OnesCount64(xQQ&mq0)+
+				2*bits.OnesCount64(xQQ&mq1)+4*bits.OnesCount64(xQQ&mq2)))
+			sumQI := bi - int32(2*(bits.OnesCount64(xQI&mi0)+
+				2*bits.OnesCount64(xQI&mi1)+4*bits.OnesCount64(xQI&mi2)))
+			sumIQ := bq - int32(2*(bits.OnesCount64(xIQ&mq0)+
+				2*bits.OnesCount64(xIQ&mq1)+4*bits.OnesCount64(xIQ&mq2)))
+			re := sumII - sumQQ
+			im := sumQI + sumIQ
+			m := uint32(re*re) + uint32(im*im)
+			if m >= thr {
+				lvl |= 1 << k
 			}
 		}
 		level[w] = lvl
