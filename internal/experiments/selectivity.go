@@ -57,27 +57,34 @@ type SelectivityResult struct {
 }
 
 // standard returns what the matrix needs of s: its native sample rate, its
-// detector template, and its frame seq at that rate.
+// detector template, and its frame seq at that rate. The frame function
+// modulates into storage it owns and reuses, so the returned frame is
+// valid until its next call.
 func standard(s Standard) (int, []complex128, func(seq int) (dsp.Samples, error), error) {
+	var wave dsp.Samples
 	switch s {
 	case Std80211g:
+		var txc wifi.TxCodec
+		psdu := wifi.AppendFCS(make([]byte, 64))
 		return wifi.SampleRate, host.WiFiShortTemplate(), func(seq int) (dsp.Samples, error) {
-			psdu := wifi.AppendFCS(make([]byte, 64))
-			return wifi.Modulate(psdu, wifi.TxConfig{Rate: wifi.Rate24, ScramblerSeed: uint8(seq%126) + 1})
+			var err error
+			wave, err = txc.TxFrame(wave[:0], psdu, wifi.TxConfig{Rate: wifi.Rate24, ScramblerSeed: uint8(seq%126) + 1})
+			return wave, err
 		}, nil
 	case Std80211b:
+		psdu := make([]byte, 32)
 		return wifib.SampleRate, host.WiFiBTemplate(), func(seq int) (dsp.Samples, error) {
-			return wifib.Modulate(make([]byte, 32), wifib.Rate11, uint8(seq%126)+1)
+			var err error
+			wave, err = wifib.ModulateInto(wave, psdu, wifib.Rate11, uint8(seq%126)+1)
+			return wave, err
 		}, nil
 	}
 	cfg := wimax.Config{CellID: 1, Segment: 0}
 	tpl, err := host.WiMAXTemplate(cfg)
 	return wimax.ActualSampleRate, tpl, func(seq int) (dsp.Samples, error) {
-		frame, err := wimax.DownlinkFrame(cfg, 4, int64(seq))
-		if err != nil {
-			return nil, err
-		}
-		return frame[:8*wimax.SymbolLen], nil
+		var err error
+		wave, err = wimax.DownlinkFrameInto(wave, cfg, 4, int64(seq), 8*wimax.SymbolLen)
+		return wave, err
 	}, err
 }
 

@@ -2,10 +2,12 @@ package iperf
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/dsp"
 	"repro/internal/host"
 	"repro/internal/jammer"
 	"repro/internal/wifi"
@@ -251,6 +253,79 @@ func TestConcurrentRunsMatchSequential(t *testing.T) {
 		}
 		if got[i] != want[i] {
 			t.Errorf("payload %d B: concurrent run %+v, alone %+v", payloads[i], got[i], want[i])
+		}
+	}
+}
+
+// runOn runs one bandwidth test on the scratch sc and returns its result
+// and the reactive jammer's transmit waveform, every exchange's in order.
+func runOn(t *testing.T, sc *exchangeScratch, link LinkConfig, jam JammerConfig) (Result, dsp.Samples) {
+	t.Helper()
+	s, err := newSim(link, jam, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tx dsp.Samples
+	s.jamTap = func(x dsp.Samples) { tx = append(tx, x...) }
+	res, err := s.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return *res, tx
+}
+
+// TestReusedStackEqualsFresh runs a sequence of jammers on one scratch,
+// whose reactive stack (radio, DDC, core, transmit resampler) is carried
+// from run to run, and requires every result and every jam transmit sample
+// to equal the same run on a brand-new scratch. The sequence leaves the
+// register residue a reset could miss: a different uptime, a host stream
+// played and then absent, and continuous and off runs between reactive
+// ones.
+func TestReusedStackEqualsFresh(t *testing.T) {
+	link := testLink()
+	stream := make([]complex128, 300)
+	for i := range stream {
+		stream[i] = complex(0.5, float64(i%7)/10)
+	}
+	hostStream := func(uptime time.Duration, buf []complex128) JammerConfig {
+		j := reactive(uptime, 10)
+		j.Personality.Waveform = jammer.WaveformHostStream
+		j.HostStream = buf
+		return j
+	}
+	replay := reactive(10*time.Microsecond, 10)
+	replay.Personality.Waveform = jammer.WaveformReplay
+	continuous := JammerConfig{Mode: JamContinuous, Personality: host.Personality{Gain: 1}, VariableAttDB: 40}
+	seq := []struct {
+		name string
+		jam  JammerConfig
+	}{
+		{"reactive 100µs", reactive(100*time.Microsecond, 10)},
+		{"reactive 10µs host stream", hostStream(10*time.Microsecond, stream)},
+		{"continuous", continuous},
+		{"off", JammerConfig{Mode: JamOff}},
+		{"reactive 100µs again", reactive(100*time.Microsecond, 10)},
+		{"reactive 10µs host stream, none given", hostStream(10*time.Microsecond, nil)},
+		// A burst longer than the run leaves both resamplers' histories
+		// full of jam and receive samples; the replay jammer after it
+		// transmits what its DDC hands the core, so stale DDC or transmit
+		// resampler state would show.
+		{"reactive 1s, still jamming at the end", reactive(time.Second, 10)},
+		{"reactive 10µs replay", replay},
+	}
+	reused := new(exchangeScratch)
+	for _, c := range seq {
+		got, gotTX := runOn(t, reused, link, c.jam)
+		want, wantTX := runOn(t, new(exchangeScratch), link, c.jam)
+		if got != want {
+			t.Errorf("%s: reused stack %+v, fresh %+v", c.name, got, want)
+		}
+		if !slices.Equal(gotTX, wantTX) {
+			t.Errorf("%s: jam TX differs on the reused stack (%d samples, fresh %d)", c.name, len(gotTX), len(wantTX))
+		}
+		if c.jam.Mode == JamReactive && (c.jam.Personality.Waveform != jammer.WaveformHostStream || len(c.jam.HostStream) > 0) &&
+			got.JamAirtimeFrac == 0 {
+			t.Errorf("%s: the jammer never transmitted, so the run shows nothing", c.name)
 		}
 	}
 }

@@ -140,9 +140,12 @@ func New() *Controller {
 		uptime:   2500, // 0.1 ms at 25 MSPS
 		gain:     1,
 	}
-	c.wgn.seed(0xACE1)
+	c.wgn.seed(wgnSeed)
 	return c
 }
+
+// wgnSeed is the WGN generator's power-on state.
+const wgnSeed = 0xACE1
 
 // SetWaveform selects the jamming waveform preset.
 func (c *Controller) SetWaveform(w Waveform) error {
@@ -214,14 +217,16 @@ func (c *Controller) toPhase(to Phase) {
 	}
 }
 
-// Reset aborts any jamming in progress and clears the capture state;
-// configuration is preserved.
+// Reset aborts any jamming in progress, clears the capture state and
+// returns the WGN generator to its power-on state; configuration is
+// preserved.
 func (c *Controller) Reset() {
 	c.st = PhaseIdle
 	c.rfPending = false
 	c.remaining = 0
 	c.replayPos, c.replayLen, c.playPos = 0, 0, 0
 	c.hostPos = 0
+	c.wgn.seed(wgnSeed)
 }
 
 // Process advances one baseband sample tick. rx is the receive-path sample

@@ -60,8 +60,14 @@ func (r *N210) Tune(hz float64) error {
 
 // Start initializes both chains simultaneously (§2.1: "we initialize both
 // TX and RX chains simultaneously in the host application at start-up").
+// It returns the DDC's filter state and the core's sample state to
+// power-on and keeps every register, so a started radio processes as a new
+// one programmed the same way would.
 func (r *N210) Start() {
 	r.started = true
+	if r.ddc != nil {
+		r.ddc.Reset()
+	}
 	r.core.ResetDatapath()
 }
 

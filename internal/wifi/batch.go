@@ -130,9 +130,10 @@ type RxCodec struct {
 	vit    viterbiScratch
 	res    RxResult
 
-	llrDB  [maxCBPS]LLR // soft-demapped (still interleaved) symbol LLRs
-	llrs   []LLR        // whole DATA field's deinterleaved LLRs
-	llrSeq []LLR        // depunctured LLR stream (2 per data bit)
+	llrDB   [maxCBPS]LLR // soft-demapped (still interleaved) symbol LLRs
+	llrs    []LLR        // whole DATA field's deinterleaved LLRs
+	llrSeq  []LLR        // depunctured LLR stream (2 per data bit)
+	trellis trellis      // the soft path's Viterbi storage
 }
 
 var rxPool = sync.Pool{New: func() any { return new(RxCodec) }}

@@ -8,7 +8,7 @@ import (
 
 // Soft-decision back-end of the receiver: between RxCodec's shared header
 // and finish, the DATA symbols are demapped to log-likelihood ratios
-// instead of hard bits, and the reference trellis (trellisDecode)
+// instead of hard bits, and the reference trellis (trellis.decode)
 // accumulates them, buying roughly 2 dB over hard decisions on AWGN and
 // substantially more resilience when a jamming burst corrupts a contiguous
 // run of symbols. The paper's receivers are commodity hardware (hard or
@@ -95,10 +95,10 @@ func (c Constellation) DemapSoft(p complex128, dst []LLR) []LLR {
 }
 
 // viterbiDecodeSoft decodes the depunctured LLR stream seq (2 per data
-// bit, erasures 0) on trellisDecode. The branch metric accumulates the LLR
+// bit, erasures 0) on the reference trellis tr. The branch metric accumulates the LLR
 // mass that contradicts each candidate coded bit, so confident wrong bits
 // cost more than uncertain ones.
-func viterbiDecodeSoft(seq []LLR, terminated bool) []uint8 {
+func viterbiDecodeSoft(tr *trellis, seq []LLR, terminated bool) []uint8 {
 	// cost prices sending bit against llr: llr > 0 favors bit 0, so
 	// transmitting bit 1 against it costs llr, and vice versa.
 	cost := func(llr LLR, bit int) int32 {
@@ -108,7 +108,7 @@ func viterbiDecodeSoft(seq []LLR, terminated bool) []uint8 {
 		return int32(max(-llr, 0))
 	}
 	var row [4]int32
-	return trellisDecode(len(seq)/2, terminated, func(t int) *[4]int32 {
+	return tr.decode(len(seq)/2, terminated, func(t int) *[4]int32 {
 		lA, lB := seq[2*t], seq[2*t+1]
 		for pair := range row {
 			row[pair] = cost(lA, pair>>1) + cost(lB, pair&1)
@@ -143,7 +143,7 @@ func (c *RxCodec) rxFrameSoft(x dsp.Samples, searchFrom, searchTo int) (*RxResul
 		return nil, err
 	}
 	c.llrSeq = seq
-	return c.finish(viterbiDecodeSoft(seq, false)), nil
+	return c.finish(viterbiDecodeSoft(&c.trellis, seq, false)), nil
 }
 
 // DemodulateSoft mirrors Demodulate with the soft-decision DATA path. The

@@ -117,7 +117,7 @@ func TestViterbiSoftMatchesHardOnCleanInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec := viterbiDecodeSoft(seq, true); !bytes.Equal(dec, bits) {
+	if dec := viterbiDecodeSoft(new(trellis), seq, true); !bytes.Equal(dec, bits) {
 		t.Error("soft decode of saturated LLRs differs from input")
 	}
 }
@@ -133,9 +133,12 @@ func TestViterbiSoftShortInput(t *testing.T) {
 // (erasure) prices every branch exactly as bmLUT does, so
 // viterbiDecodeSoft must equal tracebackDecode, ties included. It covers
 // every puncture rate, both terminations, channel BERs from 0 to 50% and
-// erasure-heavy streams.
+// erasure-heavy streams. The soft decoder reuses one trellis across frames
+// of every length, as a receiver's codec does, so stale predecessor entries
+// would show here.
 func TestSoftTrellisMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
+	var soft trellis
 	toLLR := map[uint8]LLR{0: 1, 1: -1, erasure: llrErasure}
 	for _, p := range []Puncture{Punct1_2, Punct2_3, Punct3_4} {
 		for _, terminated := range []bool{true, false} {
@@ -156,7 +159,7 @@ func TestSoftTrellisMatchesReference(t *testing.T) {
 						llrs[j] = toLLR[v]
 					}
 					want := tracebackDecode(seq, n, terminated)
-					if got := viterbiDecodeSoft(llrs, terminated); !bytes.Equal(got, want) {
+					if got := viterbiDecodeSoft(&soft, llrs, terminated); !bytes.Equal(got, want) {
 						t.Fatalf("p=%v terminated=%v ber=%v erasure-heavy=%v n=%d: soft trellis diverges from reference",
 							p, terminated, ber, erasureHeavy, n)
 					}

@@ -210,20 +210,31 @@ func renormalize(m *[8]uint64) {
 	}
 }
 
-// trellisDecode is the int32 reference trellis: the add-compare-select
-// recursion with explicit predecessor bookkeeping per step for an
-// unambiguous traceback. row(t) prices step t's four coded output pairs,
-// indexed by branchPair. The trellis starts in state 0; a terminated one
-// ends there too, otherwise the lowest-index best end state wins. Ties keep
-// the earlier-scanned (lower) predecessor.
-func trellisDecode(numDataBits int, terminated bool, row func(t int) *[4]int32) []uint8 {
+// trellis is the storage of the int32 reference trellis: the predecessor
+// table and the decoded bits, grown to the longest frame it has decoded and
+// reused by every later decode.
+type trellis struct {
+	prev [][numStates]uint8
+	out  []uint8
+}
+
+// decode runs the reference trellis: the add-compare-select recursion with
+// explicit predecessor bookkeeping per step for an unambiguous traceback.
+// row(t) prices step t's four coded output pairs, indexed by branchPair.
+// The trellis starts in state 0; a terminated one ends there too, otherwise
+// the lowest-index best end state wins. Ties keep the earlier-scanned
+// (lower) predecessor. The traceback reads only entries the recursion wrote
+// for states it reached, so the reused table needs no clearing. The result
+// is the trellis' own buffer, valid until its next decode.
+func (tr *trellis) decode(numDataBits int, terminated bool, row func(t int) *[4]int32) []uint8 {
 	const inf = int32(1) << 30
 	metric := make([]int32, numStates)
 	next := make([]int32, numStates)
 	for s := 1; s < numStates; s++ {
 		metric[s] = inf
 	}
-	prev := make([][numStates]uint8, numDataBits) // predecessor state
+	tr.prev = grow(tr.prev, numDataBits)
+	prev := tr.prev // predecessor state
 
 	for t := 0; t < numDataBits; t++ {
 		cost := row(t)
@@ -254,7 +265,8 @@ func trellisDecode(numDataBits int, terminated bool, row func(t int) *[4]int32) 
 			}
 		}
 	}
-	out := make([]uint8, numDataBits)
+	tr.out = grow(tr.out, numDataBits)
+	out := tr.out
 	state := best
 	for t := numDataBits - 1; t >= 0; t-- {
 		out[t] = uint8(state & 1)

@@ -10,11 +10,11 @@ import (
 // is pinned against the retained tracebackDecode reference with exact (==)
 // comparison of the decoded bits.
 
-// tracebackDecode runs trellisDecode on the erasure-marked hard stream seq
+// tracebackDecode runs the reference trellis on the erasure-marked hard stream seq
 // with bmLUT rows, out-of-alphabet values clamped to 3. It is the
 // reference the packed decoder is pinned against.
 func tracebackDecode(seq []uint8, numDataBits int, terminated bool) []uint8 {
-	return trellisDecode(numDataBits, terminated, func(t int) *[4]int32 {
+	return new(trellis).decode(numDataBits, terminated, func(t int) *[4]int32 {
 		return &bmLUT[min(seq[2*t], 3)][min(seq[2*t+1], 3)]
 	})
 }

@@ -179,6 +179,13 @@ func lengthExtension(rate Rate, psduBytes int) bool {
 
 // Modulate builds a complete long-preamble PPDU at 22 MSPS.
 func Modulate(psdu []byte, rate Rate, scramblerSeed uint8) (dsp.Samples, error) {
+	return ModulateInto(nil, psdu, rate, scramblerSeed)
+}
+
+// ModulateInto is Modulate writing the PPDU into dst's storage, grown only
+// when its capacity is short, so a caller that modulates frame after frame
+// into one buffer allocates no chip buffer once it has grown.
+func ModulateInto(dst dsp.Samples, psdu []byte, rate Rate, scramblerSeed uint8) (dsp.Samples, error) {
 	if !rate.Valid() {
 		return nil, fmt.Errorf("wifib: invalid rate %v", rate)
 	}
@@ -189,7 +196,7 @@ func Modulate(psdu []byte, rate Rate, scramblerSeed uint8) (dsp.Samples, error) 
 		scramblerSeed = 0x1B
 	}
 	scr := NewScrambler(scramblerSeed)
-	m := &modulator{}
+	m := &modulator{out: dst[:0]}
 
 	// SYNC: 128 scrambled ones, DBPSK.
 	for i := 0; i < SyncBits; i++ {
