@@ -497,7 +497,7 @@ func sampleBytes(x Samples) []byte {
 
 // BenchmarkResampler times one 4096-sample Process call on each
 // dense-output loop: 5/4 on dense input (the DDC of every figure), 4/5 on
-// burst-gated input (iperf's downResampler behind a gated jammer) and
+// burst-gated input (iperf's transmit resampler behind a gated jammer) and
 // 125/57 (the WiMAX DDC).
 func BenchmarkResampler(b *testing.B) {
 	dense := resamplerDiffInput(4096)
