@@ -67,13 +67,16 @@ race:
 ## kernels on raw float bits: the resampler, each loop against the other and
 ## the sliding reference (FuzzResampler), and the sign-bit slicer, each loop
 ## against Quantize (FuzzSignBits). An input that breaks one is written to
-## the package's testdata/fuzz and fails the run.
+## the package's testdata/fuzz and fails the run. Each new interesting
+## input is minimized once (-fuzzminimizetime=1x) on the targets whose
+## default minimization, on a fresh fuzz cache, held off new executions for
+## most of the 5 s; FuzzWGNFill ran at full rate without it.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzPackedVsReference$$' -fuzztime=5s ./internal/xcorr
-	$(GO) test -run='^$$' -fuzz='^FuzzProcessBlock$$' -fuzztime=5s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzPackedVsReference$$' -fuzztime=5s -fuzzminimizetime=1x ./internal/xcorr
+	$(GO) test -run='^$$' -fuzz='^FuzzProcessBlock$$' -fuzztime=5s -fuzzminimizetime=1x ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzWGNFill$$' -fuzztime=5s ./internal/jammer
-	$(GO) test -run='^$$' -fuzz='^FuzzResampler$$' -fuzztime=5s ./internal/dsp
-	$(GO) test -run='^$$' -fuzz='^FuzzSignBits$$' -fuzztime=5s ./internal/fixed
+	$(GO) test -run='^$$' -fuzz='^FuzzResampler$$' -fuzztime=5s -fuzzminimizetime=1x ./internal/dsp
+	$(GO) test -run='^$$' -fuzz='^FuzzSignBits$$' -fuzztime=5s -fuzzminimizetime=1x ./internal/fixed
 
 ## bench-test: the tests of the benchmark in bench/, a Go module of its
 ## own: its statistics, a short run of every workload and, through
